@@ -177,14 +177,11 @@ int main(int argc, char** argv) {
           ropts.machine = machine;
           ropts.collective = collective;
           dshape.k = static_cast<double>(k);
-          // The distributed engine does not count model costs; a sequential
-          // replay at P=ranks supplies the measured counters for both rows.
-          const auto counted = core::solve_rc_sfista(bp.problem(), ropts);
           const std::string label = name + "_k" + std::to_string(k);
           dist::ThreadGroup blocking_group(ranks);
           const auto blk = core::solve_rc_sfista_distributed(
               bp.problem(), ropts, blocking_group);
-          ledger.add(label + "_blk", dshape, counted.cost, &blk.phases);
+          ledger.add(label + "_blk", dshape, blk.cost, &blk.phases);
           ropts.pipeline = true;
           ropts.staleness = staleness;
           dist::ThreadGroup pipelined_group(ranks);
@@ -200,7 +197,7 @@ int main(int argc, char** argv) {
                   ? static_cast<double>(pipe.comm_stats.overlapped_words) /
                         words
                   : 0.0;
-          ledger.add(label + "_pipe", dshape, counted.cost, &pipe.phases,
+          ledger.add(label + "_pipe", dshape, pipe.cost, &pipe.phases,
                      &credit);
         }
       }

@@ -7,7 +7,7 @@ namespace rcf::check {
 namespace {
 
 /// Last two path components of a compiler-provided file name, so
-/// diagnostics read "core/distributed.cpp" instead of an absolute path.
+/// diagnostics read "core/engine.cpp" instead of an absolute path.
 const char* trim_path(const char* file) {
   const char* last = nullptr;
   const char* prev = nullptr;

@@ -1,13 +1,12 @@
 // Genuinely distributed (threaded SPMD) RC-SFISTA.
 //
-// This is the validation twin of the sequential engine: the dataset is
-// block-partitioned by sample across the ranks of a dist::ThreadGroup
-// exactly as in the paper's Fig. 1, each rank accumulates the Gram
-// contribution of its own samples (stages A-B), one allreduce combines the
-// k blocks (stage C), and every rank performs the redundant update sweeps
-// (stage D).  The returned iterate must agree with the sequential engine up
-// to floating-point reduction-order effects -- the integration tests assert
-// this at ~1e-10.
+// The engine's loop (core/engine.hpp) on every rank of a dist::ThreadGroup:
+// the dataset is block-partitioned by sample across the ranks exactly as in
+// the paper's Fig. 1, each rank accumulates the Gram contribution of its
+// own samples (stages A-B), one allreduce combines the k blocks (stage C),
+// and every rank performs the redundant update sweeps (stage D).  The
+// returned iterate agrees with the single-process solve up to
+// floating-point reduction order (bitwise at one rank).
 #pragma once
 
 #include "core/options.hpp"
@@ -17,10 +16,9 @@
 
 namespace rcf::core {
 
-/// Runs RC-SFISTA SPMD over the given thread group.  Supported options:
-/// max_iters, sampling_rate, k, s, step_size/step_scale, momentum, seed.
-/// (tol-stopping, history and variance reduction are sequential-engine
-/// features; this path runs a fixed iteration count.)
+/// Runs RC-SFISTA SPMD over the given thread group.  Honours every
+/// SolverOptions field; the cost ledger models P = group.size(), so
+/// opts.procs must be 1 or the group size (InvalidArgument otherwise).
 SolveResult solve_rc_sfista_distributed(const LassoProblem& problem,
                                         const SolverOptions& opts,
                                         dist::ThreadGroup& group);

@@ -1,22 +1,30 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "check/checked_comm.hpp"
+#include "check/options.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "core/health.hpp"
+#include "core/distributed.hpp"
 #include "core/momentum.hpp"
+#include "dist/retry.hpp"
 #include "exec/pool.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "data/partition.hpp"
+#include "fault/faulty_comm.hpp"
+#include "fault/plan.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
+#include "obs/aggregate.hpp"
+#include "obs/live.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "prox/operators.hpp"
 #include "sparse/gram.hpp"
 
@@ -26,38 +34,644 @@ namespace {
 
 using model::Phase;
 
-/// Mutable iteration state of the recurrence (paper Eq. 16-17): the engine
-/// carries w_{n-1}, dw_{n-1} = w_{n-1} - w_{n-2}, and the extrapolated point
-/// v_n, updated incrementally via dv_n = (1+mu_{n+1}) dw_n - mu_n dw_{n-1}.
-struct IterState {
-  la::Vector w;        // w_{n-1}
-  la::Vector dw_prev;  // w_{n-1} - w_{n-2}
-  la::Vector v;        // v_n (the point the next gradient is taken at)
-};
+/// Corruption bound for the reduced [H|R] payload guard.  A poisoned
+/// contribution is either non-finite (NaN injection, exponent-bit flips
+/// that produce Inf/NaN) or astronomically large (a flipped high exponent
+/// bit scales a value by ~2^512); legitimate Gram blocks of normalized
+/// datasets live many orders of magnitude below this.
+constexpr double kPayloadBound = 1e100;
 
-/// Scratch buffers reused across iterations (no allocation in the loop).
-struct Scratch {
-  la::Vector grad;
-  la::Vector theta;
-  la::Vector u;
-  la::Vector tmp;
-};
-
-/// grad <- H z - R  (plain Alg. 4 line 8) or, with variance reduction,
-/// grad <- H (z - anchor) + anchor_grad  (Eq. 9 specialized to least
-/// squares, where the sampled terms collapse to H_S (z - w_hat)).
-void estimate_gradient(const la::Matrix& h, const la::Vector& r,
-                       std::span<const double> z, bool variance_reduction,
-                       std::span<const double> anchor,
-                       std::span<const double> anchor_grad, Scratch& s) {
-  if (variance_reduction) {
-    la::waxpby(1.0, z, -1.0, anchor, s.tmp.span());
-    la::gemv(1.0, h, s.tmp.span(), 0.0, s.grad.span());
-    la::axpy(1.0, anchor_grad, s.grad.span());
-  } else {
-    la::gemv(1.0, h, z, 0.0, s.grad.span());
-    la::axpy(-1.0, r.span(), s.grad.span());
+bool payload_sane(std::span<const double> payload) {
+  for (const double v : payload) {
+    if (!std::isfinite(v) || std::abs(v) > kPayloadBound) {
+      return false;
+    }
   }
+  return true;
+}
+
+/// One check of every SolverOptions field for both entry points; `group`
+/// is null for the single-process solve.
+void validate_options(const LassoProblem& problem, const SolverOptions& opts,
+                      const dist::ThreadGroup* group) {
+  RCF_CHECK_MSG(opts.max_iters >= 1, "options: max_iters must be >= 1");
+  RCF_CHECK_MSG(opts.k >= 1, "options: k must be >= 1");
+  RCF_CHECK_MSG(opts.s >= 1, "options: s must be >= 1");
+  RCF_CHECK_MSG(opts.sampling_rate > 0.0 && opts.sampling_rate <= 1.0,
+                "options: sampling_rate must be in (0, 1]");
+  RCF_CHECK_MSG(opts.procs >= 1, "options: procs must be >= 1");
+  RCF_CHECK_MSG(group == nullptr || opts.procs == 1 ||
+                    opts.procs == group->size(),
+                "options: procs must be 1 or the ThreadGroup size");
+  RCF_CHECK_MSG(opts.threads >= 0, "options: threads must be >= 0");
+  RCF_CHECK_MSG(opts.history_stride >= 1,
+                "options: history_stride must be >= 1");
+  RCF_CHECK_MSG(opts.step_size >= 0.0, "options: step_size must be >= 0");
+  RCF_CHECK_MSG(opts.step_scale > 0.0, "options: step_scale must be > 0");
+  RCF_CHECK_MSG(opts.staleness >= 0, "options: staleness must be >= 0");
+  RCF_CHECK_MSG(opts.staleness == 0 || opts.pipeline,
+                "options: staleness > 0 requires pipeline");
+  RCF_CHECK_MSG(!opts.variance_reduction || opts.epoch_length >= 1,
+                "options: epoch_length must be >= 1 with VR");
+  RCF_CHECK_MSG(problem.dim() > 0, "options: empty problem");
+  RCF_CHECK_MSG(opts.tol <= 0.0 || !std::isnan(opts.f_star),
+                "options: tol-based stopping requires f_star (run the "
+                "reference solver first)");
+}
+
+/// F(w): the problem's lambda ||w||_1 objective (paper Eq. 14), or
+/// smooth_value + g(w) under an opts.regularizer override.
+double objective_at(const LassoProblem& problem, const SolverOptions& opts,
+                    std::span<const double> w) {
+  return opts.regularizer != nullptr
+             ? problem.smooth_value(w) + opts.regularizer->value(w)
+             : problem.objective(w);
+}
+
+/// Fills SolveResult::alerts from two sources that never overlap in kind:
+/// a deterministic offline scan of the convergence ring for the numeric
+/// rules (stall, divergence, non-finite), independent of the live
+/// monitor's sampling cadence, plus the runtime-only alerts (straggler,
+/// retry storm, ring overflow) the live monitor raised since `mark`.
+void annotate_health(SolveResult& result, std::uint64_t mark) {
+  obs::LiveMonitor& monitor = obs::LiveMonitor::global();
+  const bool live = monitor.running();
+  const obs::WatchdogConfig config =
+      live ? monitor.watchdog_config() : obs::watchdog_config_from_env();
+  for (obs::Alert& alert : obs::scan_convergence(result.conv.ordered(),
+                                                 config)) {
+    result.alerts.push_back(std::move(alert));
+  }
+  if (!live) {
+    return;
+  }
+  monitor.sample_now();  // fold the tail of the run before reading alerts
+  for (obs::Alert& alert : monitor.alerts_since(mark)) {
+    if (alert.kind == obs::AlertKind::kStraggler ||
+        alert.kind == obs::AlertKind::kRetryStorm ||
+        alert.kind == obs::AlertKind::kRingOverflow) {
+      result.alerts.push_back(std::move(alert));
+    }
+  }
+}
+
+/// Everything the ranks share, fixed once per solve outside them.
+struct Setup {
+  const LassoProblem& problem;
+  const SolverOptions& opts;
+  std::size_t mbar;
+  double gamma;
+  data::Partition data_part;  ///< sample blocks of the real ranks
+  data::Partition cost_part;  ///< sample blocks of the modeled P
+  /// Decorator counters of every rank (ThreadGroup::last_run_stats only
+  /// sums the backend endpoints).
+  std::atomic<std::uint64_t> retries{0};
+  std::atomic<std::uint64_t> faults{0};
+};
+
+/// Paper Alg. 5 on one rank of `backend`'s world.  Stages A + B build the
+/// rank's share of k sampled [H|R] blocks, stage C sums them with one
+/// counted allreduce per k-chunk (blocking, or posted one chunk ahead with
+/// opts.pipeline), and stage D runs the redundant update sweeps, so every
+/// rank holds bitwise-identical iterates.  Rank 0 writes `out`.
+void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
+  const LassoProblem& problem = su.problem;
+  const SolverOptions& opts = su.opts;
+
+  // Collective decorator stack, innermost first:
+  //   backend <- FaultyComm <- RetryingComm <- CheckedComm.
+  // The chaos layer throws transient failures *before* the backend call,
+  // so a retried collective enters the rendezvous exactly once and the
+  // contract checker above it records exactly one schedule entry -- no
+  // false positives from legitimate retries.
+  const fault::FaultPlan* plan = fault::active_plan();
+  fault::FaultyComm faulty(backend, plan);
+  dist::RetryingComm retrying(faulty, opts.retry);
+  // Fold the decorator counters into the shared totals on scope exit --
+  // including when this rank dies mid-schedule (injected aborts and
+  // exhausted retries throw through this frame), so failure results
+  // still report how many faults actually fired.
+  struct CounterFold {
+    fault::FaultyComm& faulty;
+    dist::RetryingComm& retrying;
+    Setup& su;
+    ~CounterFold() {
+      su.retries.fetch_add(retrying.retries(), std::memory_order_relaxed);
+      su.faults.fetch_add(faulty.faults_injected(), std::memory_order_relaxed);
+    }
+  } fold{faulty, retrying, su};
+  // With RCF_CHECK on, every collective below is fingerprinted and the
+  // rolling schedule hash is epoch-checked across ranks; with checking off
+  // it forwards untouched.
+  check::CheckedComm comm(retrying);
+  // Per-rank pool: width 0 divides the hardware among the ranks so P ranks
+  // x W pool threads never oversubscribes the machine.
+  exec::Pool pool(exec::Pool::resolve_width(opts.threads, comm.size()));
+  exec::PoolGuard pool_guard(&pool);
+
+  const std::size_t d = problem.dim();
+  const std::size_t m = problem.num_samples();
+  const int k = opts.k;
+  const std::size_t stride = d * d + d;  // one packed [H_j | R_j] block
+  const int procs = su.cost_part.parts();
+  auto& session = obs::TraceSession::global();
+  const bool tracing = opts.trace && session.enabled();
+  // The payload guard is armed only when it could matter -- a chaos plan is
+  // installed or the verification layer is on -- so fault-free solves never
+  // pay the O(payload) scan.
+  const bool guard_payload = plan != nullptr || check::globally_enabled();
+  const double lambda_gamma = problem.lambda() * su.gamma;
+
+  // Rank-local data block (stage 0 of Fig. 1: X column-partitioned, y
+  // row-partitioned); a 1-rank world reads the problem in place.
+  const std::size_t lo = su.data_part.begin(comm.rank());
+  const std::size_t hi = su.data_part.end(comm.rank());
+  const std::optional<sparse::CsrMatrix> slice =
+      comm.size() > 1 ? std::optional(problem.xt().slice_rows(lo, hi))
+                      : std::nullopt;
+  const sparse::CsrMatrix& local_xt = slice ? *slice : problem.xt();
+  const std::span<const double> local_y =
+      problem.y().span().subspan(lo, hi - lo);
+  const bool is_root = comm.rank() == 0;
+
+  // Iteration state of the recurrence (paper Eq. 16-17): w_{n-1},
+  // dw_{n-1} = w_{n-1} - w_{n-2}, and the extrapolated point v_n, updated
+  // incrementally via dv_n = (1+mu_{n+1}) dw_n - mu_n dw_{n-1}.
+  la::Vector w(d), dw_prev(d), v(d);
+  la::Vector grad(d), theta(d), u(d), tmp(d), w_iter_prev(d);
+  la::Matrix h_local(d, d), h(d, d);
+  la::Vector r_local(d);
+  // Variance-reduction anchor (Alg. 3's w_hat) and its exact gradient.
+  la::Vector anchor(d), anchor_grad(d);
+  std::vector<double> residual(opts.variance_reduction ? local_xt.rows() : 0);
+  std::vector<std::uint32_t> idx, local_idx;
+  const MomentumSchedule outer_mu(opts.momentum);
+  // Counts recurrence updates (S per sampled block); drives the momentum
+  // schedule relative to the last restart.
+  int update_counter = 0;
+  int momentum_base = 0;
+  int last_anchor_iter = 0;
+  int iterations_done = 0;
+  bool converged = false;  // tol reached: every rank stops at the same n
+  bool local_built = false;
+
+  model::CostTracker cost(opts.collective);
+  std::vector<IterationRecord> history;
+  obs::ConvergenceRing conv;
+  // Phase observation (counts always, wall time when tracing).  Collective
+  // spans come from the backend itself, one per call, so the trace's
+  // "allreduce" span count equals CommStats::allreduce_calls.
+  obs::PhaseAgg ph_sampling, ph_gram, ph_allreduce, ph_post, ph_wait,
+      ph_update;
+  // Machine-independent cumulative counters mirrored into the history so
+  // benches can re-cost one trajectory for any (P, machine, collective).
+  std::uint64_t comm_rounds = 0;
+  double raw_gram_flops = 0.0;
+  double raw_update_flops = 0.0;
+  double comm_payload_words = 0.0;
+
+  // The k*(d^2+d) block working set spills the cache for large k; every use
+  // then streams from DRAM (see MachineSpec::beta_mem and DESIGN.md).
+  const bool spills =
+      static_cast<double>(k) * static_cast<double>(stride) >
+      opts.machine.cache_doubles;
+
+  // Counts and (when tracing) times one collective call into `agg`.
+  const auto timed = [&](obs::PhaseAgg& agg, std::size_t words,
+                         const auto& call) {
+    ++agg.count;
+    agg.words += static_cast<double>(words);
+    const std::int64_t t0 = tracing ? session.now_us() : 0;
+    call();
+    if (tracing) {
+      agg.us += session.now_us() - t0;
+    }
+  };
+  // Blocking allreduce, charged against the modeled P.
+  const auto reduce = [&](std::span<double> payload) {
+    timed(ph_allreduce, payload.size(), [&] { comm.allreduce_sum(payload); });
+    cost.add_allreduce(procs, payload.size());
+  };
+
+  // Refreshes the anchor at the current iterate: each rank's partial full
+  // gradient (1/m) X_p (X_p^T w - y_p) -- two SpMVs over its block -- and
+  // one d-word allreduce of the partial sums.
+  const auto refresh_anchor = [&](int iter_base) {
+    la::copy(w.span(), anchor.span());
+    obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
+      local_xt.spmv(anchor.span(), residual);
+      la::axpy(-1.0, local_y, residual);
+      local_xt.spmv_t(residual, anchor_grad.span());
+      la::scal(1.0 / static_cast<double>(m), anchor_grad.span());
+    });
+    cost.add_flops(Phase::kGram, 4.0 * static_cast<double>(problem.xt().nnz()) /
+                                     static_cast<double>(procs));
+    reduce(anchor_grad.span());
+    last_anchor_iter = iter_base;
+    if (opts.vr_restart_momentum) {
+      // Literal Alg. 3: restart the inner loop from the snapshot (w_0 =
+      // w_hat, fresh momentum, v = w).
+      la::copy(w.span(), v.span());
+      dw_prev.fill(0.0);
+      momentum_base = update_counter;
+    }
+  };
+
+  const auto chunk_start = [&](int t) { return 1 + t * k; };
+  const auto chunk_len = [&](int t) {
+    return std::min(k, opts.max_iters - t * k);
+  };
+  const auto chunk_words = [&](int t) {
+    return static_cast<std::size_t>(chunk_len(t)) * stride;
+  };
+
+  // Stages A + B for chunk t into `dst`.  Sampling is keyed on (seed, n)
+  // only -- identical index sets for every k, S and P with no
+  // communication to agree on them (paper §5.2) -- and each rank
+  // accumulates the outer products of its own samples.  A pure function of
+  // t: the poison fallback re-runs it, and the pipeline runs it for chunk
+  // t + 1 while chunk t's reduction is in flight.
+  const auto build_chunk = [&](int t, double* dst) {
+    for (int j = 0; j < chunk_len(t); ++j) {
+      const int n = chunk_start(t) + j;
+      obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
+        Rng rng(opts.seed, static_cast<std::uint64_t>(n));
+        idx = rng.sample_without_replacement(m, su.mbar);
+        local_idx.clear();
+        for (const auto i : idx) {
+          if (i >= lo && i < hi) {
+            local_idx.push_back(static_cast<std::uint32_t>(i - lo));
+          }
+        }
+      });
+      raw_gram_flops += static_cast<double>(
+          charge_sampled_gram(cost, problem.xt(), idx, su.cost_part));
+      obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
+        // Full batch (mbar = m): the local [H|R] never changes, so it is
+        // built once and only re-packed (bitwise identical to rebuilding).
+        if (!local_built) {
+          h_local.fill(0.0);
+          la::set_zero(r_local.span());
+          sparse::accumulate_sampled_gram(
+              local_xt, local_y, local_idx,
+              1.0 / static_cast<double>(idx.size()), h_local, r_local.span());
+          la::symmetrize_from_upper(h_local);
+          local_built = su.mbar == m;
+        }
+        double* block = dst + static_cast<std::size_t>(j) * stride;
+        std::copy(h_local.data(), h_local.data() + d * d, block);
+        std::copy(r_local.data(), r_local.data() + d, block + d * d);
+      });
+    }
+  };
+
+  // Stage D for chunk t: kk redundant update sweeps, S Hessian-reuse steps
+  // each.  `blocks` holds reduced [H|R] data -- chunk t's own, or under
+  // bounded staleness an earlier chunk's (at least kk blocks; only the
+  // final chunk is short).
+  //
+  // Hessian-reuse (paper Eq. 20-23): each communicated (H, R) block is
+  // reused for S recurrence steps.  Every reuse step is a *standard*
+  // SFISTA update -- prox step at the extrapolated point, then the
+  // dv = (1+mu)dw - mu dw_prev recurrence -- advancing one shared update
+  // counter, so S = 1 reduces bit-exactly to the base algorithm and the
+  // per-step stability condition (gamma * ||H_n|| <= 1) is unchanged.
+  // Over-solving against a stale sampled block is what degrades large S
+  // (the paper's S = 10 observation).
+  const auto update_chunk = [&](int t, const double* blocks) {
+    for (int j = 0; j < chunk_len(t) && !converged; ++j) {
+      const int n = chunk_start(t) + j;
+      const double* block = blocks + static_cast<std::size_t>(j) * stride;
+      const std::span<const double> r(block + d * d, d);
+      std::copy(block, block + d * d, h.data());
+      la::copy(w.span(), w_iter_prev.span());
+
+      obs::timed_phase(tracing, ph_update, "update",
+                       static_cast<double>(opts.s), [&] {
+        for (int s2 = 1; s2 <= opts.s; ++s2) {
+          // grad = H v - R (plain Alg. 4 line 8) or, with variance
+          // reduction, H (v - anchor) + anchor_grad (Eq. 9 specialized to
+          // least squares, where the sampled terms collapse to
+          // H_S (v - w_hat)).
+          if (opts.variance_reduction) {
+            la::waxpby(1.0, v.span(), -1.0, anchor.span(), tmp.span());
+            la::gemv(1.0, h, tmp.span(), 0.0, grad.span());
+            la::axpy(1.0, anchor_grad.span(), grad.span());
+          } else {
+            la::gemv(1.0, h, v.span(), 0.0, grad.span());
+            la::axpy(-1.0, r, grad.span());
+          }
+          la::waxpby(1.0, v.span(), -su.gamma, grad.span(), theta.span());
+          if (opts.regularizer != nullptr) {
+            la::copy(theta.span(), u.span());
+            opts.regularizer->apply(u.span(), su.gamma);
+          } else {
+            prox::soft_threshold(theta.span(), lambda_gamma, u.span());
+          }
+
+          // Recurrence: dw = w_new - w; dv = (1+mu_{u+1}) dw - mu_u dw_prev.
+          ++update_counter;
+          bool restarted = false;
+          if (opts.adaptive_restart) {
+            // Restart test: <v - w_new, w_new - w_old> > 0.
+            double dot_restart = 0.0;
+            for (std::size_t i = 0; i < d; ++i) {
+              dot_restart += (v[i] - u[i]) * (u[i] - w[i]);
+            }
+            if (dot_restart > 0.0) {
+              momentum_base = update_counter;
+              la::copy(u.span(), v.span());
+              la::copy(u.span(), w.span());
+              dw_prev.fill(0.0);
+              restarted = true;
+            }
+          }
+          if (!restarted) {
+            const int nn = update_counter - momentum_base;
+            const double mu_next =
+                std::min(outer_mu.mu(nn + 1), opts.momentum_cap);
+            const double mu_cur = std::min(outer_mu.mu(nn), opts.momentum_cap);
+            for (std::size_t i = 0; i < d; ++i) {
+              const double dw = u[i] - w[i];
+              v[i] += (1.0 + mu_next) * dw - mu_cur * dw_prev[i];
+              dw_prev[i] = dw;
+              w[i] = u[i];
+            }
+          }
+        }
+      });
+
+      // Update-phase flops: S gradient gemvs (2 d^2 each) plus O(d) vector
+      // work, performed redundantly on every rank (so not divided by P).
+      const double dd = static_cast<double>(d);
+      const double update_flops =
+          static_cast<double>(opts.s) * (2.0 * dd * dd + 8.0 * dd) + 6.0 * dd;
+      cost.add_flops(Phase::kUpdate, update_flops);
+      raw_update_flops += update_flops;
+      iterations_done = n;
+
+      // Rank 0 records history.  With tol every rank evaluates the
+      // objective from the shared problem; the iterates agree bitwise, so
+      // the stop decision is symmetric without a collective.
+      const bool record =
+          is_root && opts.track_history && n % opts.history_stride == 0;
+      const double objective_n =
+          record || opts.tol > 0.0
+              ? objective_at(problem, opts, w.span())
+              : std::numeric_limits<double>::quiet_NaN();
+      const double rel_error = relative_error(objective_n, opts.f_star);
+      if (record) {
+        history.push_back(IterationRecord{
+            n, objective_n, rel_error, cost.seconds(opts.machine),
+            comm_rounds, raw_gram_flops, raw_update_flops,
+            comm_payload_words});
+      }
+      converged = opts.tol > 0.0 && rel_error <= opts.tol;
+
+      // Convergence telemetry: O(d) per-iteration summary, recorded into
+      // the bounded ring regardless of track_history (objective stays NaN
+      // on iterations where it was not evaluated).
+      obs::ConvergenceRecord rec;
+      rec.iteration = static_cast<std::uint64_t>(n);
+      rec.objective = objective_n;
+      rec.grad_norm = std::sqrt(la::dot(grad.span(), grad.span()));
+      double support = 0.0;
+      double step_sq = 0.0;
+      for (std::size_t i = 0; i < d; ++i) {
+        support += w[i] != 0.0 ? 1.0 : 0.0;
+        const double dw = w[i] - w_iter_prev[i];
+        step_sq += dw * dw;
+      }
+      rec.support = support;
+      rec.step = std::sqrt(step_sq);
+      conv.push(rec);
+      obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
+                             static_cast<double>(n), rec.objective, rec.step);
+    }
+  };
+
+  // Chunk slots.  Blocking uses one; the pipeline keeps a chunk's slot
+  // untouched from post (the backend snapshots the payload there) until
+  // its first wait (the result lands there) plus, under staleness, until
+  // its last stale consumer: lag + 2 slots cover the deepest schedule.
+  const int num_chunks = (opts.max_iters + k - 1) / k;
+  const int lag = opts.staleness;
+  const int nslots = opts.pipeline ? lag + 2 : 1;
+  std::vector<std::vector<double>> slots(
+      static_cast<std::size_t>(nslots),
+      std::vector<double>(static_cast<std::size_t>(k) * stride));
+  // A slot's handle is valid from its post until its first wait.
+  std::vector<dist::CommHandle> handles(static_cast<std::size_t>(nslots));
+  const auto slot_of = [&](int t) { return static_cast<std::size_t>(t % nslots); };
+  int posted = 0;
+
+  // Poison detection + recovery.  Corruption is injected into the
+  // rank-local contribution *before* the reduce, so after the allreduce
+  // every rank holds the identical poisoned sums and takes this branch
+  // symmetrically: all ranks rebuild their (deterministic) local blocks and
+  // re-reduce once through the blocking path (which first quiesces any
+  // in-flight posts), yielding the bitwise fault-free payload when the
+  // corruption was transient.  Persistent corruption is rejected as a
+  // structured failure rather than propagated into the iterate.
+  const auto guard = [&](int t) {
+    const std::span<double> payload(slots[slot_of(t)].data(), chunk_words(t));
+    if (!guard_payload || payload_sane(payload)) {
+      return;
+    }
+    build_chunk(t, payload.data());
+    reduce(payload);
+    if (!payload_sane(payload)) {
+      throw fault::PoisonedPayload(
+          "engine: reduced [H|R] payload still corrupt after recompute "
+          "fallback (block_start=" +
+          std::to_string(chunk_start(t)) + ")");
+    }
+  };
+
+  // Chunk t's reduction posted right after its Gram build, so the next
+  // chunk's sampling + Gram overlap it.
+  const auto post_chunk = [&](int t) {
+    const std::size_t slot = slot_of(t);
+    double* data = slots[slot].data();
+    build_chunk(t, data);
+    timed(ph_post, chunk_words(t), [&] {
+      handles[slot] = comm.iallreduce_sum({data, chunk_words(t)});
+    });
+    cost.add_allreduce(procs, chunk_words(t));
+    ++posted;
+  };
+
+  // First wait on chunk t's reduction; idempotent, because the staleness
+  // schedule consumes chunk 0 up to S + 1 times.  ph_wait.words counts the
+  // payload of waits that found the reduction *already complete* -- the
+  // overlap the cost ledger credits (CommStats::overlapped_words is the
+  // same quantity measured inside the backend).
+  const auto wait_chunk = [&](int t) {
+    const std::size_t slot = slot_of(t);
+    if (!handles[slot].valid()) {
+      return;
+    }
+    timed(ph_wait, handles[slot].test() ? chunk_words(t) : 0,
+          [&] { handles[slot].wait(); });
+    handles[slot] = dist::CommHandle();
+    guard(t);
+  };
+
+  if (opts.variance_reduction) {
+    refresh_anchor(0);
+  }
+  if (opts.pipeline) {
+    post_chunk(0);
+  }
+  for (int t = 0; t < num_chunks && !converged; ++t) {
+    if (opts.variance_reduction &&
+        t * k - last_anchor_iter >= opts.epoch_length) {
+      refresh_anchor(t * k);
+    }
+    // Stage C.  Blocking is the pipeline with no lookahead: build, reduce,
+    // consume.  The pipeline posts chunk t + 1 first, then consumes chunk
+    // max(t - S, 0).
+    int src = t;
+    if (opts.pipeline) {
+      if (t + 1 < num_chunks) {
+        post_chunk(t + 1);
+      }
+      src = std::max(t - lag, 0);
+      wait_chunk(src);
+    } else {
+      build_chunk(t, slots[0].data());
+      reduce({slots[0].data(), chunk_words(t)});
+      guard(t);
+    }
+    ++comm_rounds;
+    comm_payload_words += static_cast<double>(chunk_words(t));
+    if (spills) {
+      cost.add_mem_words(Phase::kUpdate, (1.0 + opts.s) *
+                                             static_cast<double>(chunk_words(t)));
+    }
+    update_chunk(t, slots[slot_of(src)].data());
+  }
+  // Posted chunks no update consumed (the last `lag`, or those past a tol
+  // stop) are waited anyway, so every rank completes the identical set of
+  // collectives and injected completion failures surface.
+  for (int t = std::max(posted - nslots, 0); t < posted; ++t) {
+    wait_chunk(t);
+  }
+
+  obs::PhaseSummary phases;
+  obs::append_phase(phases, "sampling", ph_sampling);
+  obs::append_phase(phases, "gram", ph_gram);
+  obs::append_phase(phases, "allreduce", ph_allreduce);
+  obs::append_phase(phases, "allreduce_post", ph_post);
+  obs::append_phase(phases, "allreduce_wait", ph_wait);
+  obs::append_phase(phases, "update", ph_update);
+  obs::FleetMetrics fleet;
+  if (tracing) {
+    // Cross-rank aggregation: every rank records its phase totals and comm
+    // endpoint stats into a rank-local registry, then all ranks reduce them
+    // in aux mode, so the comm.* counters just recorded stay exact.
+    obs::MetricsRegistry local;
+    const dist::CommStats rank_stats = comm.stats();
+    obs::record_solve_metrics(local, phases, &rank_stats);
+    fleet = obs::aggregate(local, comm);
+  }
+  if (is_root) {
+    out.w = w;
+    out.iterations = iterations_done;
+    out.converged = converged;
+    out.history = std::move(history);
+    out.cost = cost;
+    out.phases = std::move(phases);
+    out.fleet = std::move(fleet);
+    out.conv = std::move(conv);
+  }
+}
+
+/// Both entry points: run_rank on every rank of `group`, or inline on a
+/// SeqComm when `group` is null, then the result assembly.
+SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
+                  const std::string& solver_name, dist::ThreadGroup* group) {
+  validate_options(problem, opts, group);
+  WallTimer wall;
+  // Alerts raised before the solve began are not attributed to it.
+  const std::uint64_t health_base = obs::LiveMonitor::global().alert_count();
+  const std::size_t m = problem.num_samples();
+  const int ranks = group != nullptr ? group->size() : 1;
+  const auto mbar = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::floor(
+             opts.sampling_rate * static_cast<double>(m))));
+  Setup su{problem,
+           opts,
+           mbar,
+           auto_step_size(problem, opts, mbar),
+           data::Partition(m, ranks),
+           data::Partition(m, group != nullptr ? ranks : opts.procs)};
+
+  SolveResult result;
+  result.solver = solver_name;
+
+  std::optional<std::string> failure;
+  try {
+    if (group != nullptr) {
+      group->run([&](dist::ThreadComm& comm) { run_rank(su, comm, result); });
+    } else {
+      dist::SeqComm seq;
+      // With trace = false the 1-rank world's identity collectives run as
+      // auxiliary, so the solve adds no "allreduce" spans to the session.
+      std::optional<dist::Communicator::AuxScope> untraced;
+      if (!opts.trace) {
+        untraced.emplace(seq);
+      }
+      run_rank(su, seq, result);
+    }
+  } catch (const fault::FaultAbort& e) {
+    failure = e.what();
+  } catch (const fault::PoisonedPayload& e) {
+    failure = e.what();
+  } catch (const dist::TransientCommFailure& e) {
+    failure = e.what();
+  }
+
+  if (failure) {
+    // A structured failure still carries the comm counters and health
+    // alerts below -- the retry storm / straggler trail leading up to it is
+    // what a post-mortem wants.
+    result = SolveResult::failure(solver_name, *failure);
+  } else {
+    result.objective = objective_at(problem, opts, result.w.span());
+    if (!std::isfinite(result.objective)) {
+      // Divergence (or corrupted inputs) is reported as a structured
+      // failure rather than handing the caller a NaN/Inf objective.
+      result.failed = true;
+      result.failure_reason =
+          "engine: non-finite objective at the final iterate";
+    }
+    result.rel_error = relative_error(result.objective, opts.f_star);
+    result.sim_seconds = result.cost.seconds(opts.machine);
+    if (!result.fleet.empty()) {
+      obs::publish(result.fleet, obs::MetricsRegistry::global());
+    }
+  }
+  result.wall_seconds = wall.seconds();
+  // Backend endpoint counters (none on the 1-rank world) plus the decorator
+  // counters they miss; after a failure, ranks that threw before reaching
+  // the fold are lost, so retries/faults are a lower bound.
+  const std::uint64_t retries = su.retries.load(std::memory_order_relaxed);
+  const std::uint64_t faults = su.faults.load(std::memory_order_relaxed);
+  if (group != nullptr) {
+    result.comm_stats = group->last_run_stats();
+    if (obs::TraceSession::global().enabled()) {
+      // ThreadGroup publishes the raw endpoint counters; mirror the
+      // decorator ones so the metrics file agrees with comm_stats.
+      auto& registry = obs::MetricsRegistry::global();
+      registry.counter("comm.thread.retries").add(retries);
+      registry.counter("comm.thread.faults_injected").add(faults);
+    }
+  }
+  result.comm_stats.retries += retries;
+  result.comm_stats.faults_injected += faults;
+  annotate_health(result, health_base);
+  return result;
 }
 
 }  // namespace
@@ -102,382 +716,31 @@ double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
   return opts.step_scale / l_est;
 }
 
-void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
-  RCF_CHECK_MSG(opts.max_iters >= 1, "options: max_iters must be >= 1");
-  RCF_CHECK_MSG(opts.k >= 1, "options: k must be >= 1");
-  RCF_CHECK_MSG(opts.s >= 1, "options: s must be >= 1");
-  RCF_CHECK_MSG(opts.sampling_rate > 0.0 && opts.sampling_rate <= 1.0,
-                "options: sampling_rate must be in (0, 1]");
-  RCF_CHECK_MSG(opts.procs >= 1, "options: procs must be >= 1");
-  RCF_CHECK_MSG(opts.threads >= 0, "options: threads must be >= 0");
-  RCF_CHECK_MSG(opts.history_stride >= 1,
-                "options: history_stride must be >= 1");
-  RCF_CHECK_MSG(opts.step_size >= 0.0, "options: step_size must be >= 0");
-  RCF_CHECK_MSG(opts.step_scale > 0.0, "options: step_scale must be > 0");
-  if (opts.variance_reduction) {
-    RCF_CHECK_MSG(opts.epoch_length >= 1,
-                  "options: epoch_length must be >= 1 with VR");
+std::uint64_t charge_sampled_gram(model::CostTracker& cost,
+                                  const sparse::CsrMatrix& xt,
+                                  std::span<const std::uint32_t> idx,
+                                  const data::Partition& partition) {
+  std::uint64_t total_flops = 0;
+  std::uint64_t max_rank_flops = 0;
+  for (const auto& part : partition.split_sorted(idx)) {
+    const std::uint64_t flops = sparse::sampled_gram_flops(xt, part);
+    total_flops += flops;
+    max_rank_flops = std::max(max_rank_flops, flops);
   }
-  RCF_CHECK_MSG(problem.dim() > 0, "options: empty problem");
-  if (opts.tol > 0.0) {
-    RCF_CHECK_MSG(!std::isnan(opts.f_star),
-                  "options: tol-based stopping requires f_star (run the "
-                  "reference solver first)");
-  }
+  cost.add_flops(Phase::kGram, static_cast<double>(max_rank_flops));
+  return total_flops;
 }
 
 SolveResult run_sfista_engine(const LassoProblem& problem,
                               const SolverOptions& opts,
                               const std::string& solver_name) {
-  validate_options(problem, opts);
+  return solve(problem, opts, solver_name, nullptr);
+}
 
-  // Intra-rank pool for the Gram / BLAS kernels below; a single logical
-  // rank here, so 0 resolves to the full hardware concurrency.
-  exec::Pool pool(exec::Pool::resolve_width(opts.threads, 1));
-  exec::PoolGuard pool_guard(&pool);
-
-  const std::size_t d = problem.dim();
-  const std::size_t m = problem.num_samples();
-  const auto mbar = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(
-             opts.sampling_rate * static_cast<double>(m))));
-
-  const double gamma = auto_step_size(problem, opts, mbar);
-  const double lambda_gamma = problem.lambda() * gamma;
-
-  // Default regularizer: the problem's lambda ||w||_1 (paper Eq. 14);
-  // opts.regularizer swaps in any proximable g (elastic net, box, ...).
-  const auto apply_prox = [&](std::span<const double> in,
-                              std::span<double> out) {
-    if (opts.regularizer != nullptr) {
-      la::copy(in, out);
-      opts.regularizer->apply(out, gamma);
-    } else {
-      prox::soft_threshold(in, lambda_gamma, out);
-    }
-  };
-  const auto eval_objective = [&](std::span<const double> w) {
-    return opts.regularizer != nullptr
-               ? problem.smooth_value(w) + opts.regularizer->value(w)
-               : problem.objective(w);
-  };
-  const int k = opts.k;
-  const int s_iters = opts.s;
-
-  const MomentumSchedule outer_mu(opts.momentum);
-
-  const data::Partition partition(m, opts.procs);
-
-  WallTimer wall;
-  const std::uint64_t health_base = health_mark();
-  SolveResult result;
-  result.solver = solver_name;
-  result.cost = model::CostTracker(opts.collective);
-  model::CostTracker& cost = result.cost;
-
-  // Phase observation (counts always, spans + wall time when the global
-  // trace session is on).  The "allreduce" phase mirrors the stage-C
-  // rounds the SPMD path would execute, so its count validates against
-  // CommStats on the real threaded backend.
-  const bool tracing = opts.trace && obs::TraceSession::global().enabled();
-  obs::PhaseAgg ph_sampling, ph_gram, ph_allreduce, ph_update;
-
-  // Per-block Hessian / RHS storage: G = [H_1 | ... | H_k], R likewise
-  // (Alg. 5 line 6).  Allocated once.
-  std::vector<la::Matrix> h_blocks;
-  std::vector<la::Vector> r_blocks;
-  h_blocks.reserve(static_cast<std::size_t>(k));
-  r_blocks.reserve(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    h_blocks.emplace_back(d, d);
-    r_blocks.emplace_back(d);
-  }
-
-  IterState st{la::Vector(d), la::Vector(d), la::Vector(d)};
-  Scratch scratch{la::Vector(d), la::Vector(d), la::Vector(d), la::Vector(d)};
-  // Previous iterate for the per-iteration step norm of the convergence
-  // ring (scratch.tmp is owned by the VR gradient path, so a dedicated
-  // buffer).
-  la::Vector w_iter_prev(d);
-
-  // Variance-reduction anchor (Alg. 3's w_hat) and its exact gradient.
-  la::Vector anchor(d), anchor_grad(d);
-  int last_anchor_iter = 0;
-  int momentum_base = 0;
-  // Counts recurrence updates (S per sampled block); drives the momentum
-  // schedule.
-  int update_counter = 0;
-  auto refresh_anchor = [&](int iter_base) {
-    la::copy(st.w.span(), anchor.span());
-    obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
-      problem.full_gradient(anchor.span(), anchor_grad.span());
-    });
-    // Exact gradient: two SpMVs over the distributed data + an allreduce of
-    // the d-vector of partial sums.
-    cost.add_flops(Phase::kGram,
-                   4.0 * static_cast<double>(problem.xt().nnz()) /
-                       static_cast<double>(opts.procs));
-    obs::timed_phase(tracing, ph_allreduce, "allreduce",
-                     static_cast<double>(d),
-                     [&] { cost.add_allreduce(opts.procs, d); });
-    last_anchor_iter = iter_base;
-    if (opts.vr_restart_momentum) {
-      // Literal Alg. 3: restart the inner loop from the snapshot (w_0 =
-      // w_hat, fresh momentum, v = w).
-      la::copy(st.w.span(), st.v.span());
-      st.dw_prev.fill(0.0);
-      momentum_base = update_counter;
-    }
-  };
-
-  // The k*(d^2+d) block working set spills the cache for large k; every use
-  // then streams from DRAM (see MachineSpec::beta_mem and DESIGN.md).
-  const double block_words = static_cast<double>(k) * (static_cast<double>(d) * d + d);
-  const bool spills = block_words > opts.machine.cache_doubles;
-
-  const bool need_objective_every_iter = opts.tol > 0.0;
-  std::uint64_t comm_rounds = 0;
-  int iterations_done = 0;
-  bool done = false;
-  // Machine-independent cumulative counters mirrored into the history so
-  // benches can re-cost one trajectory for any (P, machine, collective).
-  double raw_gram_flops = 0.0;
-  double raw_update_flops = 0.0;
-  double comm_payload_words = 0.0;
-
-  // mu index relative to the last VR momentum restart (plain runs and the
-  // default momentum-continuous VR never restart).
-  const auto mu_index = [&](int update_n) { return update_n - momentum_base; };
-
-  if (opts.variance_reduction) {
-    refresh_anchor(0);
-  }
-
-  for (int block_start = 1; block_start <= opts.max_iters && !done;
-       block_start += k) {
-    const int kk = std::min(k, opts.max_iters - block_start + 1);
-
-    if (opts.variance_reduction &&
-        block_start - 1 - last_anchor_iter >= opts.epoch_length) {
-      refresh_anchor(block_start - 1);
-    }
-
-    // -- stages A + B: sample and locally accumulate k Hessian blocks ------
-    for (int j = 0; j < kk; ++j) {
-      const int n = block_start + j;
-      // Sampling is keyed on (seed, n) only: identical index sets for every
-      // k, every S, every P (paper §5.2, "random sampling is fixed by using
-      // the same random generator seed").
-      Rng rng(opts.seed, static_cast<std::uint64_t>(n));
-      std::vector<std::uint32_t> idx;
-      obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
-        idx = rng.sample_without_replacement(m, mbar);
-      });
-      obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
-        if (mbar == m) {
-          // Full batch: the "sampled" Gram is the constant (H, R) pair, so
-          // we compute it once and reuse the values (bitwise identical to
-          // recomputation).  Costs are still charged per iteration exactly
-          // as the oblivious algorithm of Table 1 would incur them.
-          if (j == 0 && block_start == 1) {
-            sparse::sampled_gram(problem.xt(), problem.y().span(), idx,
-                                 h_blocks[0], r_blocks[0]);
-          } else if (j > 0) {
-            h_blocks[static_cast<std::size_t>(j)] = h_blocks[0];
-            r_blocks[static_cast<std::size_t>(j)] = r_blocks[0];
-          }
-        } else {
-          sparse::sampled_gram(problem.xt(), problem.y().span(), idx,
-                               h_blocks[static_cast<std::size_t>(j)],
-                               r_blocks[static_cast<std::size_t>(j)]);
-        }
-      });
-      raw_gram_flops +=
-          static_cast<double>(sparse::sampled_gram_flops(problem.xt(), idx));
-      // Cost: each rank accumulates only its own samples; the critical path
-      // is the most loaded rank.
-      if (opts.procs == 1) {
-        cost.add_flops(Phase::kGram,
-                       static_cast<double>(
-                           sparse::sampled_gram_flops(problem.xt(), idx)));
-      } else {
-        const auto splits = partition.split_sorted(idx);
-        std::uint64_t max_rank_flops = 0;
-        for (const auto& span : splits) {
-          max_rank_flops = std::max(
-              max_rank_flops, sparse::sampled_gram_flops(problem.xt(), span));
-        }
-        cost.add_flops(Phase::kGram, static_cast<double>(max_rank_flops));
-      }
-    }
-
-    // -- stage C: one allreduce of [H_1|..|H_kk | R_1|..|R_kk] --------------
-    // Modeled (zero wall time here; the SPMD path in distributed.cpp
-    // performs the real collective), but counted as one "allreduce" span
-    // so the schedule shape is observable from SolveResult::phases.
-    obs::timed_phase(
-        tracing, ph_allreduce, "allreduce",
-        static_cast<double>(kk) * (static_cast<double>(d) * d + d), [&] {
-          cost.add_allreduce(opts.procs,
-                             static_cast<std::uint64_t>(kk) * (d * d + d));
-        });
-    ++comm_rounds;
-    comm_payload_words += static_cast<double>(kk) *
-                          (static_cast<double>(d) * d + d);
-    if (spills) {
-      cost.add_mem_words(Phase::kUpdate,
-                         (1.0 + s_iters) * static_cast<double>(kk) *
-                             (static_cast<double>(d) * d + d));
-    }
-
-    // -- stage D: kk local update sweeps, S Hessian-reuse steps each --------
-    //
-    // Hessian-reuse (paper Eq. 20-23): each communicated (H, R) block is
-    // reused for S recurrence steps.  Every reuse step is a *standard*
-    // SFISTA update -- prox step at the extrapolated point, then the
-    // dv = (1+mu)dw - mu dw_prev recurrence -- advancing one shared update
-    // counter, so S = 1 reduces bit-exactly to the base algorithm and the
-    // per-step stability condition (gamma * ||H_n|| <= 1) is unchanged.
-    // Over-solving against a stale sampled block is what degrades large S
-    // (the paper's S = 10 observation).
-    for (int j = 0; j < kk && !done; ++j) {
-      const int n = block_start + j;
-      const la::Matrix& h = h_blocks[static_cast<std::size_t>(j)];
-      const la::Vector& r = r_blocks[static_cast<std::size_t>(j)];
-      la::copy(st.w.span(), w_iter_prev.span());
-
-      obs::timed_phase(tracing, ph_update, "update",
-                       static_cast<double>(s_iters), [&] {
-        for (int s2 = 1; s2 <= s_iters; ++s2) {
-          estimate_gradient(h, r, st.v.span(), opts.variance_reduction,
-                            anchor.span(), anchor_grad.span(), scratch);
-          la::waxpby(1.0, st.v.span(), -gamma, scratch.grad.span(),
-                     scratch.theta.span());
-          apply_prox(scratch.theta.span(), scratch.u.span());
-
-          // Recurrence: dw = w_new - w; dv = (1+mu_{u+1}) dw - mu_u dw_prev.
-          ++update_counter;
-          bool restarted = false;
-          if (opts.adaptive_restart) {
-            // Restart test: <v - w_new, w_new - w_old> > 0.
-            double dot_restart = 0.0;
-            for (std::size_t i = 0; i < d; ++i) {
-              dot_restart +=
-                  (st.v[i] - scratch.u[i]) * (scratch.u[i] - st.w[i]);
-            }
-            if (dot_restart > 0.0) {
-              momentum_base = update_counter;
-              la::copy(scratch.u.span(), st.v.span());
-              la::copy(scratch.u.span(), st.w.span());
-              st.dw_prev.fill(0.0);
-              restarted = true;
-            }
-          }
-          if (!restarted) {
-            const int nn = mu_index(update_counter);
-            const double mu_next =
-                std::min(outer_mu.mu(nn + 1), opts.momentum_cap);
-            const double mu_cur =
-                std::min(outer_mu.mu(nn), opts.momentum_cap);
-            for (std::size_t i = 0; i < d; ++i) {
-              const double dw = scratch.u[i] - st.w[i];
-              st.v[i] += (1.0 + mu_next) * dw - mu_cur * st.dw_prev[i];
-              st.dw_prev[i] = dw;
-              st.w[i] = scratch.u[i];
-            }
-          }
-        }
-      });
-
-      // Update-phase flops: S gradient gemvs (2 d^2 each) plus O(d) vector
-      // work, performed redundantly on every rank (so not divided by P).
-      const double dd = static_cast<double>(d);
-      const double update_flops =
-          static_cast<double>(s_iters) * (2.0 * dd * dd + 8.0 * dd) + 6.0 * dd;
-      cost.add_flops(Phase::kUpdate, update_flops);
-      raw_update_flops += update_flops;
-
-      iterations_done = n;
-
-      const bool record =
-          opts.track_history && (n % opts.history_stride == 0);
-      double objective_n = std::numeric_limits<double>::quiet_NaN();
-      if (record || need_objective_every_iter) {
-        objective_n = eval_objective(st.w.span());
-        double rel_error = std::numeric_limits<double>::quiet_NaN();
-        if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-          rel_error = std::abs((objective_n - opts.f_star) / opts.f_star);
-        }
-        if (record) {
-          result.history.push_back(IterationRecord{
-              n, objective_n, rel_error, cost.seconds(opts.machine),
-              comm_rounds, raw_gram_flops, raw_update_flops,
-              comm_payload_words});
-        }
-        if (opts.tol > 0.0 && !std::isnan(rel_error) &&
-            rel_error <= opts.tol) {
-          result.converged = true;
-          done = true;
-        }
-      }
-
-      // Convergence telemetry: O(d) per-iteration summary, recorded into
-      // the bounded ring regardless of track_history (objective stays NaN
-      // on iterations where it was not evaluated).
-      {
-        obs::ConvergenceRecord rec;
-        rec.iteration = static_cast<std::uint64_t>(n);
-        rec.objective = objective_n;
-        rec.grad_norm =
-            std::sqrt(la::dot(scratch.grad.span(), scratch.grad.span()));
-        double support = 0.0;
-        double step_sq = 0.0;
-        for (std::size_t i = 0; i < d; ++i) {
-          support += st.w[i] != 0.0 ? 1.0 : 0.0;
-          const double dw = st.w[i] - w_iter_prev[i];
-          step_sq += dw * dw;
-        }
-        rec.support = support;
-        rec.step = std::sqrt(step_sq);
-        result.conv.push(rec);
-        obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
-                               static_cast<double>(n), rec.objective,
-                               rec.step);
-      }
-    }
-  }
-
-  result.w = st.w;
-  result.iterations = iterations_done;
-  result.objective = eval_objective(result.w.span());
-  if (!std::isfinite(result.objective)) {
-    // Divergence (or corrupted inputs) is reported as a structured failure
-    // rather than handing the caller a NaN/Inf objective to misinterpret.
-    result.failed = true;
-    result.failure_reason =
-        "engine: non-finite objective at the final iterate";
-  }
-  if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-    result.rel_error = std::abs((result.objective - opts.f_star) / opts.f_star);
-  }
-  result.sim_seconds = cost.seconds(opts.machine);
-  result.wall_seconds = wall.seconds();
-  obs::append_phase(result.phases, "sampling", ph_sampling);
-  obs::append_phase(result.phases, "gram", ph_gram);
-  obs::append_phase(result.phases, "allreduce", ph_allreduce);
-  obs::append_phase(result.phases, "update", ph_update);
-  if (tracing) {
-    // Aggregate over a 1-rank world so traced sequential runs export the
-    // same agg.* layout as the SPMD backend (no real comm stats here; the
-    // collectives are modeled).
-    obs::MetricsRegistry local;
-    obs::record_solve_metrics(local, result.phases, nullptr);
-    dist::SeqComm seq;
-    result.fleet = obs::aggregate(local, seq);
-    obs::publish(result.fleet, obs::MetricsRegistry::global());
-  }
-  annotate_health(result, health_base);
-  return result;
+SolveResult solve_rc_sfista_distributed(const LassoProblem& problem,
+                                        const SolverOptions& opts,
+                                        dist::ThreadGroup& group) {
+  return solve(problem, opts, "rc-sfista-distributed", &group);
 }
 
 }  // namespace rcf::core

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "core/engine.hpp"
 #include "core/momentum.hpp"
 #include "data/partition.hpp"
 #include "exec/pool.hpp"
@@ -201,20 +202,6 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
 
   double objective = problem.objective(w.span());
 
-  auto charge_weighted_gram = [&](std::span<const std::uint32_t> idx) {
-    if (opts.procs == 1) {
-      cost.add_flops(Phase::kGram,
-                     static_cast<double>(sparse::sampled_gram_flops(xt, idx)));
-      return;
-    }
-    const auto splits = partition.split_sorted(idx);
-    std::uint64_t max_rank = 0;
-    for (const auto& span : splits) {
-      max_rank = std::max(max_rank, sparse::sampled_gram_flops(xt, span));
-    }
-    cost.add_flops(Phase::kGram, static_cast<double>(max_rank));
-  };
-
   bool done = false;
   int outer = 0;
   for (outer = 1; outer <= opts.max_outer && !done; ++outer) {
@@ -231,7 +218,7 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
     Rng hrng(opts.seed, (static_cast<std::uint64_t>(outer) << 24) + 1);
     const auto probe_idx = hrng.sample_without_replacement(m, mbar);
     sparse::weighted_sampled_gram(xt, weights.raw(), probe_idx, h);
-    charge_weighted_gram(probe_idx);
+    charge_sampled_gram(cost, xt, probe_idx, partition);
     cost.add_allreduce(opts.procs, d * d);
     ++comm_rounds;
     const auto power = la::power_iteration(h, 80, 1e-4, opts.seed);
@@ -274,7 +261,7 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
           const auto idx = rng.sample_without_replacement(m, mbar);
           sparse::weighted_sampled_gram(xt, weights.raw(), idx,
                                         h_blocks[static_cast<std::size_t>(j)]);
-          charge_weighted_gram(idx);
+          charge_sampled_gram(cost, xt, idx, partition);
         }
         cost.add_allreduce(opts.procs,
                            static_cast<std::uint64_t>(kk) * d * d);
@@ -324,10 +311,7 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
       objective = trial_obj;
     }
 
-    double rel_error = std::numeric_limits<double>::quiet_NaN();
-    if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-      rel_error = std::abs((objective - opts.f_star) / opts.f_star);
-    }
+    const double rel_error = relative_error(objective, opts.f_star);
     if (opts.track_history) {
       result.history.push_back(IterationRecord{
           outer, objective, rel_error, cost.seconds(opts.machine),
@@ -342,9 +326,7 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
   result.w = w;
   result.iterations = std::min(outer, opts.max_outer);
   result.objective = objective;
-  if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-    result.rel_error = std::abs((result.objective - opts.f_star) / opts.f_star);
-  }
+  result.rel_error = relative_error(result.objective, opts.f_star);
   result.sim_seconds = cost.seconds(opts.machine);
   result.wall_seconds = wall.seconds();
   return result;

@@ -78,13 +78,13 @@ struct SolverOptions {
   int k = 1;  ///< iteration-overlapping depth (k >= 1).
   int s = 1;  ///< Hessian-reuse inner iterations (S >= 1).
 
-  // -- nonblocking pipeline (distributed backend) -----------------------------
+  // -- nonblocking pipeline ---------------------------------------------------
   /// Post the [H|R] chunk reduction with iallreduce_sum and overlap it with
   /// the next chunk's sampling + Gram build (and, through the handle, with
   /// the update sweeps).  At staleness 0 the pipelined schedule consumes
   /// every chunk's own reduced blocks in order, so the iterate trajectory is
   /// bitwise-identical to the blocking path; only the overlap differs.
-  /// Ignored by the single-process solver (nothing to overlap).
+  /// On the single-process solve the posts complete at once.
   bool pipeline = false;
   /// Bounded staleness S >= 0 (requires pipeline).  With S > 0 the update
   /// sweeps of chunk t reuse the reduced [H|R] blocks of chunk max(t - S, 0)
@@ -109,9 +109,10 @@ struct SolverOptions {
   int history_stride = 1;  ///< record every n-th iteration.
 
   // -- observability ----------------------------------------------------------
-  /// When false, this solve skips span emission and per-phase wall-time
+  /// When false, this solve skips its phase spans and per-phase wall-time
   /// measurement even if the global obs::TraceSession is enabled (the
-  /// phase *counts* in SolveResult::phases are maintained regardless).
+  /// phase *counts* in SolveResult::phases are maintained regardless);
+  /// ThreadComm ranks still record their collective spans.
   bool trace = true;
 
   // -- intra-rank execution ----------------------------------------------------
@@ -122,14 +123,16 @@ struct SolverOptions {
   int threads = 1;
 
   // -- resilience -------------------------------------------------------------
-  /// Retry/backoff policy for transient collective failures on the real
-  /// SPMD backend (see dist/retry.hpp).  The defaults absorb up to three
+  /// Retry/backoff policy for transient collective failures, at every P
+  /// (see dist/retry.hpp).  The defaults absorb up to three
   /// transient faults per collective; retries surface as
   /// CommStats::retries and the "comm.backoff_us" obs counter.
   dist::RetryPolicy retry;
 
   // -- cost model (simulated distributed execution) ---------------------------
-  int procs = 1;  ///< P, logical processor count for cost accounting.
+  /// P, the modeled processor count for cost accounting.  A ThreadGroup
+  /// solve models its own size, so there procs must be 1 or the group size.
+  int procs = 1;
   model::CollectiveModel collective = model::CollectiveModel::kPaperLogP;
   model::MachineSpec machine = model::comet();
 };

@@ -202,10 +202,7 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
       result.conv.push(rec);
     }
 
-    double rel_error = std::numeric_limits<double>::quiet_NaN();
-    if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-      rel_error = std::abs((objective - opts.f_star) / opts.f_star);
-    }
+    const double rel_error = relative_error(objective, opts.f_star);
     if (opts.track_history) {
       result.history.push_back(IterationRecord{
           round, objective, rel_error, cost.seconds(opts.machine),
@@ -220,9 +217,7 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
   result.w = w;
   result.iterations = std::min(round, opts.max_rounds);
   result.objective = problem.objective(result.w.span());
-  if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-    result.rel_error = std::abs((result.objective - opts.f_star) / opts.f_star);
-  }
+  result.rel_error = relative_error(result.objective, opts.f_star);
   result.sim_seconds = cost.seconds(opts.machine);
   result.wall_seconds = wall.seconds();
   obs::append_phase(result.phases, "local_solve", ph_local);

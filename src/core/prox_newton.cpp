@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/checkpoint.hpp"
+#include "core/engine.hpp"
 #include "core/momentum.hpp"
 #include "data/partition.hpp"
 #include "fault/plan.hpp"
@@ -26,24 +27,6 @@ namespace rcf::core {
 namespace {
 
 using model::Phase;
-
-/// Charges the per-rank critical-path flops of one sampled Gram
-/// accumulation.
-void charge_gram(model::CostTracker& cost, const sparse::CsrMatrix& xt,
-                 std::span<const std::uint32_t> idx,
-                 const data::Partition& partition, int procs) {
-  if (procs == 1) {
-    cost.add_flops(Phase::kGram,
-                   static_cast<double>(sparse::sampled_gram_flops(xt, idx)));
-    return;
-  }
-  const auto splits = partition.split_sorted(idx);
-  std::uint64_t max_rank = 0;
-  for (const auto& span : splits) {
-    max_rank = std::max(max_rank, sparse::sampled_gram_flops(xt, span));
-  }
-  cost.add_flops(Phase::kGram, static_cast<double>(max_rank));
-}
 
 /// Applies the sampled-Hessian operator z -> (1/mbar) X_S (X_S^T z) using
 /// the row-sampled matrix (no d x d materialization).  This is the
@@ -257,7 +240,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
           sparse::sampled_gram(problem.xt(), problem.y().span(), idx,
                                h_blocks[static_cast<std::size_t>(j)],
                                r_blocks[static_cast<std::size_t>(j)]);
-          charge_gram(cost, problem.xt(), idx, partition, opts.procs);
+          charge_sampled_gram(cost, problem.xt(), idx, partition);
         }
         cost.add_allreduce(opts.procs,
                            static_cast<std::uint64_t>(kk) * d * d);
@@ -348,10 +331,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
       result.conv.push(rec);
     }
 
-    double rel_error = std::numeric_limits<double>::quiet_NaN();
-    if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-      rel_error = std::abs((objective - opts.f_star) / opts.f_star);
-    }
+    const double rel_error = relative_error(objective, opts.f_star);
     if (opts.track_history) {
       result.history.push_back(IterationRecord{
           outer, objective, rel_error, cost.seconds(opts.machine),
@@ -385,9 +365,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
     result.failed = true;
     result.failure_reason = "pn: non-finite objective at the final iterate";
   }
-  if (!std::isnan(opts.f_star) && opts.f_star != 0.0) {
-    result.rel_error = std::abs((result.objective - opts.f_star) / opts.f_star);
-  }
+  result.rel_error = relative_error(result.objective, opts.f_star);
   result.sim_seconds = cost.seconds(opts.machine);
   result.wall_seconds = wall.seconds();
   obs::append_phase(result.phases, "gradient", ph_gradient);

@@ -1,6 +1,7 @@
 // Solver result types.
 #pragma once
 
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -38,6 +39,15 @@ struct IterationRecord {
   double raw_update_flops = 0.0;  ///< per-rank redundant update flops.
   double comm_payload_words = 0.0;  ///< allreduce payload (pre-collective).
 };
+
+/// Relative objective error |F - F*| / |F*| (paper §5.1); NaN when no
+/// usable reference optimum F* was supplied.
+[[nodiscard]] inline double relative_error(double objective, double f_star) {
+  if (std::isnan(f_star) || f_star == 0.0) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return std::abs((objective - f_star) / f_star);
+}
 
 /// Outcome of a solve.
 struct SolveResult {

@@ -1,8 +1,9 @@
 // Public solver entry points.
 //
-// All solvers run sequentially while charging the alpha-beta-gamma cost
-// model for `opts.procs` logical processors; see core/distributed.hpp for
-// the genuinely multi-threaded SPMD execution used in validation.
+// Each runs the engine's loop (core/engine.hpp) as a 1-rank world in the
+// calling thread, charging the alpha-beta-gamma cost model for `opts.procs`
+// modeled processors; core/distributed.hpp runs the same loop on real
+// ThreadComm ranks.
 #pragma once
 
 #include "core/engine.hpp"

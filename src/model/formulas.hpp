@@ -63,7 +63,7 @@ struct CostTriple {
                              const MachineSpec& spec);
 
 /// Predicted fraction of one chunk-reduction's time hidden behind compute
-/// by the nonblocking [H|R] pipeline (core/distributed.cpp, pipeline mode).
+/// by the nonblocking [H|R] pipeline (core/engine.cpp, pipeline mode).
 ///
 /// Between posting chunk t's iallreduce and first waiting on it, the main
 /// thread builds the next staleness + 1 chunks' Gram blocks and runs

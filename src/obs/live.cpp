@@ -305,9 +305,9 @@ void fold_event(LiveMonitor::Impl& im, const TelemetryEvent& ev,
       rs.last_progress_us = std::max(rs.last_progress_us, ev.t_us);
       rs.objective = ev.b;
       rs.step = ev.c;
-      // The watchdog's convergence rules follow rank 0's series (the
-      // sequential engine publishes everything as rank 0; the distributed
-      // engine's chunks do not evaluate the global objective).
+      // The watchdog's convergence rules follow rank 0's series (only rank
+      // 0 evaluates the objective for the history; the other ranks publish
+      // it only under tol stopping).
       if (ev.rank == 0) {
         ConvergenceRecord rec;
         rec.iteration = iter;

@@ -394,10 +394,13 @@ TEST(PipelinedSolve, StalenessRequiresPipeline) {
   ThreadGroup group(2);
   EXPECT_THROW(core::solve_rc_sfista_distributed(problem, opts, group),
                InvalidArgument);
+  // One validation serves both entry points.
+  EXPECT_THROW(core::solve_rc_sfista(problem, opts), InvalidArgument);
   opts.staleness = -1;
   opts.pipeline = true;
   EXPECT_THROW(core::solve_rc_sfista_distributed(problem, opts, group),
                InvalidArgument);
+  EXPECT_THROW(core::solve_rc_sfista(problem, opts), InvalidArgument);
 }
 
 TEST(PipelinedSolve, OverlapIsCreditedUnderStaleness) {

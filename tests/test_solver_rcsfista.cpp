@@ -1,19 +1,24 @@
 // Tests for RC-SFISTA: the k-invariance identity (Fig. 2b), Hessian-reuse
 // behaviour (Fig. 3), communication accounting (Table 1), and agreement of
-// the genuinely distributed SPMD execution with the sequential engine.
+// the genuinely distributed SPMD execution with the sequential engine --
+// the same loop at every P, checked option by option and as a seeded
+// property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <tuple>
 
 #include "core/distributed.hpp"
 #include "core/problem.hpp"
 #include "core/solvers.hpp"
 #include "data/synthetic.hpp"
+#include "la/backend.hpp"
 #include "la/blas.hpp"
 #include "obs/trace.hpp"
 #include "prox/operators.hpp"
+#include "prop.hpp"
 
 namespace rcf::core {
 namespace {
@@ -244,12 +249,156 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{4, 8, 1}, std::tuple{4, 4, 3},
                       std::tuple{2, 16, 2}));
 
-TEST_F(RcSfistaTest, DistributedRejectsVarianceReduction) {
+TEST_F(RcSfistaTest, DistributedVarianceReductionAgrees) {
+  // The VR anchor is each rank's partial full gradient plus one d-word
+  // allreduce, so the SPMD solve tracks the sequential one in both
+  // momentum modes.
+  for (const bool restart : {false, true}) {
+    SolverOptions opts;
+    opts.max_iters = 60;
+    opts.sampling_rate = 0.1;
+    opts.k = 4;
+    opts.s = 2;
+    opts.variance_reduction = true;
+    opts.epoch_length = 10;
+    opts.vr_restart_momentum = restart;
+    opts.track_history = false;
+    const auto seq = solve_rc_sfista(problem_, opts);
+    dist::ThreadGroup group(3);
+    const auto par = solve_rc_sfista_distributed(problem_, opts, group);
+    ASSERT_TRUE(par.ok()) << par.failure_reason;
+    EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9)
+        << "restart=" << restart;
+    // ceil(60/4) = 15 chunk rounds plus 5 anchor refreshes (iteration 0,
+    // then every chunk boundary at least 10 iterations past the last).
+    EXPECT_EQ(par.comm_stats.allreduce_calls, 3u * (15u + 5u));
+  }
+}
+
+TEST_F(RcSfistaTest, DistributedRejectsMismatchedProcs) {
+  // The cost ledger models P = the group size, so procs must be 1 or it.
   SolverOptions opts;
-  opts.variance_reduction = true;
+  opts.max_iters = 4;
+  opts.procs = 3;
   dist::ThreadGroup group(2);
   EXPECT_THROW(solve_rc_sfista_distributed(problem_, opts, group),
                InvalidArgument);
+  opts.procs = 2;
+  EXPECT_TRUE(solve_rc_sfista_distributed(problem_, opts, group).ok());
+}
+
+// ---------------------------------------------------------------------------
+// One engine: every SolverOptions field behaves the same at any P.
+// ---------------------------------------------------------------------------
+
+/// The golden fixtures' dataset (tests/test_golden.cpp).
+data::Dataset golden_dataset() { return test_dataset(400, 16); }
+
+TEST(SpmdEngine, ElasticNetRegularizerMatchesSequential) {
+  const auto dataset = golden_dataset();
+  const LassoProblem problem(dataset, 0.005);
+  const prox::ElasticNetRegularizer reg(0.005, 0.5);
+  SolverOptions opts;
+  opts.max_iters = 200;
+  opts.sampling_rate = 0.2;
+  opts.k = 4;
+  opts.s = 2;
+  opts.regularizer = &reg;
+  const auto seq = solve_rc_sfista(problem, opts);
+  dist::ThreadGroup group(4);
+  const auto par = solve_rc_sfista_distributed(problem, opts, group);
+  ASSERT_TRUE(par.ok()) << par.failure_reason;
+  EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9);
+  EXPECT_EQ(par.objective,
+            problem.smooth_value(par.w.span()) + reg.value(par.w.span()));
+  EXPECT_NEAR(par.objective, seq.objective, 1e-9);
+}
+
+TEST(SpmdEngine, TolStopsAtTheSequentialIteration) {
+  const auto dataset = golden_dataset();
+  const LassoProblem problem(dataset, 0.005);
+  SolverOptions opts;
+  opts.max_iters = 2000;
+  opts.sampling_rate = 1.0;  // full batch: each rank builds [H|R] once
+  opts.k = 4;
+  opts.s = 2;
+  opts.procs = 4;
+  opts.tol = 1e-3;
+  opts.f_star = solve_reference(problem).objective;
+  const auto seq = solve_rc_sfista(problem, opts);
+  dist::ThreadGroup group(4);
+  const auto par = solve_rc_sfista_distributed(problem, opts, group);
+  ASSERT_TRUE(seq.converged);
+  ASSERT_LT(seq.iterations, opts.max_iters);
+  EXPECT_TRUE(par.converged);
+  EXPECT_EQ(par.iterations, seq.iterations);
+  EXPECT_LE(par.rel_error, 1.5 * opts.tol);
+  // Rank 0 records the same history, and the ledger charges the same
+  // Table 1 costs for the same modeled P.
+  ASSERT_EQ(par.history.size(), seq.history.size());
+  EXPECT_EQ(par.history.back().iteration, par.iterations);
+  EXPECT_LE(par.history.back().rel_error, opts.tol);
+  EXPECT_GT(par.sim_seconds, 0.0);
+  EXPECT_EQ(par.sim_seconds, seq.sim_seconds);
+  EXPECT_EQ(par.cost.messages(), seq.cost.messages());
+}
+
+TEST(SpmdProperty, MatchesSequentialEngine) {
+  // Seeded (m, d, P, k, S, b, pipeline/staleness, threads, backend,
+  // regularizer, VR) tuples; a failure prints a replayable case.  m < P
+  // leaves some ranks without rows.
+  const prox::ElasticNetRegularizer elastic(0.005, 0.5);
+  prop::for_all("spmd == sequential", 20261017, 40, [&](prop::Gen& g) {
+    data::SyntheticOptions data_opts;
+    data_opts.num_samples = g.index(4) == 0 ? g.size(1, 4) : g.size(5, 300);
+    data_opts.num_features = g.size(1, 24);
+    data_opts.density = 0.5;
+    data_opts.condition = 10.0;
+    data_opts.noise_stddev = 0.05;
+    data_opts.seed = g.seed();
+    const auto dataset = data::make_regression(data_opts);
+    const LassoProblem problem(dataset, 0.01);
+    const int ranks = 1 + static_cast<int>(g.index(5));
+    SolverOptions opts;
+    opts.max_iters = static_cast<int>(g.size(1, 24));
+    opts.k = static_cast<int>(g.size(1, 8));
+    opts.s = static_cast<int>(g.size(1, 3));
+    opts.sampling_rate = g.index(4) == 0 ? 1.0 : g.real(0.05, 1.0);
+    opts.pipeline = g.index(2) == 0;
+    opts.staleness = opts.pipeline ? static_cast<int>(g.index(3)) : 0;
+    opts.threads = 1 + static_cast<int>(g.index(3));
+    opts.variance_reduction = g.index(3) == 0;
+    opts.epoch_length = static_cast<int>(g.size(1, 10));
+    opts.vr_restart_momentum = g.index(2) == 0;
+    opts.regularizer = g.index(2) == 0 ? &elastic : nullptr;
+    opts.seed = g.seed();
+    const la::ScopedBackend backend(g.index(2) == 0 ? la::Backend::kScalar
+                                                    : la::Backend::kSimd);
+    SolveResult seq;
+    SolveResult par;
+    try {
+      seq = solve_rc_sfista(problem, opts);
+      dist::ThreadGroup group(ranks);
+      par = solve_rc_sfista_distributed(problem, opts, group);
+    } catch (const std::exception& e) {
+      return testing::AssertionFailure() << "threw: " << e.what();
+    }
+    const double diff = la::max_abs_diff(seq.w.span(), par.w.span());
+    const bool bitwise = seq.w == par.w;
+    if (!seq.ok() || !par.ok() || !(diff <= 1e-9) ||
+        (ranks == 1 && !bitwise) || par.iterations != seq.iterations) {
+      return testing::AssertionFailure()
+             << "m=" << data_opts.num_samples << " d="
+             << data_opts.num_features << " P=" << ranks
+             << " k=" << opts.k << " S=" << opts.s
+             << " b=" << opts.sampling_rate << " pipeline=" << opts.pipeline
+             << " staleness=" << opts.staleness
+             << " vr=" << opts.variance_reduction
+             << " max|dw|=" << diff << " bitwise=" << bitwise
+             << " seq.ok=" << seq.ok() << " par.ok=" << par.ok();
+    }
+    return testing::AssertionSuccess();
+  });
 }
 
 TEST_F(RcSfistaTest, RecursiveDoublingBackendAgrees) {
