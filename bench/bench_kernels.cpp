@@ -113,6 +113,24 @@ void BM_SampleWithoutReplacement(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleWithoutReplacement)->Arg(10000)->Arg(100000);
 
+// The sampler at the (n, count) shapes the solvers draw: the covtype clone
+// (m = 29,051) at SPMD b = 0.2 and PN b = 0.02, the clone's per-row column
+// draw (54 columns), and the Fisher-Yates regime at count = n / 2.
+void BM_SampleAtSolverShapes(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto count = static_cast<std::uint64_t>(state.range(1));
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    Rng rng(42, stream++);
+    benchmark::DoNotOptimize(rng.sample_without_replacement(n, count));
+  }
+}
+BENCHMARK(BM_SampleAtSolverShapes)
+    ->Args({29051, 5810})
+    ->Args({29051, 581})
+    ->Args({54, 12})
+    ->Args({29051, 14525});
+
 void BM_SpMV(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto mat = make_matrix(rows, 256, 0.2);

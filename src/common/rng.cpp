@@ -1,9 +1,10 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
+#include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -15,6 +16,9 @@ constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
 constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
 constexpr std::uint32_t kWeyl0 = 0x9E3779B9u;  // golden ratio
 constexpr std::uint32_t kWeyl1 = 0xBB67AE85u;  // sqrt(3) - 1
+
+// Largest n whose indices [0, n) fit the samplers' uint32 output.
+constexpr std::uint64_t kMaxSampleRange = std::uint64_t{1} << 32;
 
 inline void philox_round(std::array<std::uint32_t, 4>& ctr,
                          const std::array<std::uint32_t, 2>& key) {
@@ -81,11 +85,12 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   RCF_CHECK_MSG(n > 0, "uniform_index: n must be positive");
-  // Lemire-style rejection over uint64 to avoid modulo bias.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+  // Lemire-style rejection over uint64 to avoid modulo bias: reject r below
+  // (2^64 - n) mod n.  That threshold is below n, so it is only computed for
+  // the rare r < n; every larger r is accepted without the extra division.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) {
+    if (r >= n || r >= (~n + 1) % n) {
       return r % n;
     }
   }
@@ -115,42 +120,52 @@ double Rng::normal(double mean, double stddev) {
 
 std::vector<std::uint32_t> Rng::sample_without_replacement(
     std::uint64_t n, std::uint64_t count) {
+  RCF_CHECK_MSG(n <= kMaxSampleRange,
+                "sample_without_replacement: n > 2^32 does not fit uint32");
   RCF_CHECK_MSG(count <= n, "sample_without_replacement: count > n");
-  std::vector<std::uint32_t> out;
-  out.reserve(count);
   if (count == 0) {
-    return out;
+    return {};
   }
+  // The chosen set as an n-bit bitmap: membership is one bit, and scanning
+  // the words in order emits the set sorted.
+  std::vector<std::uint64_t> chosen((n + 63) / 64, 0);
+  const auto mark = [&chosen](std::uint64_t i) {
+    chosen[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
   if (count * 3 >= n) {
     // Dense regime: partial Fisher-Yates over the full index range.
     std::vector<std::uint32_t> pool(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      pool[i] = static_cast<std::uint32_t>(i);
-    }
+    std::iota(pool.begin(), pool.end(), 0u);
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t j = i + uniform_index(n - i);
       std::swap(pool[i], pool[j]);
+      mark(pool[i]);
     }
-    out.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
   } else {
-    // Sparse regime: Floyd's algorithm, O(count) expected draws.
-    std::unordered_set<std::uint32_t> chosen;
-    chosen.reserve(count * 2);
+    // Sparse regime: Floyd's algorithm, O(count) expected draws.  Every
+    // earlier insert is below j, so j itself is never already chosen.
     for (std::uint64_t j = n - count; j < n; ++j) {
-      const auto t = static_cast<std::uint32_t>(uniform_index(j + 1));
-      if (!chosen.insert(t).second) {
-        chosen.insert(static_cast<std::uint32_t>(j));
-      }
+      const std::uint64_t t = uniform_index(j + 1);
+      const bool taken = ((chosen[t / 64] >> (t % 64)) & 1u) != 0;
+      mark(taken ? j : t);
     }
-    out.assign(chosen.begin(), chosen.end());
   }
-  std::sort(out.begin(), out.end());
+  std::vector<std::uint32_t> out(count);
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < chosen.size(); ++w) {
+    for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+      out[k++] = static_cast<std::uint32_t>(w * 64 + bit);
+    }
+  }
   return out;
 }
 
 std::vector<std::uint32_t> Rng::sample_with_replacement(std::uint64_t n,
                                                         std::uint64_t count) {
   RCF_CHECK_MSG(n > 0, "sample_with_replacement: n must be positive");
+  RCF_CHECK_MSG(n <= kMaxSampleRange,
+                "sample_with_replacement: n > 2^32 does not fit uint32");
   std::vector<std::uint32_t> out(count);
   for (auto& v : out) {
     v = static_cast<std::uint32_t>(uniform_index(n));

@@ -62,12 +62,21 @@ class Rng {
   double normal(double mean, double stddev);
 
   /// Sample `count` distinct indices uniformly from [0, n), sorted ascending.
-  /// This is the paper's sampling matrix I_n (Alg. 4 line 4).  Uses Floyd's
-  /// algorithm for count << n and a partial Fisher-Yates otherwise.
+  /// This is the paper's sampling matrix I_n (Alg. 4 line 4).
+  ///
+  /// The set is a fixed function of (seed, stream, n, count), defined by its
+  /// draw sequence: Floyd's algorithm (one uniform_index(j + 1) for each j
+  /// in [n - count, n)) when count * 3 < n, otherwise a partial Fisher-Yates
+  /// (one uniform_index(n - i) for each i < count).  Every golden fixture
+  /// depends on that sequence, so a faster implementation must make the same
+  /// draws (SampleWithoutReplacement.MatchesReferenceDrawSequence).  Cost is
+  /// O(count + n/64) with n/8 bytes of bitmap scratch; the Fisher-Yates
+  /// regime also keeps its n-entry swap pool.  Requires count <= n <= 2^32.
   std::vector<std::uint32_t> sample_without_replacement(std::uint64_t n,
                                                         std::uint64_t count);
 
   /// Sample `count` indices uniformly from [0, n) with replacement (unsorted).
+  /// Requires 0 < n <= 2^32.
   std::vector<std::uint32_t> sample_with_replacement(std::uint64_t n,
                                                      std::uint64_t count);
 

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "prop.hpp"
 
 namespace rcf {
 namespace {
@@ -83,6 +86,42 @@ TEST(Rng, UniformIndexUnbiased) {
   }
 }
 
+TEST(Rng, UniformIndexKnownAnswers) {
+  // Recorded from the plain rejection test (threshold computed on every
+  // draw): eight draws per n, then the generator's next word.  At
+  // 2^63 + 5 about half the raw words fall below the threshold, so the
+  // rejection branch is pinned too.
+  struct Case {
+    std::uint64_t n;
+    std::array<std::uint64_t, 8> draws;
+    std::uint64_t next;
+  };
+  const Case cases[] = {
+      {1, {0, 0, 0, 0, 0, 0, 0, 0}, 9560459220604670184u},
+      {3, {1, 1, 1, 2, 0, 2, 2, 2}, 9560459220604670184u},
+      {29051,
+       {16258, 27685, 24623, 13376, 1651, 10144, 7087, 20542},
+       9560459220604670184u},
+      {(std::uint64_t{1} << 63) + 5,
+       {6115578505609807287u, 6038891239695394032u, 2005703479422329543u,
+        6457881812422931737u, 337087183749894371u, 5381660523850117121u,
+        8720766788549378745u, 3253722230165048655u},
+       3399056435625342416u},
+      {~std::uint64_t{0},
+       {15338950542464583100u, 15262263276550169845u, 5644874513906209741u,
+        2942838556126953341u, 11229075516277105356u, 15681253849277707550u,
+        795625396824564980u, 8283987447998924249u},
+       9560459220604670184u},
+  };
+  for (const auto& c : cases) {
+    Rng rng(2024, 7);
+    for (const auto want : c.draws) {
+      EXPECT_EQ(rng.uniform_index(c.n), want) << "n=" << c.n;
+    }
+    EXPECT_EQ(rng.next_u64(), c.next) << "n=" << c.n;
+  }
+}
+
 TEST(Rng, UniformIndexRejectsZero) {
   Rng rng(7, 0);
   EXPECT_THROW(rng.uniform_index(0), InvalidArgument);
@@ -153,6 +192,87 @@ TEST(SampleWithoutReplacement, CountGreaterThanNThrows) {
   EXPECT_THROW(rng.sample_without_replacement(10, 11), InvalidArgument);
 }
 
+TEST(SampleWithoutReplacement, RejectsRangeBeyondUint32) {
+  Rng rng(5, 3);
+  EXPECT_THROW(rng.sample_without_replacement((std::uint64_t{1} << 32) + 1, 1),
+               InvalidArgument);
+  EXPECT_THROW(rng.sample_without_replacement(std::uint64_t{1} << 33, 1),
+               InvalidArgument);
+}
+
+/// The sampler's defining draw sequence, written the plain way: Floyd's
+/// algorithm with std::set membership below count * 3 < n, a partial
+/// Fisher-Yates otherwise, then a sort.
+std::vector<std::uint32_t> reference_sample(Rng& rng, std::uint64_t n,
+                                            std::uint64_t count) {
+  std::vector<std::uint32_t> out;
+  if (count == 0) {
+    return out;
+  }
+  if (count * 3 >= n) {
+    std::vector<std::uint32_t> pool(n);
+    std::iota(pool.begin(), pool.end(), 0u);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t j = i + rng.uniform_index(n - i);
+      std::swap(pool[i], pool[j]);
+    }
+    out.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
+  } else {
+    std::set<std::uint32_t> chosen;
+    for (std::uint64_t j = n - count; j < n; ++j) {
+      const auto t = static_cast<std::uint32_t>(rng.uniform_index(j + 1));
+      if (!chosen.insert(t).second) {
+        chosen.insert(static_cast<std::uint32_t>(j));
+      }
+    }
+    out.assign(chosen.begin(), chosen.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SampleWithoutReplacement, MatchesReferenceDrawSequence) {
+  // Every golden fixture depends on the exact sample sets, so the sampler
+  // must return the reference's vector and leave the generator in the same
+  // state.  n is biased to the bitmap's word edges (n mod 64 in {0, 1, 63})
+  // and count to both regimes and the boundary between them.
+  prop::for_all("sampler == reference", 0x5A4D, 300, [](prop::Gen& g) {
+    const std::uint64_t q = g.size(1, 70000) / 64;
+    std::uint64_t n = 0;
+    switch (g.index(4)) {
+      case 0:
+        n = 64 * std::max<std::uint64_t>(q, 1);
+        break;
+      case 1:
+        n = 64 * q + 1;
+        break;
+      case 2:
+        n = q > 0 ? 64 * q - 1 : 63;
+        break;
+      default:
+        n = g.size(1, 70000);
+        break;
+    }
+    const std::uint64_t third = (n + 2) / 3;  // ceil(n / 3)
+    const std::uint64_t counts[] = {0, 1, third - 1, third, g.index(n + 1), n};
+    const std::uint64_t count = counts[g.index(6)];
+    const std::uint64_t seed = g.seed();
+    const std::uint64_t stream = g.seed();
+    Rng fast(seed, stream);
+    Rng ref(seed, stream);
+    if (fast.sample_without_replacement(n, count) !=
+        reference_sample(ref, n, count)) {
+      return testing::AssertionFailure()
+             << "sets differ at n=" << n << " count=" << count;
+    }
+    if (fast.next_u64() != ref.next_u64()) {
+      return testing::AssertionFailure()
+             << "generator state differs at n=" << n << " count=" << count;
+    }
+    return testing::AssertionSuccess();
+  });
+}
+
 TEST(SampleWithoutReplacement, UniformCoverage) {
   // Every index should be sampled with roughly equal frequency.
   constexpr std::uint64_t kN = 50, kCount = 10;
@@ -177,6 +297,17 @@ TEST(SampleWithReplacement, Range) {
   for (auto v : sample) {
     EXPECT_LT(v, 10u);
   }
+}
+
+TEST(SampleWithReplacement, RejectsRangeBeyondUint32) {
+  Rng rng(21, 0);
+  EXPECT_THROW(rng.sample_with_replacement((std::uint64_t{1} << 32) + 1, 1),
+               InvalidArgument);
+  EXPECT_THROW(rng.sample_with_replacement(std::uint64_t{1} << 33, 1),
+               InvalidArgument);
+  // The top of the range still fits: every index in [0, 2^32) is a uint32.
+  EXPECT_EQ(rng.sample_with_replacement(std::uint64_t{1} << 32, 64).size(),
+            64u);
 }
 
 TEST(DeriveSeed, Decorrelates) {
