@@ -4,27 +4,21 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "check/checked_comm.hpp"
 #include "check/options.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/distributed.hpp"
 #include "core/momentum.hpp"
-#include "dist/retry.hpp"
-#include "exec/pool.hpp"
-#include "fault/faulty_comm.hpp"
 #include "fault/plan.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "prox/operators.hpp"
 #include "sparse/gram.hpp"
 
@@ -115,95 +109,79 @@ void annotate_health(SolveResult& result, std::uint64_t mark) {
   }
 }
 
-/// Everything the ranks share, fixed once per solve outside them.
-struct Setup {
-  const LassoProblem& problem;
-  const SolverOptions& opts;
-  std::size_t mbar;
-  double gamma;
-  data::Partition data_part;  ///< sample blocks of the real ranks
-  data::Partition cost_part;  ///< sample blocks of the modeled P
-  /// Decorator counters of every rank (ThreadGroup::last_run_stats only
-  /// sums the backend endpoints).
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> faults{0};
-};
+}  // namespace
 
-/// Paper Alg. 5 on one rank of `backend`'s world.  Stages A + B build the
-/// rank's share of k sampled [H|R] blocks, stage C sums them with one
-/// counted allreduce per k-chunk (blocking, or posted one chunk ahead with
-/// opts.pipeline), and stage D runs the redundant update sweeps, so every
-/// rank holds bitwise-identical iterates.  Rank 0 writes `out`.
-void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
-  const LassoProblem& problem = su.problem;
-  const SolverOptions& opts = su.opts;
+std::string structured_failure() {
+  try {
+    throw;
+  } catch (const fault::FaultAbort& e) {
+    return e.what();
+  } catch (const fault::PoisonedPayload& e) {
+    return e.what();
+  } catch (const dist::TransientCommFailure& e) {
+    return e.what();
+  }
+}
 
-  // Collective decorator stack, innermost first:
-  //   backend <- FaultyComm <- RetryingComm <- CheckedComm.
-  // The chaos layer throws transient failures *before* the backend call,
-  // so a retried collective enters the rendezvous exactly once and the
-  // contract checker above it records exactly one schedule entry -- no
-  // false positives from legitimate retries.
-  const fault::FaultPlan* plan = fault::active_plan();
-  fault::FaultyComm faulty(backend, plan);
-  dist::RetryingComm retrying(faulty, opts.retry);
-  // Fold the decorator counters into the shared totals on scope exit --
-  // including when this rank dies mid-schedule (injected aborts and
-  // exhausted retries throw through this frame), so failure results
-  // still report how many faults actually fired.
-  struct CounterFold {
-    fault::FaultyComm& faulty;
-    dist::RetryingComm& retrying;
-    Setup& su;
-    ~CounterFold() {
-      su.retries.fetch_add(retrying.retries(), std::memory_order_relaxed);
-      su.faults.fetch_add(faulty.faults_injected(), std::memory_order_relaxed);
-    }
-  } fold{faulty, retrying, su};
-  // With RCF_CHECK on, every collective below is fingerprinted and the
-  // rolling schedule hash is epoch-checked across ranks; with checking off
-  // it forwards untouched.
-  check::CheckedComm comm(retrying);
-  // Per-rank pool: width 0 divides the hardware among the ranks so P ranks
-  // x W pool threads never oversubscribes the machine.
-  exec::Pool pool(exec::Pool::resolve_width(opts.threads, comm.size()));
-  exec::PoolGuard pool_guard(&pool);
+RankWorld::RankWorld(dist::Communicator* backend,
+                     const dist::RetryPolicy& retry, int threads, bool trace)
+    : faulty(backend != nullptr ? *backend : seq, fault::active_plan()),
+      retrying(faulty, retry),
+      comm(retrying),
+      pool(exec::Pool::resolve_width(threads, comm.size())),
+      pool_guard(&pool) {
+  if (backend == nullptr && !trace) {
+    untraced.emplace(seq);
+  }
+}
 
-  const std::size_t d = problem.dim();
-  const std::size_t m = problem.num_samples();
+la::Vector ChunkLoop::run(const Run& run, const After& after) {
+  dist::Communicator& comm = world.comm;
+  const sparse::CsrMatrix& xt = dataset.xt;
+  const std::size_t d = xt.cols();
+  const std::size_t m = xt.rows();
   const int k = opts.k;
-  const std::size_t stride = d * d + d;  // one packed [H_j | R_j] block
-  const int procs = su.cost_part.parts();
+  const bool pinned = !run.anchor.empty();
+  RCF_DCHECK(!pinned || opts.variance_reduction);
+  RCF_DCHECK(run.weights.empty() || pinned);
+  const bool refreshing = opts.variance_reduction && !pinned;
+  const std::size_t stride = d * d + (opts.variance_reduction ? 0 : d);
+  const int procs = cost_part.parts();
   auto& session = obs::TraceSession::global();
   const bool tracing = opts.trace && session.enabled();
   // The payload guard is armed only when it could matter -- a chaos plan is
   // installed or the verification layer is on -- so fault-free solves never
   // pay the O(payload) scan.
-  const bool guard_payload = plan != nullptr || check::globally_enabled();
-  const double lambda_gamma = problem.lambda() * su.gamma;
+  const bool guard_payload =
+      fault::active_plan() != nullptr || check::globally_enabled();
+  const double lambda_gamma = run.lambda * run.gamma;
 
   // Rank-local data block (stage 0 of Fig. 1: X column-partitioned, y
-  // row-partitioned); a 1-rank world reads the problem in place.
-  const std::size_t lo = su.data_part.begin(comm.rank());
-  const std::size_t hi = su.data_part.end(comm.rank());
+  // row-partitioned); a 1-rank world reads the data in place.
+  const std::size_t lo = data_part.begin(comm.rank());
+  const std::size_t hi = data_part.end(comm.rank());
   const std::optional<sparse::CsrMatrix> slice =
-      comm.size() > 1 ? std::optional(problem.xt().slice_rows(lo, hi))
-                      : std::nullopt;
-  const sparse::CsrMatrix& local_xt = slice ? *slice : problem.xt();
+      comm.size() > 1 ? std::optional(xt.slice_rows(lo, hi)) : std::nullopt;
+  const sparse::CsrMatrix& local_xt = slice ? *slice : xt;
   const std::span<const double> local_y =
-      problem.y().span().subspan(lo, hi - lo);
-  const bool is_root = comm.rank() == 0;
+      dataset.y.span().subspan(lo, hi - lo);
 
   // Iteration state of the recurrence (paper Eq. 16-17): w_{n-1},
   // dw_{n-1} = w_{n-1} - w_{n-2}, and the extrapolated point v_n, updated
   // incrementally via dv_n = (1+mu_{n+1}) dw_n - mu_n dw_{n-1}.
-  la::Vector w(d), dw_prev(d), v(d);
-  la::Vector grad(d), theta(d), u(d), tmp(d), w_iter_prev(d);
+  la::Vector w(std::vector<double>(run.start.begin(), run.start.end()));
+  la::Vector v = w;
+  la::Vector dw_prev(d), grad(d), theta(d), u(d), tmp(d);
   la::Matrix h_local(d, d), h(d, d);
   la::Vector r_local(d);
-  // Variance-reduction anchor (Alg. 3's w_hat) and its exact gradient.
-  la::Vector anchor(d), anchor_grad(d);
-  std::vector<double> residual(opts.variance_reduction ? local_xt.rows() : 0);
+  // The variance-reduction anchor (Alg. 3's w_hat) and its exact gradient:
+  // the run's pinned ones, or refreshed into the loop's own buffers.
+  la::Vector own_anchor(d), own_anchor_grad(d);
+  const std::span<const double> anchor =
+      pinned ? run.anchor : own_anchor.span();
+  const std::span<const double> anchor_grad =
+      pinned ? run.anchor_grad : own_anchor_grad.span();
+  std::vector<double> residual(refreshing ? local_xt.rows() : 0);
   std::vector<std::uint32_t> idx, local_idx;
   const MomentumSchedule outer_mu(opts.momentum);
   // Counts recurrence updates (S per sampled block); drives the momentum
@@ -211,27 +189,11 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
   int update_counter = 0;
   int momentum_base = 0;
   int last_anchor_iter = 0;
-  int iterations_done = 0;
-  bool converged = false;  // tol reached: every rank stops at the same n
+  bool stop = false;
   bool local_built = false;
 
-  model::CostTracker cost(opts.collective);
-  std::vector<IterationRecord> history;
-  obs::ConvergenceRing conv;
-  // Phase observation (counts always, wall time when tracing).  Collective
-  // spans come from the backend itself, one per call, so the trace's
-  // "allreduce" span count equals CommStats::allreduce_calls.
-  obs::PhaseAgg ph_sampling, ph_gram, ph_allreduce, ph_post, ph_wait,
-      ph_update;
-  // Machine-independent cumulative counters mirrored into the history so
-  // benches can re-cost one trajectory for any (P, machine, collective).
-  std::uint64_t comm_rounds = 0;
-  double raw_gram_flops = 0.0;
-  double raw_update_flops = 0.0;
-  double comm_payload_words = 0.0;
-
-  // The k*(d^2+d) block working set spills the cache for large k; every use
-  // then streams from DRAM (see MachineSpec::beta_mem and DESIGN.md).
+  // The k-block working set spills the cache for large k; every use then
+  // streams from DRAM (see MachineSpec::beta_mem and DESIGN.md).
   const bool spills =
       static_cast<double>(k) * static_cast<double>(stride) >
       opts.machine.cache_doubles;
@@ -257,16 +219,16 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
   // gradient (1/m) X_p (X_p^T w - y_p) -- two SpMVs over its block -- and
   // one d-word allreduce of the partial sums.
   const auto refresh_anchor = [&](int iter_base) {
-    la::copy(w.span(), anchor.span());
+    la::copy(w.span(), own_anchor.span());
     obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
-      local_xt.spmv(anchor.span(), residual);
+      local_xt.spmv(own_anchor.span(), residual);
       la::axpy(-1.0, local_y, residual);
-      local_xt.spmv_t(residual, anchor_grad.span());
-      la::scal(1.0 / static_cast<double>(m), anchor_grad.span());
+      local_xt.spmv_t(residual, own_anchor_grad.span());
+      la::scal(1.0 / static_cast<double>(m), own_anchor_grad.span());
     });
-    cost.add_flops(Phase::kGram, 4.0 * static_cast<double>(problem.xt().nnz()) /
-                                     static_cast<double>(procs));
-    reduce(anchor_grad.span());
+    cost.add_flops(Phase::kGram, 4.0 * static_cast<double>(xt.nnz()) /
+                                      static_cast<double>(procs));
+    reduce(own_anchor_grad.span());
     last_anchor_iter = iter_base;
     if (opts.vr_restart_momentum) {
       // Literal Alg. 3: restart the inner loop from the snapshot (w_0 =
@@ -278,25 +240,23 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
   };
 
   const auto chunk_start = [&](int t) { return 1 + t * k; };
-  const auto chunk_len = [&](int t) {
-    return std::min(k, opts.max_iters - t * k);
-  };
+  const auto chunk_len = [&](int t) { return std::min(k, run.iters - t * k); };
   const auto chunk_words = [&](int t) {
     return static_cast<std::size_t>(chunk_len(t)) * stride;
   };
 
-  // Stages A + B for chunk t into `dst`.  Sampling is keyed on (seed, n)
-  // only -- identical index sets for every k, S and P with no
-  // communication to agree on them (paper §5.2) -- and each rank
-  // accumulates the outer products of its own samples.  A pure function of
-  // t: the poison fallback re-runs it, and the pipeline runs it for chunk
-  // t + 1 while chunk t's reduction is in flight.
+  // Stages A + B for chunk t into `dst`.  Sampling is keyed on
+  // (seed, stream_base + n) only -- identical index sets for every k, S
+  // and P with no communication to agree on them (paper §5.2) -- and each
+  // rank accumulates the outer products of its own samples.  A pure
+  // function of t: the poison fallback re-runs it, and the pipeline runs it
+  // for chunk t + 1 while chunk t's reduction is in flight.
   const auto build_chunk = [&](int t, double* dst) {
     for (int j = 0; j < chunk_len(t); ++j) {
       const int n = chunk_start(t) + j;
       obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
-        Rng rng(opts.seed, static_cast<std::uint64_t>(n));
-        idx = rng.sample_without_replacement(m, su.mbar);
+        Rng rng(opts.seed, run.stream_base + static_cast<std::uint64_t>(n));
+        idx = rng.sample_without_replacement(m, mbar);
         local_idx.clear();
         for (const auto i : idx) {
           if (i >= lo && i < hi) {
@@ -305,46 +265,48 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
         }
       });
       raw_gram_flops += static_cast<double>(
-          charge_sampled_gram(cost, problem.xt(), idx, su.cost_part));
+          charge_sampled_gram(cost, xt, idx, cost_part));
       obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
-        // Full batch (mbar = m): the local [H|R] never changes, so it is
-        // built once and only re-packed (bitwise identical to rebuilding).
+        // Full batch (mbar = m): the local block never changes within a
+        // run, so it is built once and only re-packed (bitwise identical
+        // to rebuilding).
         if (!local_built) {
           h_local.fill(0.0);
           la::set_zero(r_local.span());
           sparse::accumulate_sampled_gram(
               local_xt, local_y, local_idx,
-              1.0 / static_cast<double>(idx.size()), h_local, r_local.span());
+              1.0 / static_cast<double>(idx.size()), h_local,
+              r_local.span(), run.weights);
           la::symmetrize_from_upper(h_local);
-          local_built = su.mbar == m;
+          local_built = mbar == m;
         }
         double* block = dst + static_cast<std::size_t>(j) * stride;
         std::copy(h_local.data(), h_local.data() + d * d, block);
-        std::copy(r_local.data(), r_local.data() + d, block + d * d);
+        if (!opts.variance_reduction) {
+          std::copy(r_local.data(), r_local.data() + d, block + d * d);
+        }
       });
     }
   };
 
   // Stage D for chunk t: kk redundant update sweeps, S Hessian-reuse steps
-  // each.  `blocks` holds reduced [H|R] data -- chunk t's own, or under
-  // bounded staleness an earlier chunk's (at least kk blocks; only the
-  // final chunk is short).
+  // each.  `blocks` holds reduced blocks -- chunk t's own, or under bounded
+  // staleness an earlier chunk's (at least kk blocks; only the final chunk
+  // is short).
   //
-  // Hessian-reuse (paper Eq. 20-23): each communicated (H, R) block is
-  // reused for S recurrence steps.  Every reuse step is a *standard*
-  // SFISTA update -- prox step at the extrapolated point, then the
+  // Hessian-reuse (paper Eq. 20-23): each communicated block is reused for
+  // S recurrence steps.  Every reuse step is a *standard* SFISTA update --
+  // prox step at the extrapolated point, then the
   // dv = (1+mu)dw - mu dw_prev recurrence -- advancing one shared update
   // counter, so S = 1 reduces bit-exactly to the base algorithm and the
   // per-step stability condition (gamma * ||H_n|| <= 1) is unchanged.
   // Over-solving against a stale sampled block is what degrades large S
   // (the paper's S = 10 observation).
   const auto update_chunk = [&](int t, const double* blocks) {
-    for (int j = 0; j < chunk_len(t) && !converged; ++j) {
+    for (int j = 0; j < chunk_len(t) && !stop; ++j) {
       const int n = chunk_start(t) + j;
       const double* block = blocks + static_cast<std::size_t>(j) * stride;
-      const std::span<const double> r(block + d * d, d);
       std::copy(block, block + d * d, h.data());
-      la::copy(w.span(), w_iter_prev.span());
 
       obs::timed_phase(tracing, ph_update, "update",
                        static_cast<double>(opts.s), [&] {
@@ -354,17 +316,18 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
           // least squares, where the sampled terms collapse to
           // H_S (v - w_hat)).
           if (opts.variance_reduction) {
-            la::waxpby(1.0, v.span(), -1.0, anchor.span(), tmp.span());
+            la::waxpby(1.0, v.span(), -1.0, anchor, tmp.span());
             la::gemv(1.0, h, tmp.span(), 0.0, grad.span());
-            la::axpy(1.0, anchor_grad.span(), grad.span());
+            la::axpy(1.0, anchor_grad, grad.span());
           } else {
             la::gemv(1.0, h, v.span(), 0.0, grad.span());
-            la::axpy(-1.0, r, grad.span());
+            la::axpy(-1.0, std::span<const double>(block + d * d, d),
+                     grad.span());
           }
-          la::waxpby(1.0, v.span(), -su.gamma, grad.span(), theta.span());
+          la::waxpby(1.0, v.span(), -run.gamma, grad.span(), theta.span());
           if (opts.regularizer != nullptr) {
             la::copy(theta.span(), u.span());
-            opts.regularizer->apply(u.span(), su.gamma);
+            opts.regularizer->apply(u.span(), run.gamma);
           } else {
             prox::soft_threshold(theta.span(), lambda_gamma, u.span());
           }
@@ -408,45 +371,7 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
           static_cast<double>(opts.s) * (2.0 * dd * dd + 8.0 * dd) + 6.0 * dd;
       cost.add_flops(Phase::kUpdate, update_flops);
       raw_update_flops += update_flops;
-      iterations_done = n;
-
-      // Rank 0 records history.  With tol every rank evaluates the
-      // objective from the shared problem; the iterates agree bitwise, so
-      // the stop decision is symmetric without a collective.
-      const bool record =
-          is_root && opts.track_history && n % opts.history_stride == 0;
-      const double objective_n =
-          record || opts.tol > 0.0
-              ? objective_at(problem, opts, w.span())
-              : std::numeric_limits<double>::quiet_NaN();
-      const double rel_error = relative_error(objective_n, opts.f_star);
-      if (record) {
-        history.push_back(IterationRecord{
-            n, objective_n, rel_error, cost.seconds(opts.machine),
-            comm_rounds, raw_gram_flops, raw_update_flops,
-            comm_payload_words});
-      }
-      converged = opts.tol > 0.0 && rel_error <= opts.tol;
-
-      // Convergence telemetry: O(d) per-iteration summary, recorded into
-      // the bounded ring regardless of track_history (objective stays NaN
-      // on iterations where it was not evaluated).
-      obs::ConvergenceRecord rec;
-      rec.iteration = static_cast<std::uint64_t>(n);
-      rec.objective = objective_n;
-      rec.grad_norm = std::sqrt(la::dot(grad.span(), grad.span()));
-      double support = 0.0;
-      double step_sq = 0.0;
-      for (std::size_t i = 0; i < d; ++i) {
-        support += w[i] != 0.0 ? 1.0 : 0.0;
-        const double dw = w[i] - w_iter_prev[i];
-        step_sq += dw * dw;
-      }
-      rec.support = support;
-      rec.step = std::sqrt(step_sq);
-      conv.push(rec);
-      obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
-                             static_cast<double>(n), rec.objective, rec.step);
+      stop = after && after(n, w, grad);
     }
   };
 
@@ -454,7 +379,7 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
   // untouched from post (the backend snapshots the payload there) until
   // its first wait (the result lands there) plus, under staleness, until
   // its last stale consumer: lag + 2 slots cover the deepest schedule.
-  const int num_chunks = (opts.max_iters + k - 1) / k;
+  const int num_chunks = (run.iters + k - 1) / k;
   const int lag = opts.staleness;
   const int nslots = opts.pipeline ? lag + 2 : 1;
   std::vector<std::vector<double>> slots(
@@ -517,15 +442,14 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
     guard(t);
   };
 
-  if (opts.variance_reduction) {
+  if (refreshing) {
     refresh_anchor(0);
   }
   if (opts.pipeline) {
     post_chunk(0);
   }
-  for (int t = 0; t < num_chunks && !converged; ++t) {
-    if (opts.variance_reduction &&
-        t * k - last_anchor_iter >= opts.epoch_length) {
+  for (int t = 0; t < num_chunks && !stop; ++t) {
+    if (refreshing && t * k - last_anchor_iter >= opts.epoch_length) {
       refresh_anchor(t * k);
     }
     // Stage C.  Blocking is the pipeline with no lookahead: build, reduce,
@@ -557,27 +481,123 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
   for (int t = std::max(posted - nslots, 0); t < posted; ++t) {
     wait_chunk(t);
   }
+  return w;
+}
+
+namespace {
+
+/// Everything the ranks share, fixed once per solve outside them.
+struct Setup {
+  const LassoProblem& problem;
+  const SolverOptions& opts;
+  std::size_t mbar;
+  double gamma;
+  data::Partition data_part;  ///< sample blocks of the real ranks
+  data::Partition cost_part;  ///< sample blocks of the modeled P
+  /// Decorator counters of every rank (ThreadGroup::last_run_stats only
+  /// sums the backend endpoints).
+  std::atomic<std::uint64_t> retries{0};
+  std::atomic<std::uint64_t> faults{0};
+};
+
+/// The engine's run of the chunk loop on one rank of `backend`'s world (a
+/// 1-rank world when null), from w = 0 with the per-iteration history,
+/// convergence ring and tol stop.  Rank 0 writes `out`.
+void run_rank(Setup& su, dist::Communicator* backend, SolveResult& out) {
+  const LassoProblem& problem = su.problem;
+  const SolverOptions& opts = su.opts;
+  RankWorld world(backend, opts.retry, opts.threads, opts.trace);
+  // Fold the decorator counters into the shared totals on scope exit --
+  // including when this rank dies mid-schedule (injected aborts and
+  // exhausted retries throw through this frame), so failure results
+  // still report how many faults actually fired.
+  struct CounterFold {
+    RankWorld& world;
+    Setup& su;
+    ~CounterFold() {
+      su.retries += world.retrying.retries();
+      su.faults += world.faulty.faults_injected();
+    }
+  } fold{world, su};
+  const bool tracing = opts.trace && obs::TraceSession::global().enabled();
+  model::CostTracker cost(opts.collective);
+  ChunkLoop loop{world,        problem.dataset(), opts, su.mbar,
+                 su.data_part, su.cost_part,      cost};
+
+  const std::size_t d = problem.dim();
+  const bool is_root = world.comm.rank() == 0;
+  la::Vector w_iter_prev(d);  // w_0 = 0, then w before the latest sweeps
+  bool converged = false;     // tol reached: every rank stops at the same n
+  std::vector<IterationRecord> history;
+  obs::ConvergenceRing conv;
+
+  int iterations = 0;
+  const auto after = [&](int n, const la::Vector& w, const la::Vector& grad) {
+    iterations = n;
+    // Rank 0 records history.  With tol every rank evaluates the
+    // objective from the shared problem; the iterates agree bitwise, so
+    // the stop decision is symmetric without a collective.
+    const bool record =
+        is_root && opts.track_history && n % opts.history_stride == 0;
+    const double objective_n =
+        record || opts.tol > 0.0 ? objective_at(problem, opts, w.span())
+                                 : std::numeric_limits<double>::quiet_NaN();
+    const double rel_error = relative_error(objective_n, opts.f_star);
+    if (record) {
+      history.push_back(IterationRecord{
+          n, objective_n, rel_error, cost.seconds(opts.machine),
+          loop.comm_rounds, loop.raw_gram_flops, loop.raw_update_flops,
+          loop.comm_payload_words});
+    }
+    converged = opts.tol > 0.0 && rel_error <= opts.tol;
+
+    // Convergence telemetry: O(d) per-iteration summary, recorded into
+    // the bounded ring regardless of track_history (objective stays NaN
+    // on iterations where it was not evaluated).
+    obs::ConvergenceRecord rec;
+    rec.iteration = static_cast<std::uint64_t>(n);
+    rec.objective = objective_n;
+    rec.grad_norm = std::sqrt(la::dot(grad.span(), grad.span()));
+    double support = 0.0;
+    double step_sq = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+      support += w[i] != 0.0 ? 1.0 : 0.0;
+      const double dw = w[i] - w_iter_prev[i];
+      step_sq += dw * dw;
+    }
+    rec.support = support;
+    rec.step = std::sqrt(step_sq);
+    conv.push(rec);
+    obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
+                           static_cast<double>(n), rec.objective, rec.step);
+    la::copy(w.span(), w_iter_prev.span());
+    return converged;
+  };
+  la::Vector w = loop.run({.start = w_iter_prev.span(), .gamma = su.gamma,
+                           .lambda = problem.lambda(),
+                           .iters = opts.max_iters},
+                          after);
 
   obs::PhaseSummary phases;
-  obs::append_phase(phases, "sampling", ph_sampling);
-  obs::append_phase(phases, "gram", ph_gram);
-  obs::append_phase(phases, "allreduce", ph_allreduce);
-  obs::append_phase(phases, "allreduce_post", ph_post);
-  obs::append_phase(phases, "allreduce_wait", ph_wait);
-  obs::append_phase(phases, "update", ph_update);
+  obs::append_phase(phases, "sampling", loop.ph_sampling);
+  obs::append_phase(phases, "gram", loop.ph_gram);
+  obs::append_phase(phases, "allreduce", loop.ph_allreduce);
+  obs::append_phase(phases, "allreduce_post", loop.ph_post);
+  obs::append_phase(phases, "allreduce_wait", loop.ph_wait);
+  obs::append_phase(phases, "update", loop.ph_update);
   obs::FleetMetrics fleet;
   if (tracing) {
     // Cross-rank aggregation: every rank records its phase totals and comm
     // endpoint stats into a rank-local registry, then all ranks reduce them
     // in aux mode, so the comm.* counters just recorded stay exact.
     obs::MetricsRegistry local;
-    const dist::CommStats rank_stats = comm.stats();
+    const dist::CommStats rank_stats = world.comm.stats();
     obs::record_solve_metrics(local, phases, &rank_stats);
-    fleet = obs::aggregate(local, comm);
+    fleet = obs::aggregate(local, world.comm);
   }
   if (is_root) {
-    out.w = w;
-    out.iterations = iterations_done;
+    out.w = std::move(w);
+    out.iterations = iterations;
     out.converged = converged;
     out.history = std::move(history);
     out.cost = cost;
@@ -588,7 +608,7 @@ void run_rank(Setup& su, dist::Communicator& backend, SolveResult& out) {
 }
 
 /// Both entry points: run_rank on every rank of `group`, or inline on a
-/// SeqComm when `group` is null, then the result assembly.
+/// 1-rank world when `group` is null, then the result assembly.
 SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
                   const std::string& solver_name, dist::ThreadGroup* group) {
   validate_options(problem, opts, group);
@@ -613,23 +633,12 @@ SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
   std::optional<std::string> failure;
   try {
     if (group != nullptr) {
-      group->run([&](dist::ThreadComm& comm) { run_rank(su, comm, result); });
+      group->run([&](dist::ThreadComm& comm) { run_rank(su, &comm, result); });
     } else {
-      dist::SeqComm seq;
-      // With trace = false the 1-rank world's identity collectives run as
-      // auxiliary, so the solve adds no "allreduce" spans to the session.
-      std::optional<dist::Communicator::AuxScope> untraced;
-      if (!opts.trace) {
-        untraced.emplace(seq);
-      }
-      run_rank(su, seq, result);
+      run_rank(su, nullptr, result);
     }
-  } catch (const fault::FaultAbort& e) {
-    failure = e.what();
-  } catch (const fault::PoisonedPayload& e) {
-    failure = e.what();
-  } catch (const dist::TransientCommFailure& e) {
-    failure = e.what();
+  } catch (...) {
+    failure = structured_failure();
   }
 
   if (failure) {

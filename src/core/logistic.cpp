@@ -10,8 +10,8 @@
 #include "common/timer.hpp"
 #include "core/engine.hpp"
 #include "core/momentum.hpp"
+#include "core/prox_newton.hpp"
 #include "data/partition.hpp"
-#include "exec/pool.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
 #include "prox/operators.hpp"
@@ -157,21 +157,7 @@ SolveResult solve_logistic_fista(const LogisticProblem& problem,
 
 SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
                                        const PnOptions& opts) {
-  RCF_CHECK_MSG(opts.max_outer >= 1, "logistic pn: max_outer must be >= 1");
-  RCF_CHECK_MSG(opts.inner_iters >= 1,
-                "logistic pn: inner_iters must be >= 1");
-  RCF_CHECK_MSG(opts.k >= 1 && opts.s >= 1, "logistic pn: k, s must be >= 1");
-  RCF_CHECK_MSG(opts.hessian_sampling_rate > 0.0 &&
-                    opts.hessian_sampling_rate <= 1.0,
-                "logistic pn: hessian_sampling_rate in (0, 1]");
-  if (opts.tol > 0.0) {
-    RCF_CHECK_MSG(!std::isnan(opts.f_star), "logistic pn: tol requires f_star");
-  }
-  RCF_CHECK_MSG(opts.threads >= 0, "logistic pn: threads must be >= 0");
-
-  exec::Pool pool(exec::Pool::resolve_width(opts.threads, 1));
-  exec::PoolGuard pool_guard(&pool);
-
+  validate_pn_options(opts, /*checkpointing=*/false);
   WallTimer wall;
   const std::size_t d = problem.dim();
   const std::size_t m = problem.num_samples();
@@ -189,22 +175,24 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
   model::CostTracker& cost = result.cost;
   std::uint64_t comm_rounds = 0;
 
-  la::Vector w(d), grad(d), z(d);
+  RankWorld world(nullptr, dist::RetryPolicy{}, opts.threads, opts.trace);
+  // The inner chunk loop runs the VR update; each run pins the anchor at w.
+  const SolverOptions inner{.variance_reduction = true, .k = opts.k,
+                            .s = opts.s, .seed = opts.seed,
+                            .trace = opts.trace, .machine = opts.machine};
+  ChunkLoop chunks{world, problem.dataset(), inner, mbar, data::Partition(m, 1),
+                   partition, cost};
+
+  la::Vector w(d), grad(d);
   la::Vector weights(m);
   la::Matrix h(d, d);
-  std::vector<la::Matrix> h_blocks;
-  if (opts.inner == PnInnerSolver::kRcSfista) {
-    for (int j = 0; j < opts.k; ++j) {
-      h_blocks.emplace_back(d, d);
-    }
-  }
   const MomentumSchedule mu(MomentumRule::kFista);
 
   double objective = problem.objective(w.span());
 
-  bool done = false;
-  int outer = 0;
-  for (outer = 1; outer <= opts.max_outer && !done; ++outer) {
+  int completed = 0;  // last completed outer iteration
+  try {
+  for (int outer = 1; outer <= opts.max_outer; ++outer) {
     // Exact gradient + curvature weights at w (two SpMVs + d-word
     // allreduce).
     problem.gradient(w.span(), grad.span(), weights.span());
@@ -247,48 +235,14 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
         cost.add_flops(Phase::kUpdate, 2.0 * dd * dd + 12.0 * dd);
       }
     } else {
-      // RC inner: fresh sampled weighted Hessians, k-overlapped.
-      la::Vector dw_prev(d), su(d);
-      la::copy(w.span(), vv.span());
-      int inner_done = 0;
-      int update_counter = 0;
-      while (inner_done < opts.inner_iters) {
-        const int kk = std::min(opts.k, opts.inner_iters - inner_done);
-        for (int j = 0; j < kk; ++j) {
-          Rng rng(opts.seed, (static_cast<std::uint64_t>(outer) << 24) +
-                                 static_cast<std::uint64_t>(inner_done + j) +
-                                 2);
-          const auto idx = rng.sample_without_replacement(m, mbar);
-          sparse::weighted_sampled_gram(xt, weights.raw(), idx,
-                                        h_blocks[static_cast<std::size_t>(j)]);
-          charge_sampled_gram(cost, xt, idx, partition);
-        }
-        cost.add_allreduce(opts.procs,
-                           static_cast<std::uint64_t>(kk) * d * d);
-        ++comm_rounds;
-        for (int j = 0; j < kk; ++j) {
-          const la::Matrix& hj = h_blocks[static_cast<std::size_t>(j)];
-          for (int s2 = 1; s2 <= opts.s; ++s2) {
-            la::waxpby(1.0, vv.span(), -1.0, w.span(), tmp.span());
-            la::gemv(1.0, hj, tmp.span(), 0.0, g.span());
-            la::axpy(1.0, grad.span(), g.span());
-            la::waxpby(1.0, vv.span(), -gamma, g.span(), theta.span());
-            prox::soft_threshold(theta.span(), lambda_gamma, su.span());
-            ++update_counter;
-            const double mu_next = mu.mu(update_counter + 1);
-            const double mu_cur = mu.mu(update_counter);
-            for (std::size_t i = 0; i < d; ++i) {
-              const double dw = su[i] - u[i];
-              vv[i] += (1.0 + mu_next) * dw - mu_cur * dw_prev[i];
-              dw_prev[i] = dw;
-              u[i] = su[i];
-            }
-            const double dd = static_cast<double>(d);
-            cost.add_flops(Phase::kUpdate, 2.0 * dd * dd + 12.0 * dd);
-          }
-        }
-        inner_done += kk;
-      }
+      // RC inner: the engine's chunk loop on fresh sampled weighted
+      // Hessians, anchored at w with gradient grad.
+      u = chunks.run({.start = w.span(), .anchor = w.span(),
+                      .anchor_grad = grad.span(), .gamma = gamma,
+                      .lambda = lambda, .iters = opts.inner_iters,
+                      .stream_base =
+                          (static_cast<std::uint64_t>(outer) << 24) + 1,
+                      .weights = weights.span()});
     }
 
     // Damped update with monotone safeguard (the logistic objective is not
@@ -315,16 +269,23 @@ SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
     if (opts.track_history) {
       result.history.push_back(IterationRecord{
           outer, objective, rel_error, cost.seconds(opts.machine),
-          comm_rounds});
+          comm_rounds + chunks.comm_rounds});
     }
+    completed = outer;
     if (opts.tol > 0.0 && !std::isnan(rel_error) && rel_error <= opts.tol) {
       result.converged = true;
-      done = true;
+      break;
     }
+  }
+  } catch (...) {
+    result.failure_reason = structured_failure();
+    result.failed = true;
   }
 
   result.w = w;
-  result.iterations = std::min(outer, opts.max_outer);
+  result.iterations = completed;
+  result.comm_stats.retries = world.retrying.retries();
+  result.comm_stats.faults_injected = world.faulty.faults_injected();
   result.objective = objective;
   result.rel_error = relative_error(result.objective, opts.f_star);
   result.sim_seconds = cost.seconds(opts.machine);

@@ -12,9 +12,9 @@
 //
 // The proximal Newton driver mirrors Alg. 1: per outer iteration the exact
 // gradient is computed distributed (two SpMVs + a d-word allreduce), the
-// weighted Hessian is estimated by uniform sampling (one d^2 allreduce, or
-// k-overlapped blocks with the RC-SFISTA inner solver), and the quadratic
-// subproblem is solved with FISTA.
+// weighted Hessian is estimated by uniform sampling, and the quadratic
+// subproblem is solved by FISTA on one allreduced d^2 sample, or by the
+// engine's chunk loop of k-overlapped sampled blocks (RC-SFISTA).
 #pragma once
 
 #include <cstdint>
@@ -61,9 +61,9 @@ class LogisticProblem {
   mutable std::optional<double> lipschitz_;
 };
 
-/// Proximal Newton (Alg. 1) on the logistic problem.  Honors the same
-/// PnOptions as the least-squares driver, including the choice of inner
-/// solver and the k / S communication parameters.
+/// Proximal Newton (Alg. 1) on the logistic problem.  Takes the same
+/// PnOptions as the least-squares driver, but has no checkpointing:
+/// checkpoint_sink or resume_from throws InvalidArgument.
 SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
                                        const PnOptions& opts);
 

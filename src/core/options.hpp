@@ -127,7 +127,7 @@ struct SolverOptions {
   /// (see dist/retry.hpp).  The defaults absorb up to three
   /// transient faults per collective; retries surface as
   /// CommStats::retries and the "comm.backoff_us" obs counter.
-  dist::RetryPolicy retry;
+  dist::RetryPolicy retry{};
 
   // -- cost model (simulated distributed execution) ---------------------------
   /// P, the modeled processor count for cost accounting.  A ThreadGroup
@@ -139,11 +139,12 @@ struct SolverOptions {
 
 /// Inner solver choice for the proximal Newton driver (Alg. 1).
 enum class PnInnerSolver {
-  /// Deterministic FISTA on the exact subproblem: one d^2 Hessian allreduce
-  /// per outer iteration, then local inner iterations (the Fig. 7 baseline).
+  /// Deterministic FISTA on the outer iteration's sampled Hessian (the
+  /// Fig. 7 baseline): matrix-free in least-squares PN (one d-word allreduce
+  /// per inner iteration), one d^2 allreduce per outer one in logistic PN.
   kFista,
-  /// RC-SFISTA: resamples the Hessian every inner iteration with k-deep
-  /// iteration overlapping (the paper's proposal).
+  /// RC-SFISTA, the engine's chunk loop: resamples the Hessian every inner
+  /// iteration with k-deep iteration overlapping (the paper's proposal).
   kRcSfista,
 };
 

@@ -83,9 +83,7 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
   la::Vector res_accum(m);  // sum over workers of scaled local updates
   std::vector<double> w_stage(d);
 
-  bool done = false;
-  int round = 0;
-  for (round = 1; round <= opts.max_rounds && !done; ++round) {
+  for (int round = 1; round <= opts.max_rounds; ++round) {
     la::set_zero(res_accum.span());
     std::copy(w.begin(), w.end(), w_stage.begin());
     double max_rank_flops = 0.0;
@@ -208,14 +206,14 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
           round, objective, rel_error, cost.seconds(opts.machine),
           comm_rounds});
     }
+    result.iterations = round;
     if (opts.tol > 0.0 && !std::isnan(rel_error) && rel_error <= opts.tol) {
       result.converged = true;
-      done = true;
+      break;
     }
   }
 
   result.w = w;
-  result.iterations = std::min(round, opts.max_rounds);
   result.objective = problem.objective(result.w.span());
   result.rel_error = relative_error(result.objective, opts.f_star);
   result.sim_seconds = cost.seconds(opts.machine);

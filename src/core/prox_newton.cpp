@@ -13,14 +13,12 @@
 #include "core/momentum.hpp"
 #include "data/partition.hpp"
 #include "fault/plan.hpp"
-#include "exec/pool.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prox/operators.hpp"
-#include "sparse/gram.hpp"
 
 namespace rcf::core {
 
@@ -51,8 +49,7 @@ struct SampledHessianOp {
 
 }  // namespace
 
-SolveResult solve_proximal_newton(const LassoProblem& problem,
-                                  const PnOptions& opts) {
+void validate_pn_options(const PnOptions& opts, bool checkpointing) {
   RCF_CHECK_MSG(opts.max_outer >= 1, "pn: max_outer must be >= 1");
   RCF_CHECK_MSG(opts.inner_iters >= 1, "pn: inner_iters must be >= 1");
   RCF_CHECK_MSG(opts.k >= 1 && opts.s >= 1, "pn: k and s must be >= 1");
@@ -61,21 +58,22 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
                 "pn: hessian_sampling_rate must be in (0, 1]");
   RCF_CHECK_MSG(opts.damping > 0.0 && opts.damping <= 1.0,
                 "pn: damping must be in (0, 1]");
-  if (opts.tol > 0.0) {
-    RCF_CHECK_MSG(!std::isnan(opts.f_star), "pn: tol requires f_star");
-  }
+  RCF_CHECK_MSG(opts.tol <= 0.0 || !std::isnan(opts.f_star),
+                "pn: tol requires f_star");
   RCF_CHECK_MSG(opts.threads >= 0, "pn: threads must be >= 0");
+  RCF_CHECK_MSG(checkpointing || (!opts.checkpoint_sink && !opts.resume_from),
+                "pn: this driver supports no checkpoint_sink or resume_from");
+}
 
-  exec::Pool pool(exec::Pool::resolve_width(opts.threads, 1));
-  exec::PoolGuard pool_guard(&pool);
-
+SolveResult solve_proximal_newton(const LassoProblem& problem,
+                                  const PnOptions& opts) {
+  validate_pn_options(opts, /*checkpointing=*/true);
   WallTimer wall;
   const std::size_t d = problem.dim();
   const std::size_t m = problem.num_samples();
   const auto mbar = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::floor(opts.hessian_sampling_rate * static_cast<double>(m))));
-  const data::Partition partition(m, opts.procs);
   const double lambda = problem.lambda();
 
   SolveResult result;
@@ -85,6 +83,15 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
   model::CostTracker& cost = result.cost;
   std::uint64_t comm_rounds = 0;
 
+  // The engine's 1-rank world, with one pool for the whole solve.
+  RankWorld world(nullptr, dist::RetryPolicy{}, opts.threads, opts.trace);
+  // The inner chunk loop runs the VR update; each run pins the anchor at w.
+  const SolverOptions inner{.variance_reduction = true, .k = opts.k,
+                            .s = opts.s, .seed = opts.seed,
+                            .trace = opts.trace, .machine = opts.machine};
+  ChunkLoop chunks{world, problem.dataset(), inner, mbar, data::Partition(m, 1),
+                   data::Partition(m, opts.procs), cost};
+
   // Outer-loop phase observation (Alg. 1 lines: gradient, step-size power
   // iteration, inner subproblem solve, damped line search).
   const bool tracing = opts.trace && obs::TraceSession::global().enabled();
@@ -92,19 +99,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
 
   la::Vector w(d), grad(d), z(d);
   la::Vector w_prev_outer(d);  // for the convergence ring's step norm
-
-  // RC-SFISTA inner blocks.
-  const int k = opts.k;
-  std::vector<la::Matrix> h_blocks;
-  std::vector<la::Vector> r_blocks;
-  if (opts.inner == PnInnerSolver::kRcSfista) {
-    for (int j = 0; j < k; ++j) {
-      h_blocks.emplace_back(d, d);
-      r_blocks.emplace_back(d);
-    }
-  }
   const MomentumSchedule outer_mu(MomentumRule::kFista);
-  const MomentumSchedule inner_mu(MomentumRule::kFista);
 
   double objective = problem.objective(w.span());
 
@@ -126,10 +121,9 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
     first_outer = ck.outer + 1;
   }
 
-  bool done = false;
-  int outer = first_outer - 1;
+  int completed = first_outer - 1;  // last completed outer iteration
   try {
-  for (outer = first_outer; outer <= opts.max_outer && !done; ++outer) {
+  for (int outer = first_outer; outer <= opts.max_outer; ++outer) {
     // Chaos hook: an `abort:at=pn.outer,index=N` plan kills the solve here,
     // before iteration N runs (see fault/plan.hpp).
     fault::iteration_point("pn.outer", static_cast<std::uint64_t>(outer));
@@ -185,19 +179,24 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
                                                 : 1.0 / l_hat);
     const double lambda_gamma = lambda * gamma;
 
-    // Inner subproblem solve, timed as one "inner" span (manual timing --
-    // wrapping the two ~40-line branches in a lambda would bury them).
-    // Payload: per inner iteration the baseline allreduces a d-vector,
-    // RC-SFISTA a d x d Hessian block.
-    ++ph_inner.count;
-    ph_inner.words += static_cast<double>(opts.inner_iters) *
-                      (opts.inner == PnInnerSolver::kFista
-                           ? static_cast<double>(d)
-                           : static_cast<double>(d) * static_cast<double>(d));
-    const std::int64_t inner_t0 =
-        tracing ? obs::TraceSession::global().now_us() : 0;
-
-    if (opts.inner == PnInnerSolver::kFista) {
+    // Inner subproblem solve.  Payload: per inner iteration the baseline
+    // allreduces a d-vector, RC-SFISTA a d x d Hessian block.
+    const double dd = static_cast<double>(d);
+    const double inner_words = static_cast<double>(opts.inner_iters) *
+                               (opts.inner == PnInnerSolver::kFista ? dd
+                                                                    : dd * dd);
+    obs::timed_phase(tracing, ph_inner, "inner", inner_words, [&] {
+      if (opts.inner == PnInnerSolver::kRcSfista) {
+        // The engine's chunk loop: a fresh sampled Hessian every inner
+        // iteration, k-overlapped allreduces of [H] blocks, S-deep Hessian
+        // reuse, anchored at w with gradient grad.
+        z = chunks.run({.start = w.span(), .anchor = w.span(),
+                        .anchor_grad = grad.span(), .gamma = gamma,
+                        .lambda = lambda, .iters = opts.inner_iters,
+                        .stream_base = static_cast<std::uint64_t>(outer)
+                                       << 20});
+        return;
+      }
       // Baseline (Fig. 7 denominator): deterministic FISTA on the fixed
       // sampled Hessian, with the subproblem gradient H~ (y - w) + grad
       // computed distributed *every inner iteration*: two local SpMVs and
@@ -221,72 +220,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
         ++comm_rounds;
       }
       la::copy(u.span(), z.span());
-    } else {
-      // RC-SFISTA inner solver: fresh sampled Hessian every inner iteration,
-      // k-overlapped allreduces of [H|R] blocks, S-deep Hessian reuse.
-      la::Vector u(d), dw_prev(d), v(d), g(d), theta(d), tmp(d), su(d);
-      la::copy(w.span(), u.span());
-      la::copy(w.span(), v.span());
-      int inner_done = 0;
-      int update_counter = 0;
-      while (inner_done < opts.inner_iters) {
-        const int kk = std::min(k, opts.inner_iters - inner_done);
-        for (int j = 0; j < kk; ++j) {
-          const auto stream =
-              (static_cast<std::uint64_t>(outer) << 20) +
-              static_cast<std::uint64_t>(inner_done + j + 1);
-          Rng rng(opts.seed, stream);
-          const auto idx = rng.sample_without_replacement(m, mbar);
-          sparse::sampled_gram(problem.xt(), problem.y().span(), idx,
-                               h_blocks[static_cast<std::size_t>(j)],
-                               r_blocks[static_cast<std::size_t>(j)]);
-          charge_sampled_gram(cost, problem.xt(), idx, partition);
-        }
-        cost.add_allreduce(opts.procs,
-                           static_cast<std::uint64_t>(kk) * d * d);
-        ++comm_rounds;
-        for (int j = 0; j < kk; ++j) {
-          const la::Matrix& hj = h_blocks[static_cast<std::size_t>(j)];
-          // Subproblem gradient at a point: hj (point - w) + grad.
-          auto subgrad = [&](std::span<const double> at,
-                             std::span<double> out) {
-            la::waxpby(1.0, at, -1.0, w.span(), tmp.span());
-            la::gemv(1.0, hj, tmp.span(), 0.0, out);
-            la::axpy(1.0, grad.span(), out);
-          };
-          // S reuse steps per block, each a standard recurrence update on
-          // the shared momentum counter (same semantics as the engine).
-          for (int s2 = 1; s2 <= opts.s; ++s2) {
-            subgrad(v.span(), g.span());
-            la::waxpby(1.0, v.span(), -gamma, g.span(), theta.span());
-            prox::soft_threshold(theta.span(), lambda_gamma, su.span());
-            ++update_counter;
-            const double mu_next = inner_mu.mu(update_counter + 1);
-            const double mu_cur = inner_mu.mu(update_counter);
-            for (std::size_t i = 0; i < d; ++i) {
-              const double dw = su[i] - u[i];
-              v[i] += (1.0 + mu_next) * dw - mu_cur * dw_prev[i];
-              dw_prev[i] = dw;
-              u[i] = su[i];
-            }
-          }
-          const double dd = static_cast<double>(d);
-          cost.add_flops(Phase::kUpdate,
-                         static_cast<double>(opts.s) *
-                                 (2.0 * dd * dd + 10.0 * dd) +
-                             6.0 * dd);
-        }
-        inner_done += kk;
-      }
-      la::copy(u.span(), z.span());
-    }
-
-    if (tracing) {
-      auto& session = obs::TraceSession::global();
-      const std::int64_t inner_t1 = session.now_us();
-      ph_inner.us += inner_t1 - inner_t0;
-      session.record("inner", inner_t0, inner_t1 - inner_t0);
-    }
+    });
 
     // Lines 5-6 of Alg. 1 with a monotonicity safeguard: halve the damping
     // until the objective does not increase (the subproblem Hessian is a
@@ -335,11 +269,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
     if (opts.track_history) {
       result.history.push_back(IterationRecord{
           outer, objective, rel_error, cost.seconds(opts.machine),
-          comm_rounds});
-    }
-    if (opts.tol > 0.0 && !std::isnan(rel_error) && rel_error <= opts.tol) {
-      result.converged = true;
-      done = true;
+          comm_rounds + chunks.comm_rounds});
     }
     if (opts.checkpoint_sink) {
       PnCheckpoint ck;
@@ -348,18 +278,24 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
       ck.w.assign(w.data(), w.data() + d);
       opts.checkpoint_sink(ck);
     }
+    completed = outer;
+    if (opts.tol > 0.0 && !std::isnan(rel_error) && rel_error <= opts.tol) {
+      result.converged = true;
+      break;
+    }
   }
-  } catch (const fault::FaultAbort& e) {
+  } catch (...) {
     // Structured failure: report the partial iterate and how far the solve
     // got; a checkpoint_sink caller can resume from the last completed
     // outer iteration.
+    result.failure_reason = structured_failure();
     result.failed = true;
-    result.failure_reason = e.what();
   }
 
   result.w = w;
-  result.iterations = result.failed ? outer - 1
-                                    : std::min(outer, opts.max_outer);
+  result.iterations = completed;
+  result.comm_stats.retries = world.retrying.retries();
+  result.comm_stats.faults_injected = world.faulty.faults_injected();
   result.objective = objective;
   if (!result.failed && !std::isfinite(objective)) {
     result.failed = true;
@@ -375,8 +311,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
   if (tracing) {
     obs::MetricsRegistry local;
     obs::record_solve_metrics(local, result.phases, nullptr);
-    dist::SeqComm seq;
-    result.fleet = obs::aggregate(local, seq);
+    result.fleet = obs::aggregate(local, world.seq);
     obs::publish(result.fleet, obs::MetricsRegistry::global());
   }
   return result;

@@ -8,11 +8,13 @@
 // with a first-order inner solver (line 4), and takes a damped step.  Two
 // inner solvers are provided (paper §3.3 / Fig. 7):
 //
-//  * PnInnerSolver::kFista    -- one sampled-Hessian allreduce (d^2 words)
-//    per outer iteration, then purely local FISTA inner iterations.
-//  * PnInnerSolver::kRcSfista -- the inner solver re-estimates the Hessian
-//    by sampling at every inner iteration, overlapped k at a time: one
-//    allreduce of k*d^2 words per k inner iterations, plus Hessian-reuse S.
+//  * PnInnerSolver::kFista    -- deterministic FISTA on the sampled Hessian.
+//    This driver is matrix-free: two SpMVs and one d-word allreduce per
+//    inner iteration.  (Logistic PN allreduces its d^2 Hessian once per
+//    outer iteration, then iterates locally; see core/logistic.hpp.)
+//  * PnInnerSolver::kRcSfista -- the engine's chunk loop with the anchor
+//    pinned at w_n: a fresh sampled Hessian every inner iteration, one
+//    allreduce of k*d^2 words per k inner iterations, Hessian-reuse S.
 #pragma once
 
 #include "core/options.hpp"
@@ -23,5 +25,10 @@ namespace rcf::core {
 
 SolveResult solve_proximal_newton(const LassoProblem& problem,
                                   const PnOptions& opts);
+
+/// The PnOptions check of both PN drivers: throws InvalidArgument for any
+/// out-of-range field, and for checkpoint_sink or resume_from unless the
+/// driver supports `checkpointing`.
+void validate_pn_options(const PnOptions& opts, bool checkpointing);
 
 }  // namespace rcf::core

@@ -193,12 +193,22 @@ std::uint64_t accumulate_sampled_gram(const CsrMatrix& xt,
                                       std::span<const double> y,
                                       std::span<const std::uint32_t> idx,
                                       double scale, la::Matrix& h,
-                                      std::span<double> r) {
+                                      std::span<double> r,
+                                      std::span<const double> weights) {
   const std::size_t d = xt.cols();
   RCF_CHECK_MSG(h.rows() == d && h.cols() == d, "gram: H must be d x d");
   RCF_CHECK_MSG(r.size() == d, "gram: R must have length d");
   RCF_CHECK_MSG(y.size() == xt.rows(), "gram: y must have length m");
+  RCF_CHECK_MSG(weights.empty() || weights.size() == xt.rows(),
+                "gram: weights must have length m");
   const std::uint64_t flops = sampled_gram_flops(xt, idx);
+  if (!weights.empty()) {
+    accumulate_rows(xt, idx, flops, h, r, [&](std::uint32_t i) {
+      const double w = scale * weights[i];
+      return std::pair<double, double>(w, y[i] * w);
+    });
+    return flops;
+  }
   accumulate_rows(xt, idx, flops, h, r, [&](std::uint32_t i) {
     return std::pair<double, double>(scale, y[i] * scale);
   });

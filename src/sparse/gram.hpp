@@ -22,12 +22,15 @@ namespace rcf::sparse {
 
 /// Accumulates scale * sum_{i in idx} x_i x_i^T into `h` (must be d x d,
 /// pre-zeroed or holding a previous partial sum) and scale * sum y_i x_i into
-/// `r`.  Returns the number of flops performed (2 per multiply-add).
+/// `r`.  Non-empty `weights` (indexed by row of xt) scale row i by
+/// scale * weights[i] instead, the row scale weighted_sampled_gram uses.
+/// Returns the number of flops performed (2 per multiply-add).
 std::uint64_t accumulate_sampled_gram(const CsrMatrix& xt,
                                       std::span<const double> y,
                                       std::span<const std::uint32_t> idx,
                                       double scale, la::Matrix& h,
-                                      std::span<double> r);
+                                      std::span<double> r,
+                                      std::span<const double> weights = {});
 
 /// H = (1/|idx|) sum_{i in idx} x_i x_i^T ; R = (1/|idx|) sum y_i x_i.
 /// Overwrites h and r.  Returns flops.

@@ -392,6 +392,30 @@ TEST(FaultCheckpoint, PnAbortThenResumeIsBitwise) {
   EXPECT_EQ(resumed.objective, baseline.objective);
 }
 
+TEST(FaultResilience, PnRetriesTransientChunkReduction) {
+  // PN's RC-SFISTA inner chunks reduce through the engine's 1-rank world,
+  // so a transient fault on one of them is retried and changes no bit.
+  data::Dataset storage;
+  const auto problem = small_problem(storage);
+  core::PnOptions opts;
+  opts.max_outer = 3;
+  opts.inner_iters = 8;
+  opts.inner = core::PnInnerSolver::kRcSfista;
+  opts.k = 2;
+  opts.hessian_sampling_rate = 0.3;
+  fault::ScopedFaultPlan quiet{fault::FaultPlan{}};
+  const auto baseline = core::solve_proximal_newton(problem, opts);
+  ASSERT_TRUE(baseline.ok());
+  EXPECT_EQ(baseline.comm_stats.retries, 0u);
+
+  fault::ScopedFaultPlan scoped{std::string_view("transient:rank=0,call=2")};
+  const auto result = core::solve_proximal_newton(problem, opts);
+  ASSERT_TRUE(result.ok()) << result.failure_reason;
+  EXPECT_EQ(la::max_abs_diff(result.w.span(), baseline.w.span()), 0.0);
+  EXPECT_EQ(result.comm_stats.retries, 1u);
+  EXPECT_EQ(result.comm_stats.faults_injected, 1u);
+}
+
 TEST(FaultCheckpoint, PnResumeRejectsDimensionMismatch) {
   data::Dataset storage;
   const auto problem = small_problem(storage);

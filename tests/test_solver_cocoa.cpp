@@ -47,6 +47,18 @@ TEST_F(CocoaTest, SingleWorkerIsCoordinateDescent) {
   EXPECT_EQ(result.solver, "prox-cocoa");
 }
 
+TEST_F(CocoaTest, EarlyStopReportsLastCompletedRound) {
+  CocoaOptions opts;
+  opts.max_rounds = 300;
+  opts.procs = 1;
+  opts.tol = 0.01;
+  opts.f_star = reference_.objective;
+  const auto result = solve_prox_cocoa(problem_, opts);
+  ASSERT_TRUE(result.converged);
+  ASSERT_FALSE(result.history.empty());
+  EXPECT_EQ(result.iterations, result.history.back().iteration);
+}
+
 TEST_F(CocoaTest, ManyWorkersStillDecrease) {
   CocoaOptions opts;
   opts.max_rounds = 60;

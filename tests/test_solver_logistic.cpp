@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "core/checkpoint.hpp"
 #include "core/logistic.hpp"
 #include "data/synthetic.hpp"
 #include "la/blas.hpp"
@@ -194,6 +195,53 @@ TEST_F(LogisticTest, InvalidOptionsThrow) {
   opts = {};
   opts.tol = 0.1;
   EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
+  for (const double damping : {0.0, 1.5}) {
+    opts = {};
+    opts.damping = damping;
+    EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument)
+        << "damping=" << damping;
+  }
+  // This driver has no checkpoint support: both fields fail loudly.
+  opts = {};
+  opts.checkpoint_sink = [](const PnCheckpoint&) {};
+  EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
+  const PnCheckpoint ck;
+  opts = {};
+  opts.resume_from = &ck;
+  EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
+}
+
+TEST_F(LogisticTest, EarlyStopReportsLastCompletedIteration) {
+  const auto ref = solve_logistic_fista(problem_);
+  PnOptions opts;
+  opts.max_outer = 20;
+  opts.inner_iters = 80;
+  opts.hessian_sampling_rate = 1.0;  // exact Hessian
+  opts.tol = 0.01;
+  opts.f_star = ref.objective;
+  const auto result = solve_logistic_prox_newton(problem_, opts);
+  ASSERT_TRUE(result.converged);
+  ASSERT_FALSE(result.history.empty());
+  EXPECT_EQ(result.iterations, result.history.back().iteration);
+}
+
+TEST_F(LogisticTest, InnerIterateIsKInvariant) {
+  // Block n of outer iteration o samples stream (o << 24) + 1 + n at every
+  // k, so the RC-SFISTA inner iterates agree bitwise across k.
+  PnOptions opts;
+  opts.max_outer = 5;
+  opts.inner_iters = 24;
+  opts.hessian_sampling_rate = 0.3;
+  opts.inner = PnInnerSolver::kRcSfista;
+  opts.s = 2;
+  opts.k = 1;
+  const auto base = solve_logistic_prox_newton(problem_, opts);
+  for (const int k : {3, 8, opts.inner_iters}) {
+    opts.k = k;
+    const auto result = solve_logistic_prox_newton(problem_, opts);
+    EXPECT_EQ(result.w, base.w) << "k=" << k;
+    EXPECT_EQ(result.objective, base.objective) << "k=" << k;
+  }
 }
 
 }  // namespace

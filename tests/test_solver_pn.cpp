@@ -129,6 +129,37 @@ TEST_F(PnTest, InvalidOptionsThrow) {
   EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
 }
 
+TEST_F(PnTest, EarlyStopReportsLastCompletedIteration) {
+  PnOptions opts;
+  opts.tol = 0.01;
+  opts.f_star = reference_.objective;
+  const auto result = solve_proximal_newton(problem_, opts);
+  ASSERT_TRUE(result.converged);
+  ASSERT_FALSE(result.history.empty());
+  EXPECT_LT(result.iterations, opts.max_outer);
+  EXPECT_EQ(result.iterations, result.history.back().iteration);
+}
+
+TEST_F(PnTest, InnerIterateIsKInvariant) {
+  // The Fig. 2(b) identity for PN's RC-SFISTA inner solves: block n of
+  // outer iteration o samples stream (o << 20) + n at every k, so k is a
+  // communication schedule and the iterates agree bitwise.
+  PnOptions opts;
+  opts.max_outer = 5;
+  opts.inner_iters = 24;
+  opts.hessian_sampling_rate = 0.3;
+  opts.inner = PnInnerSolver::kRcSfista;
+  opts.s = 2;
+  opts.k = 1;
+  const auto base = solve_proximal_newton(problem_, opts);
+  for (const int k : {3, 8, opts.inner_iters}) {
+    opts.k = k;
+    const auto result = solve_proximal_newton(problem_, opts);
+    EXPECT_EQ(result.w, base.w) << "k=" << k;
+    EXPECT_EQ(result.objective, base.objective) << "k=" << k;
+  }
+}
+
 TEST_F(PnTest, HistoryTracksOuterIterations) {
   PnOptions opts;
   opts.max_outer = 7;

@@ -275,6 +275,24 @@ TEST_F(RcSfistaTest, DistributedVarianceReductionAgrees) {
   }
 }
 
+TEST_F(RcSfistaTest, DistributedVarianceReductionSendsHBlocksOnly) {
+  // The VR update H (v - anchor) + anchor_grad never reads R, so a chunk
+  // packs only the k d^2-word H blocks; the anchor refreshes add d words.
+  SolverOptions opts;
+  opts.max_iters = 60;
+  opts.sampling_rate = 0.1;
+  opts.k = 4;
+  opts.variance_reduction = true;
+  opts.epoch_length = 10;
+  opts.track_history = false;
+  dist::ThreadGroup group(3);
+  const auto par = solve_rc_sfista_distributed(problem_, opts, group);
+  ASSERT_TRUE(par.ok()) << par.failure_reason;
+  const std::uint64_t d = problem_.dim();
+  // 15 chunks of k = 4 blocks, 5 anchor refreshes, per rank.
+  EXPECT_EQ(par.comm_stats.allreduce_words, 3u * (15u * 4u * d * d + 5u * d));
+}
+
 TEST_F(RcSfistaTest, DistributedRejectsMismatchedProcs) {
   // The cost ledger models P = the group size, so procs must be 1 or it.
   SolverOptions opts;

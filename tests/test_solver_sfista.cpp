@@ -125,9 +125,13 @@ TEST_F(SfistaTest, VarianceReductionChargesAnchorRounds) {
   vr.variance_reduction = true;
   vr.epoch_length = 25;
   const auto reduced = solve_sfista(problem_, vr);
-  // VR adds one d-word allreduce per epoch (4 epochs + initial anchor).
+  // VR adds one d-word allreduce per anchor refresh (iteration 0, then
+  // every 25), but its update never reads R, so each round carries the
+  // d^2-word H block alone: 100 * 48^2 * 3 + 4 * 48 * 3 words against
+  // 100 * (48^2 + 48) * 3 (log2 8 = 3 words per payload word).
   EXPECT_GT(reduced.cost.messages(), plain.cost.messages());
-  EXPECT_GT(reduced.cost.words(), plain.cost.words());
+  EXPECT_EQ(plain.cost.words(), 705600.0);
+  EXPECT_EQ(reduced.cost.words(), 691776.0);
 }
 
 TEST_F(SfistaTest, SmallerBatchLowersGramFlops) {

@@ -131,6 +131,27 @@ TEST(SampledGram, PartitionedAccumulationSumsToWhole) {
   EXPECT_LT(la::max_abs_diff(r_seq.span(), r_sum.span()), 1e-14);
 }
 
+TEST(SampledGram, WeightedAccumulationMatchesWeightedGram) {
+  // The chunk loop builds logistic PN's blocks by accumulation with
+  // per-row weights; its H must equal weighted_sampled_gram's bitwise.
+  const auto xt = test_matrix(80, 10, 0.5);
+  la::Vector y(80), weights(80);
+  Rng rng(6, 0);
+  for (std::size_t i = 0; i < 80; ++i) {
+    y[i] = rng.normal();
+    weights[i] = rng.uniform();
+  }
+  Rng srng(7, 1);
+  const auto idx = srng.sample_without_replacement(80, 32);
+  la::Matrix h_want(10, 10), h(10, 10);
+  weighted_sampled_gram(xt, weights.span(), idx, h_want);
+  la::Vector r(10);
+  accumulate_sampled_gram(xt, y.span(), idx, 1.0 / 32.0, h, r.span(),
+                          weights.span());
+  la::symmetrize_from_upper(h);
+  EXPECT_EQ(la::Matrix::max_abs_diff(h_want, h), 0.0);
+}
+
 TEST(SampledGram, UnbiasedEstimatorOfFullGram) {
   // E[H_S] = H: average many sampled Grams and compare.
   const auto xt = test_matrix(200, 8, 0.6);
