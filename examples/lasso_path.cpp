@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   la::Vector grad0(dataset.num_features());
   {
     la::Vector zero(dataset.num_features());
-    probe.full_gradient(zero.span(), grad0.span());
+    probe.gradient(zero.span(), grad0.span());
   }
   const double lambda_max = la::amax(grad0.span());
   std::printf("lambda_max = %.6g\n\n", lambda_max);

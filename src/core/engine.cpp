@@ -44,6 +44,25 @@ bool payload_sane(std::span<const double> payload) {
   return true;
 }
 
+/// Charges the flops of one sampled Gram accumulation over `idx` (sorted)
+/// to the kGram phase: each rank accumulates only its own samples, so the
+/// critical path is the most loaded part of `partition` (one part per
+/// modeled rank).  Returns the flops summed over all parts.
+std::uint64_t charge_sampled_gram(model::CostTracker& cost,
+                                  const sparse::CsrMatrix& xt,
+                                  std::span<const std::uint32_t> idx,
+                                  const data::Partition& partition) {
+  std::uint64_t total_flops = 0;
+  std::uint64_t max_rank_flops = 0;
+  for (const auto& part : partition.split_sorted(idx)) {
+    const std::uint64_t flops = sparse::sampled_gram_flops(xt, part);
+    total_flops += flops;
+    max_rank_flops = std::max(max_rank_flops, flops);
+  }
+  cost.add_flops(Phase::kGram, static_cast<double>(max_rank_flops));
+  return total_flops;
+}
+
 /// One check of every SolverOptions field for both entry points; `group`
 /// is null for the single-process solve.
 void validate_options(const LassoProblem& problem, const SolverOptions& opts,
@@ -723,21 +742,6 @@ double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
     }
   }
   return opts.step_scale / l_est;
-}
-
-std::uint64_t charge_sampled_gram(model::CostTracker& cost,
-                                  const sparse::CsrMatrix& xt,
-                                  std::span<const std::uint32_t> idx,
-                                  const data::Partition& partition) {
-  std::uint64_t total_flops = 0;
-  std::uint64_t max_rank_flops = 0;
-  for (const auto& part : partition.split_sorted(idx)) {
-    const std::uint64_t flops = sparse::sampled_gram_flops(xt, part);
-    total_flops += flops;
-    max_rank_flops = std::max(max_rank_flops, flops);
-  }
-  cost.add_flops(Phase::kGram, static_cast<double>(max_rank_flops));
-  return total_flops;
 }
 
 SolveResult run_sfista_engine(const LassoProblem& problem,

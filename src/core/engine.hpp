@@ -11,11 +11,11 @@
 //
 // That loop is ChunkLoop.  run_sfista_engine runs it on a 1-rank world,
 // charging the cost model for opts.procs modeled ranks; core/distributed.hpp
-// runs it on every rank of a ThreadGroup; both proximal Newton drivers run
-// their RC-SFISTA inner solves on it with the VR anchor pinned at the outer
-// iterate (the Prox-SVRG estimator).  Block n of a run samples from
-// Rng(seed, stream_base + n): base 0 for the engine, outer << 20 for PN and
-// (outer << 24) + 1 for logistic PN (base + 0 is the outer Hessian draw).
+// runs it on every rank of a ThreadGroup; proximal Newton runs its
+// RC-SFISTA inner solves on it with the VR anchor pinned at the outer
+// iterate (the Prox-SVRG estimator), for every loss.  Block n of a run
+// samples from Rng(seed, stream_base + n): base 0 for the engine and
+// outer << 20 for PN (base + 0 is the outer Hessian draw).
 // So runs with different k produce bitwise identical iterates -- the
 // identity behind Fig. 2(b) -- and any P agrees up to reduction order.
 #pragma once
@@ -38,7 +38,6 @@
 #include "fault/faulty_comm.hpp"
 #include "la/vector.hpp"
 #include "obs/trace.hpp"
-#include "sparse/csr.hpp"
 
 namespace rcf::core {
 
@@ -56,15 +55,6 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
 /// solve, outside the ranks, so every P runs the same trajectory.
 double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
                       std::size_t mbar);
-
-/// Charges the flops of one sampled Gram accumulation over `idx` (sorted)
-/// to the kGram phase: each rank accumulates only its own samples, so the
-/// critical path is the most loaded part of `partition` (one part per
-/// modeled rank).  Returns the flops summed over all parts.
-std::uint64_t charge_sampled_gram(model::CostTracker& cost,
-                                  const sparse::CsrMatrix& xt,
-                                  std::span<const std::uint32_t> idx,
-                                  const data::Partition& partition);
 
 /// Call only inside a catch block: the message of the exception in flight if
 /// it is a structured solve failure (an injected abort, exhausted retries or

@@ -10,11 +10,10 @@
 //   grad f(w) = -(1/m) X diag(y) s,   s_i = sigma(-y_i x_i^T w)
 //   H(w)      =  (1/m) X D X^T,       D_ii = sigma_i (1 - sigma_i)
 //
-// The proximal Newton driver mirrors Alg. 1: per outer iteration the exact
-// gradient is computed distributed (two SpMVs + a d-word allreduce), the
-// weighted Hessian is estimated by uniform sampling, and the quadratic
-// subproblem is solved by FISTA on one allreduced d^2 sample, or by the
-// engine's chunk loop of k-overlapped sampled blocks (RC-SFISTA).
+// Proximal Newton runs the least-squares code (core/prox_newton.hpp) with
+// the curvature weights D_ii in place of 1: the same outer loop, Hessian
+// stream, matrix-free step-size probe, inner solvers, damped line search,
+// checkpoint/resume, phases and convergence ring.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +46,10 @@ class LogisticProblem {
   /// f(w), the mean logistic loss.
   [[nodiscard]] double smooth_value(std::span<const double> w) const;
 
-  /// out = grad f(w); also fills `hessian_weights` (length m) with the
-  /// diagonal D_ii = sigma_i (1 - sigma_i) at w when non-null.
+  /// out = grad f(w); a non-empty `curvature` (length m) receives the
+  /// Hessian weights D_ii = sigma_i (1 - sigma_i) at w.
   void gradient(std::span<const double> w, std::span<double> out,
-                std::span<double> hessian_weights = {}) const;
+                std::span<double> curvature = {}) const;
 
   /// Global Lipschitz bound of grad f: lambda_max((1/4m) X X^T).
   [[nodiscard]] double lipschitz() const;
@@ -61,14 +60,15 @@ class LogisticProblem {
   mutable std::optional<double> lipschitz_;
 };
 
-/// Proximal Newton (Alg. 1) on the logistic problem.  Takes the same
-/// PnOptions as the least-squares driver, but has no checkpointing:
-/// checkpoint_sink or resume_from throws InvalidArgument.
+/// Proximal Newton (Alg. 1) on the logistic problem: the least-squares
+/// solver with the logistic curvature, so every PnOptions field applies,
+/// checkpoint_sink and resume_from included.
 SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
                                        const PnOptions& opts);
 
 /// Accelerated proximal gradient baseline / reference for the logistic
-/// problem (FISTA with adaptive restart on the exact gradient).
+/// problem: the reference solve's FISTA-with-restart loop
+/// (core/reference.cpp) on the exact gradient.
 SolveResult solve_logistic_fista(const LogisticProblem& problem,
                                  int max_iters = 20000,
                                  double rel_change_tol = 1e-13);

@@ -140,8 +140,8 @@ struct SolverOptions {
 /// Inner solver choice for the proximal Newton driver (Alg. 1).
 enum class PnInnerSolver {
   /// Deterministic FISTA on the outer iteration's sampled Hessian (the
-  /// Fig. 7 baseline): matrix-free in least-squares PN (one d-word allreduce
-  /// per inner iteration), one d^2 allreduce per outer one in logistic PN.
+  /// Fig. 7 baseline), matrix-free for every loss: two SpMVs and one d-word
+  /// allreduce per inner iteration.
   kFista,
   /// RC-SFISTA, the engine's chunk loop: resamples the Hessian every inner
   /// iteration with k-deep iteration overlapping (the paper's proposal).

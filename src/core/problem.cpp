@@ -1,5 +1,6 @@
 #include "core/problem.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -33,10 +34,10 @@ double LassoProblem::objective(std::span<const double> w) const {
   return smooth_value(w) + lambda_ * la::asum(w);
 }
 
-void LassoProblem::full_gradient(std::span<const double> w,
-                                 std::span<double> out) const {
+void LassoProblem::gradient(std::span<const double> w, std::span<double> out,
+                            std::span<double> curvature) const {
   RCF_CHECK_MSG(w.size() == dim() && out.size() == dim(),
-                "full_gradient: wrong dimension");
+                "gradient: wrong dimension");
   const std::size_t m = num_samples();
   std::vector<double> residual(m);
   xt().spmv(w, residual);  // X^T w
@@ -45,6 +46,7 @@ void LassoProblem::full_gradient(std::span<const double> w,
   }
   xt().spmv_t(residual, out);  // X (X^T w - y)
   la::scal(1.0 / static_cast<double>(m), out);
+  std::fill(curvature.begin(), curvature.end(), 1.0);
 }
 
 double LassoProblem::lipschitz() const {

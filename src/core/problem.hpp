@@ -40,8 +40,11 @@ class LassoProblem {
   /// f(w) = (1/2m) ||X^T w - y||^2.
   [[nodiscard]] double smooth_value(std::span<const double> w) const;
 
-  /// out = grad f(w) = (1/m)(X X^T w - X y), computed with two SpMVs.
-  void full_gradient(std::span<const double> w, std::span<double> out) const;
+  /// out = grad f(w) = (1/m)(X X^T w - X y), computed with two SpMVs.  A
+  /// non-empty `curvature` (length m) receives the per-sample Hessian
+  /// weights, all 1 for least squares (H = (1/m) X diag(curvature) X^T).
+  void gradient(std::span<const double> w, std::span<double> out,
+                std::span<double> curvature = {}) const;
 
   /// Lipschitz constant L = lambda_max((1/m) X X^T); computed once by power
   /// iteration on the implicit operator and cached.

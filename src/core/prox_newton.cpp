@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,6 +10,7 @@
 #include "common/timer.hpp"
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
+#include "core/logistic.hpp"
 #include "core/momentum.hpp"
 #include "data/partition.hpp"
 #include "fault/plan.hpp"
@@ -26,30 +27,36 @@ namespace {
 
 using model::Phase;
 
-/// Applies the sampled-Hessian operator z -> (1/mbar) X_S (X_S^T z) using
-/// the row-sampled matrix (no d x d materialization).  This is the
-/// distributed baseline's gradient kernel: each rank applies its slice and
-/// the length-d partial sums are allreduced.
+/// Applies the sampled-Hessian operator z -> (1/mbar) X_S D_S X_S^T z using
+/// the row-sampled matrix (no d x d materialization), where D_S holds the
+/// loss's curvature weights of the sampled rows.  This is the distributed
+/// baseline's gradient kernel: each rank applies its slice and the length-d
+/// partial sums are allreduced.
 struct SampledHessianOp {
   const sparse::CsrMatrix* xs = nullptr;  // mbar x d
+  std::span<const double> curvature;      // length m
+  std::span<const std::uint32_t> rows;    // xs's rows of X^T, length mbar
   mutable std::vector<double> tmp;        // length mbar
 
   void apply(std::span<const double> z, std::span<double> out) const {
     tmp.resize(xs->rows());
     xs->spmv(z, tmp);
+    for (std::size_t i = 0; i < tmp.size(); ++i) {
+      tmp[i] *= curvature[rows[i]];
+    }
     xs->spmv_t(tmp, out);
     la::scal(1.0 / static_cast<double>(xs->rows()), out);
   }
 
-  /// Cost of one apply: two SpMVs.
+  /// Cost of one apply: two SpMVs (the O(mbar) curvature scaling is not
+  /// charged).
   [[nodiscard]] double flops() const {
     return 4.0 * static_cast<double>(xs->nnz());
   }
 };
 
-}  // namespace
-
-void validate_pn_options(const PnOptions& opts, bool checkpointing) {
+/// Throws InvalidArgument for any out-of-range PnOptions field.
+void validate_pn_options(const PnOptions& opts) {
   RCF_CHECK_MSG(opts.max_outer >= 1, "pn: max_outer must be >= 1");
   RCF_CHECK_MSG(opts.inner_iters >= 1, "pn: inner_iters must be >= 1");
   RCF_CHECK_MSG(opts.k >= 1 && opts.s >= 1, "pn: k and s must be >= 1");
@@ -61,24 +68,28 @@ void validate_pn_options(const PnOptions& opts, bool checkpointing) {
   RCF_CHECK_MSG(opts.tol <= 0.0 || !std::isnan(opts.f_star),
                 "pn: tol requires f_star");
   RCF_CHECK_MSG(opts.threads >= 0, "pn: threads must be >= 0");
-  RCF_CHECK_MSG(checkpointing || (!opts.checkpoint_sink && !opts.resume_from),
-                "pn: this driver supports no checkpoint_sink or resume_from");
 }
 
-SolveResult solve_proximal_newton(const LassoProblem& problem,
-                                  const PnOptions& opts) {
-  validate_pn_options(opts, /*checkpointing=*/true);
+/// Proximal Newton for every smooth loss.  The loss enters only through
+/// problem.objective(w) and problem.gradient(w, grad, curvature), whose
+/// per-sample curvature weights (1 for least squares, sigma (1 - sigma) for
+/// logistic) scale the sampled Hessian.  `name` prefixes the solver label.
+template <class Problem>
+SolveResult prox_newton(const Problem& problem, const PnOptions& opts,
+                        const std::string& name) {
+  validate_pn_options(opts);
   WallTimer wall;
   const std::size_t d = problem.dim();
   const std::size_t m = problem.num_samples();
+  const sparse::CsrMatrix& xt = problem.dataset().xt;
   const auto mbar = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::floor(opts.hessian_sampling_rate * static_cast<double>(m))));
   const double lambda = problem.lambda();
 
   SolveResult result;
-  result.solver = opts.inner == PnInnerSolver::kFista ? "pn-fista"
-                                                      : "pn-rc-sfista";
+  result.solver =
+      name + (opts.inner == PnInnerSolver::kFista ? "-fista" : "-rc-sfista");
   result.cost = model::CostTracker(opts.collective);
   model::CostTracker& cost = result.cost;
   std::uint64_t comm_rounds = 0;
@@ -97,7 +108,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
   const bool tracing = opts.trace && obs::TraceSession::global().enabled();
   obs::PhaseAgg ph_gradient, ph_power, ph_inner, ph_linesearch;
 
-  la::Vector w(d), grad(d), z(d);
+  la::Vector w(d), grad(d), z(d), curvature(m);
   la::Vector w_prev_outer(d);  // for the convergence ring's step norm
   const MomentumSchedule outer_mu(MomentumRule::kFista);
 
@@ -108,7 +119,7 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
   // sets, power-iteration start vectors, inner momentum streams -- is
   // derived from (seed, outer), so the resumed trajectory is bitwise
   // identical to the uninterrupted one (asserted by tests/test_fault.cpp
-  // and the rcf-chaos pn-resume suite).
+  // and the rcf-chaos resume suites).
   int first_outer = 1;
   if (opts.resume_from != nullptr) {
     const PnCheckpoint& ck = *opts.resume_from;
@@ -128,14 +139,13 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
     // before iteration N runs (see fault/plan.hpp).
     fault::iteration_point("pn.outer", static_cast<std::uint64_t>(outer));
     la::copy(w.span(), w_prev_outer.span());
-    // Exact gradient of f at w_n: two SpMVs over distributed data plus one
-    // allreduce of the length-d partial sums.
+    // Exact gradient of f and the curvature weights at w_n: two SpMVs over
+    // distributed data plus one allreduce of the length-d partial sums.
     obs::timed_phase(tracing, ph_gradient, "gradient",
                      static_cast<double>(d), [&] {
-      problem.full_gradient(w.span(), grad.span());
-      cost.add_flops(Phase::kGram,
-                     4.0 * static_cast<double>(problem.xt().nnz()) /
-                         static_cast<double>(opts.procs));
+      problem.gradient(w.span(), grad.span(), curvature.span());
+      cost.add_flops(Phase::kGram, 4.0 * static_cast<double>(xt.nnz()) /
+                                       static_cast<double>(opts.procs));
       cost.add_allreduce(opts.procs, d);
     });
     ++comm_rounds;
@@ -145,8 +155,8 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
     // identically).
     Rng hrng(opts.seed, static_cast<std::uint64_t>(outer) << 20);
     const auto hidx = hrng.sample_without_replacement(m, mbar);
-    const sparse::CsrMatrix xs = problem.xt().select_rows(hidx);
-    SampledHessianOp hop{&xs, {}};
+    const sparse::CsrMatrix xs = xt.select_rows(hidx);
+    SampledHessianOp hop{&xs, curvature.span(), hidx, {}};
 
     // Step size for the quadratic subproblem: the largest eigenvalue of the
     // sampled Hessian, via distributed power iteration (each apply costs two
@@ -194,7 +204,8 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
                         .anchor_grad = grad.span(), .gamma = gamma,
                         .lambda = lambda, .iters = opts.inner_iters,
                         .stream_base = static_cast<std::uint64_t>(outer)
-                                       << 20});
+                                       << 20,
+                        .weights = curvature.span()});
         return;
       }
       // Baseline (Fig. 7 denominator): deterministic FISTA on the fixed
@@ -315,6 +326,18 @@ SolveResult solve_proximal_newton(const LassoProblem& problem,
     obs::publish(result.fleet, obs::MetricsRegistry::global());
   }
   return result;
+}
+
+}  // namespace
+
+SolveResult solve_proximal_newton(const LassoProblem& problem,
+                                  const PnOptions& opts) {
+  return prox_newton(problem, opts, "pn");
+}
+
+SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
+                                       const PnOptions& opts) {
+  return prox_newton(problem, opts, "logistic-pn");
 }
 
 }  // namespace rcf::core

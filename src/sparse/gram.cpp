@@ -112,7 +112,7 @@ inline void dense_quad_row_range(const SparseRowView rows[4],
   }
 }
 
-/// Accumulation driver shared by the plain and weighted Gram kernels:
+/// Accumulation loop shared by the plain and weighted row scales:
 /// `row_scale(i)` yields the (w, yw) pair for sample row i.  Dispatches
 /// onto the ambient pool with triangle-balanced H-row ranges when the work
 /// is worth it; sequential execution is the width-1 special case of the
@@ -235,27 +235,6 @@ std::uint64_t full_gram(const CsrMatrix& xt, std::span<const double> y,
   std::vector<std::uint32_t> all(m);
   std::iota(all.begin(), all.end(), 0u);
   return sampled_gram(xt, y, all, h, r);
-}
-
-std::uint64_t weighted_sampled_gram(const CsrMatrix& xt,
-                                    std::span<const double> weights,
-                                    std::span<const std::uint32_t> idx,
-                                    la::Matrix& h) {
-  const std::size_t d = xt.cols();
-  RCF_CHECK_MSG(h.rows() == d && h.cols() == d,
-                "weighted_gram: H must be d x d");
-  RCF_CHECK_MSG(weights.size() == xt.rows(),
-                "weighted_gram: weights must have length m");
-  RCF_CHECK_MSG(!idx.empty(), "weighted_gram: empty sample set");
-  h.fill(0.0);
-  const double scale = 1.0 / static_cast<double>(idx.size());
-  std::vector<double> r_unused(d, 0.0);
-  const std::uint64_t flops = sampled_gram_flops(xt, idx);
-  accumulate_rows(xt, idx, flops, h, r_unused, [&](std::uint32_t i) {
-    return std::pair<double, double>(scale * weights[i], 0.0);
-  });
-  la::symmetrize_from_upper(h);
-  return flops;
 }
 
 std::uint64_t sampled_gram_flops(const CsrMatrix& xt,

@@ -23,8 +23,9 @@ namespace rcf::sparse {
 /// Accumulates scale * sum_{i in idx} x_i x_i^T into `h` (must be d x d,
 /// pre-zeroed or holding a previous partial sum) and scale * sum y_i x_i into
 /// `r`.  Non-empty `weights` (indexed by row of xt) scale row i by
-/// scale * weights[i] instead, the row scale weighted_sampled_gram uses.
-/// Returns the number of flops performed (2 per multiply-add).
+/// scale * weights[i] instead: the generalized ERM Hessian kernel (e.g.
+/// logistic regression, weights[i] = sigma_i (1 - sigma_i)).  Returns the
+/// number of flops performed (2 per multiply-add).
 std::uint64_t accumulate_sampled_gram(const CsrMatrix& xt,
                                       std::span<const double> y,
                                       std::span<const std::uint32_t> idx,
@@ -47,14 +48,5 @@ std::uint64_t full_gram(const CsrMatrix& xt, std::span<const double> y,
 /// without doing the work.  Used for per-rank critical-path costing.
 [[nodiscard]] std::uint64_t sampled_gram_flops(
     const CsrMatrix& xt, std::span<const std::uint32_t> idx);
-
-/// Weighted sampled Gram H = (1/|idx|) sum_{i in idx} weight_i x_i x_i^T.
-/// `weights` is indexed by global row (length m).  This is the generalized
-/// ERM Hessian kernel (e.g. logistic regression: weight_i =
-/// sigma_i (1 - sigma_i)).  Overwrites h.  Returns flops.
-std::uint64_t weighted_sampled_gram(const CsrMatrix& xt,
-                                    std::span<const double> weights,
-                                    std::span<const std::uint32_t> idx,
-                                    la::Matrix& h);
 
 }  // namespace rcf::sparse

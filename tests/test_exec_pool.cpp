@@ -281,12 +281,16 @@ TEST(ExecPoolKernels, SampledGramBitIdenticalAcrossWidths) {
 TEST(ExecPoolKernels, WeightedGramBitIdenticalAcrossWidths) {
   const auto xt = kernel_matrix(600, 48, 0.8);
   const auto weights = dense_vector(600, 2);
+  const auto y = dense_vector(600, 3);
   Rng rng(9, 1);
   const auto idx = rng.sample_without_replacement(600, 300);
   expect_bit_identical([&] {
     la::Matrix h(48, 48);
-    sparse::weighted_sampled_gram(xt, weights, idx, h);
-    return std::vector<double>(h.flat().begin(), h.flat().end());
+    std::vector<double> r(48, 0.0);
+    sparse::accumulate_sampled_gram(xt, y, idx, 1.0 / 300.0, h, r, weights);
+    std::vector<double> out(h.flat().begin(), h.flat().end());
+    out.insert(out.end(), r.begin(), r.end());
+    return out;
   });
 }
 

@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "core/checkpoint.hpp"
 #include "core/distributed.hpp"
+#include "core/logistic.hpp"
 #include "core/problem.hpp"
 #include "core/prox_newton.hpp"
 #include "data/synthetic.hpp"
@@ -388,6 +389,50 @@ TEST(FaultCheckpoint, PnAbortThenResumeIsBitwise) {
   opts.resume_from = &last;
   const auto resumed = core::solve_proximal_newton(problem, opts);
   ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(la::max_abs_diff(resumed.w.span(), baseline.w.span()), 0.0);
+  EXPECT_EQ(resumed.objective, baseline.objective);
+}
+
+TEST(FaultCheckpoint, LogisticPnAbortThenResumeIsBitwise) {
+  // Logistic PN runs the least-squares PN code, so it checkpoints and
+  // resumes too.
+  data::SyntheticOptions gen;
+  gen.num_samples = 300;
+  gen.num_features = 12;
+  gen.density = 0.5;
+  gen.binary_labels = true;
+  gen.noise_stddev = 0.3;
+  gen.seed = 5;
+  const data::Dataset dataset = data::make_regression(gen);
+  const core::LogisticProblem problem(dataset, 0.01);
+  core::PnOptions opts;
+  opts.max_outer = 6;
+  opts.inner_iters = 8;
+  opts.inner = core::PnInnerSolver::kRcSfista;
+  opts.k = 2;
+  opts.hessian_sampling_rate = 0.3;
+  opts.track_history = false;
+
+  fault::ScopedFaultPlan quiet{fault::FaultPlan{}};
+  const auto baseline = core::solve_logistic_prox_newton(problem, opts);
+  ASSERT_TRUE(baseline.ok()) << baseline.failure_reason;
+
+  core::PnCheckpoint last;
+  opts.checkpoint_sink = [&last](const core::PnCheckpoint& ck) { last = ck; };
+  core::SolveResult interrupted;
+  {
+    fault::ScopedFaultPlan scoped{
+        std::string_view("abort:at=pn.outer,index=4")};
+    interrupted = core::solve_logistic_prox_newton(problem, opts);
+  }
+  EXPECT_FALSE(interrupted.ok());
+  EXPECT_EQ(interrupted.iterations, 3);
+  ASSERT_EQ(last.outer, 3);
+
+  opts.checkpoint_sink = nullptr;
+  opts.resume_from = &last;
+  const auto resumed = core::solve_logistic_prox_newton(problem, opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.failure_reason;
   EXPECT_EQ(la::max_abs_diff(resumed.w.span(), baseline.w.span()), 0.0);
   EXPECT_EQ(resumed.objective, baseline.objective);
 }

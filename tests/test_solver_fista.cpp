@@ -92,7 +92,7 @@ TEST_F(FistaTest, GradientMatchesFiniteDifferences) {
   Rng rng(3, 0);
   for (auto& v : w) v = rng.normal();
   la::Vector grad(40);
-  problem_.full_gradient(w.span(), grad.span());
+  problem_.gradient(w.span(), grad.span());
   const double h = 1e-6;
   for (std::size_t j : {0ul, 7ul, 39ul}) {
     la::Vector wp = w, wm = w;
@@ -111,7 +111,7 @@ TEST_F(FistaTest, GradientMatchesHessianForm) {
   Rng rng(4, 0);
   for (auto& v : w) v = rng.normal();
   la::Vector g1(40), g2(40);
-  problem_.full_gradient(w.span(), g1.span());
+  problem_.gradient(w.span(), g1.span());
   la::gemv(1.0, problem_.full_hessian(), w.span(), 0.0, g2.span());
   la::axpy(-1.0, problem_.full_rhs().span(), g2.span());
   EXPECT_LT(la::max_abs_diff(g1.span(), g2.span()), 1e-10);
@@ -135,7 +135,7 @@ TEST_F(FistaTest, ReferenceSatisfiesLassoOptimality) {
   const auto ref = solve_reference(problem_);
   EXPECT_TRUE(ref.converged);
   la::Vector grad(40);
-  problem_.full_gradient(ref.w.span(), grad.span());
+  problem_.gradient(ref.w.span(), grad.span());
   for (std::size_t j = 0; j < 40; ++j) {
     if (ref.w[j] != 0.0) {
       // grad_j + lambda sign(w_j) = 0 on the support.

@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "core/checkpoint.hpp"
 #include "core/logistic.hpp"
 #include "data/synthetic.hpp"
 #include "la/blas.hpp"
+#include "obs/trace.hpp"
 #include "sparse/gram.hpp"
 
 namespace rcf::core {
@@ -81,8 +81,10 @@ TEST_F(LogisticTest, WeightedGramMatchesUnweightedAtConstantWeights) {
   Rng rng(6, 1);
   const auto idx = rng.sample_without_replacement(1200, 100);
   la::Matrix hw(24, 24), h(24, 24);
-  la::Vector r(24);
-  sparse::weighted_sampled_gram(dataset_.xt, weights.raw(), idx, hw);
+  la::Vector rw(24), r(24);
+  sparse::accumulate_sampled_gram(dataset_.xt, dataset_.y.span(), idx,
+                                  1.0 / 100.0, hw, rw.span(), weights.span());
+  la::symmetrize_from_upper(hw);
   sparse::sampled_gram(dataset_.xt, dataset_.y.span(), idx, h, r.span());
   // weights == 1/4 everywhere => weighted Gram == Gram / 4.
   la::scal(0.25, h.flat());
@@ -201,14 +203,6 @@ TEST_F(LogisticTest, InvalidOptionsThrow) {
     EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument)
         << "damping=" << damping;
   }
-  // This driver has no checkpoint support: both fields fail loudly.
-  opts = {};
-  opts.checkpoint_sink = [](const PnCheckpoint&) {};
-  EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
-  const PnCheckpoint ck;
-  opts = {};
-  opts.resume_from = &ck;
-  EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
 }
 
 TEST_F(LogisticTest, EarlyStopReportsLastCompletedIteration) {
@@ -226,8 +220,8 @@ TEST_F(LogisticTest, EarlyStopReportsLastCompletedIteration) {
 }
 
 TEST_F(LogisticTest, InnerIterateIsKInvariant) {
-  // Block n of outer iteration o samples stream (o << 24) + 1 + n at every
-  // k, so the RC-SFISTA inner iterates agree bitwise across k.
+  // Block n of outer iteration o samples stream (o << 20) + n at every k,
+  // so the RC-SFISTA inner iterates agree bitwise across k.
   PnOptions opts;
   opts.max_outer = 5;
   opts.inner_iters = 24;
@@ -241,6 +235,45 @@ TEST_F(LogisticTest, InnerIterateIsKInvariant) {
     const auto result = solve_logistic_prox_newton(problem_, opts);
     EXPECT_EQ(result.w, base.w) << "k=" << k;
     EXPECT_EQ(result.objective, base.objective) << "k=" << k;
+  }
+}
+
+TEST_F(LogisticTest, FistaInnerCommunicatesDWordsPerInnerIteration) {
+  // The kFista inner is matrix-free: every inner iteration applies the
+  // sampled Hessian with two SpMVs and allreduces one d-vector.
+  PnOptions opts;
+  opts.max_outer = 2;
+  opts.inner_iters = 10;
+  opts.inner = PnInnerSolver::kFista;
+  const auto result = solve_logistic_prox_newton(problem_, opts);
+  ASSERT_EQ(result.iterations, 2);
+  EXPECT_GE(result.history.back().comm_rounds, 20u);
+  const auto* inner = obs::find_phase(result.phases, "inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->payload_words, 2.0 * 10.0 * 24.0);
+}
+
+TEST_F(LogisticTest, ReportsPnPhasesAndConvergence) {
+  PnOptions opts;
+  opts.max_outer = 4;
+  opts.inner_iters = 12;
+  opts.hessian_sampling_rate = 0.2;
+  opts.inner = PnInnerSolver::kRcSfista;
+  opts.k = 4;
+  const auto result = solve_logistic_prox_newton(problem_, opts);
+  ASSERT_TRUE(result.ok()) << result.failure_reason;
+  ASSERT_EQ(result.iterations, 4);
+  const auto outer = static_cast<std::uint64_t>(result.iterations);
+  for (const char* name : {"gradient", "power_iter", "inner", "linesearch"}) {
+    const auto* phase = obs::find_phase(result.phases, name);
+    ASSERT_NE(phase, nullptr) << name;
+    EXPECT_EQ(phase->count, outer) << name;
+  }
+  const auto records = result.conv.ordered();
+  ASSERT_EQ(records.size(), outer);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].iteration, i + 1);
+    EXPECT_EQ(records[i].objective, result.history[i].objective);
   }
 }
 

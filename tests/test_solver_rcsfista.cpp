@@ -448,7 +448,7 @@ TEST_F(RcSfistaTest, ElasticNetRegularizerSatisfiesOptimality) {
   opts.regularizer = &reg;
   const auto result = solve_rc_sfista(problem_, opts);
   la::Vector grad(problem_.dim());
-  problem_.full_gradient(result.w.span(), grad.span());
+  problem_.gradient(result.w.span(), grad.span());
   for (std::size_t j = 0; j < problem_.dim(); ++j) {
     const double g = grad[j] + l2 * result.w[j];
     if (result.w[j] != 0.0) {
@@ -467,7 +467,7 @@ TEST_F(RcSfistaTest, ZeroRegularizerSolvesLeastSquares) {
   opts.regularizer = &reg;
   const auto result = solve_rc_sfista(problem_, opts);
   la::Vector grad(problem_.dim());
-  problem_.full_gradient(result.w.span(), grad.span());
+  problem_.gradient(result.w.span(), grad.span());
   EXPECT_LT(la::amax(grad.span()), 1e-5);  // unregularized stationarity
 }
 

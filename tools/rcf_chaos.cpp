@@ -12,7 +12,8 @@
 //     poisoning) must surface a structured SolveResult::failure with a
 //     diagnostic reason -- never a crash, a hang, or a silently wrong w;
 //   * an injected proximal-Newton outer-loop abort plus checkpoint/restore
-//     must resume to the bitwise identical final iterate;
+//     must resume to the bitwise identical final iterate, for least squares
+//     and for logistic regression;
 //   * straggler plans aimed at *in-flight* nonblocking collectives
 //     (stage=wait skew/delay against the chunk-pipelined iallreduce path)
 //     must neither perturb the iterate nor trip the contract checker --
@@ -21,7 +22,7 @@
 //   rcf-chaos                      # full matrix
 //   rcf-chaos --suite=recover      # recoverable plans only
 //   rcf-chaos --suite=fatal        # fatal plans only
-//   rcf-chaos --suite=resume       # PN abort + checkpoint resume
+//   rcf-chaos --suite=resume       # PN abort + checkpoint resume, both losses
 //   rcf-chaos --suite=straggler    # stage=wait plans vs the pipelined path
 //   rcf-chaos --list               # print the plan matrix and exit
 #include <algorithm>
@@ -36,6 +37,7 @@
 #include "common/error.hpp"
 #include "core/checkpoint.hpp"
 #include "core/distributed.hpp"
+#include "core/logistic.hpp"
 #include "core/problem.hpp"
 #include "core/prox_newton.hpp"
 #include "data/synthetic.hpp"
@@ -122,17 +124,16 @@ constexpr ChaosCase kStragglerMatrix[] = {
      0},
 };
 
-rcf::core::LassoProblem make_problem(const ChaosConfig& cfg,
-                                     rcf::data::Dataset& storage) {
+rcf::data::Dataset make_dataset(const ChaosConfig& cfg, bool binary_labels) {
   rcf::data::SyntheticOptions opts;
   opts.num_samples = cfg.m;
   opts.num_features = cfg.d;
   opts.density = 0.4;
   opts.condition = 30.0;
   opts.noise_stddev = 0.05;
+  opts.binary_labels = binary_labels;
   opts.seed = cfg.seed;
-  storage = rcf::data::make_regression(opts);
-  return rcf::core::LassoProblem(storage, 0.01);
+  return rcf::data::make_regression(opts);
 }
 
 rcf::core::SolverOptions solver_options(const ChaosConfig& cfg) {
@@ -233,10 +234,13 @@ void run_case(const ChaosCase& c, const ChaosConfig& cfg,
   }
 }
 
+/// One proximal Newton solve of a fixed problem.
+using PnSolve =
+    std::function<rcf::core::SolveResult(const rcf::core::PnOptions&)>;
+
 /// PN outer-loop abort + checkpoint/restore: the resumed solve must replay
 /// the remaining outer iterations bitwise identically.
-void run_resume_suite(const rcf::core::LassoProblem& problem,
-                      const ChaosConfig& cfg) {
+void run_resume_suite(const PnSolve& solve, const ChaosConfig& cfg) {
   rcf::core::PnOptions opts;
   opts.max_outer = 8;
   opts.inner_iters = 16;
@@ -247,7 +251,7 @@ void run_resume_suite(const rcf::core::LassoProblem& problem,
   opts.seed = cfg.seed;
   opts.track_history = false;
 
-  const auto baseline = rcf::core::solve_proximal_newton(problem, opts);
+  const auto baseline = solve(opts);
   if (!baseline.ok()) {
     throw rcf::Error("fault-free PN baseline failed: " +
                      baseline.failure_reason);
@@ -263,7 +267,7 @@ void run_resume_suite(const rcf::core::LassoProblem& problem,
   {
     rcf::fault::ScopedFaultPlan scoped{
         std::string_view("abort:at=pn.outer,index=6")};
-    interrupted = rcf::core::solve_proximal_newton(problem, opts);
+    interrupted = solve(opts);
   }
   if (interrupted.ok()) {
     throw rcf::Error("injected pn.outer abort did not fail the solve");
@@ -282,7 +286,7 @@ void run_resume_suite(const rcf::core::LassoProblem& problem,
 
   opts.checkpoint_sink = nullptr;
   opts.resume_from = &restored;
-  const auto resumed = rcf::core::solve_proximal_newton(problem, opts);
+  const auto resumed = solve(opts);
   if (!resumed.ok()) {
     throw rcf::Error("resumed PN solve failed: " + resumed.failure_reason);
   }
@@ -352,8 +356,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  rcf::data::Dataset dataset;
-  const auto problem = make_problem(cfg, dataset);
+  const rcf::data::Dataset dataset = make_dataset(cfg, false);
+  const rcf::core::LassoProblem problem(dataset, 0.01);
 
   // The whole soak runs with the verification layer armed (the acceptance
   // bar is "chaos matrix passes under RCF_CHECK=1 with zero checker false
@@ -421,9 +425,22 @@ int main(int argc, char** argv) {
     }
   }
   if (want("resume")) {
-    ok = run_suite("resume  pn-checkpoint  [abort:at=pn.outer,index=6]",
-                   [&] { run_resume_suite(problem, cfg); }) &&
-         ok;
+    // Both losses run the same PN code; each must resume bitwise.
+    const rcf::data::Dataset binary = make_dataset(cfg, true);
+    const rcf::core::LogisticProblem logistic(binary, 0.002);
+    const std::pair<const char*, PnSolve> solves[] = {
+        {"pn", [&](const rcf::core::PnOptions& o) {
+           return rcf::core::solve_proximal_newton(problem, o);
+         }},
+        {"logistic-pn", [&](const rcf::core::PnOptions& o) {
+           return rcf::core::solve_logistic_prox_newton(logistic, o);
+         }}};
+    for (const auto& [name, solve] : solves) {
+      ok = run_suite(std::string("resume  ") + name +
+                         "-checkpoint  [abort:at=pn.outer,index=6]",
+                     [&] { run_resume_suite(solve, cfg); }) &&
+           ok;
+    }
   }
   return ok ? 0 : 1;
 }
