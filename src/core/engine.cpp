@@ -63,33 +63,20 @@ std::uint64_t charge_sampled_gram(model::CostTracker& cost,
   return total_flops;
 }
 
-/// One check of every SolverOptions field for both entry points; `group`
-/// is null for the single-process solve.
-void validate_options(const LassoProblem& problem, const SolverOptions& opts,
-                      const dist::ThreadGroup* group) {
+/// Checks the SolverOptions fields of their own; run_solve checks the
+/// shared ones.
+void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
   RCF_CHECK_MSG(opts.max_iters >= 1, "options: max_iters must be >= 1");
   RCF_CHECK_MSG(opts.k >= 1, "options: k must be >= 1");
   RCF_CHECK_MSG(opts.s >= 1, "options: s must be >= 1");
   RCF_CHECK_MSG(opts.sampling_rate > 0.0 && opts.sampling_rate <= 1.0,
                 "options: sampling_rate must be in (0, 1]");
-  RCF_CHECK_MSG(opts.procs >= 1, "options: procs must be >= 1");
-  RCF_CHECK_MSG(group == nullptr || opts.procs == 1 ||
-                    opts.procs == group->size(),
-                "options: procs must be 1 or the ThreadGroup size");
-  RCF_CHECK_MSG(opts.threads >= 0, "options: threads must be >= 0");
-  RCF_CHECK_MSG(opts.history_stride >= 1,
-                "options: history_stride must be >= 1");
-  RCF_CHECK_MSG(opts.step_size >= 0.0, "options: step_size must be >= 0");
-  RCF_CHECK_MSG(opts.step_scale > 0.0, "options: step_scale must be > 0");
   RCF_CHECK_MSG(opts.staleness >= 0, "options: staleness must be >= 0");
   RCF_CHECK_MSG(opts.staleness == 0 || opts.pipeline,
                 "options: staleness > 0 requires pipeline");
   RCF_CHECK_MSG(!opts.variance_reduction || opts.epoch_length >= 1,
                 "options: epoch_length must be >= 1 with VR");
   RCF_CHECK_MSG(problem.dim() > 0, "options: empty problem");
-  RCF_CHECK_MSG(opts.tol <= 0.0 || !std::isnan(opts.f_star),
-                "options: tol-based stopping requires f_star (run the "
-                "reference solver first)");
 }
 
 /// F(w): the problem's lambda ||w||_1 objective (paper Eq. 14), or
@@ -128,8 +115,9 @@ void annotate_health(SolveResult& result, std::uint64_t mark) {
   }
 }
 
-}  // namespace
-
+/// Call only inside a catch block: the message of the exception in flight if
+/// it is a structured solve failure (an injected abort, exhausted retries or
+/// a persistently poisoned payload); anything else is rethrown.
 std::string structured_failure() {
   try {
     throw;
@@ -141,6 +129,8 @@ std::string structured_failure() {
     return e.what();
   }
 }
+
+}  // namespace
 
 RankWorld::RankWorld(dist::Communicator* backend,
                      const dist::RetryPolicy& retry, int threads, bool trace)
@@ -283,7 +273,7 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
           }
         }
       });
-      raw_gram_flops += static_cast<double>(
+      counters.raw_gram_flops += static_cast<double>(
           charge_sampled_gram(cost, xt, idx, cost_part));
       obs::timed_phase(tracing, ph_gram, "gram", 0.0, [&] {
         // Full batch (mbar = m): the local block never changes within a
@@ -370,9 +360,8 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
           }
           if (!restarted) {
             const int nn = update_counter - momentum_base;
-            const double mu_next =
-                std::min(outer_mu.mu(nn + 1), opts.momentum_cap);
-            const double mu_cur = std::min(outer_mu.mu(nn), opts.momentum_cap);
+            const double mu_next = outer_mu.mu(nn + 1);
+            const double mu_cur = outer_mu.mu(nn);
             for (std::size_t i = 0; i < d; ++i) {
               const double dw = u[i] - w[i];
               v[i] += (1.0 + mu_next) * dw - mu_cur * dw_prev[i];
@@ -389,7 +378,7 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
       const double update_flops =
           static_cast<double>(opts.s) * (2.0 * dd * dd + 8.0 * dd) + 6.0 * dd;
       cost.add_flops(Phase::kUpdate, update_flops);
-      raw_update_flops += update_flops;
+      counters.raw_update_flops += update_flops;
       stop = after && after(n, w, grad);
     }
   };
@@ -486,8 +475,8 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
       reduce({slots[0].data(), chunk_words(t)});
       guard(t);
     }
-    ++comm_rounds;
-    comm_payload_words += static_cast<double>(chunk_words(t));
+    ++counters.comm_rounds;
+    counters.comm_payload_words += static_cast<double>(chunk_words(t));
     if (spills) {
       cost.add_mem_words(Phase::kUpdate, (1.0 + opts.s) *
                                              static_cast<double>(chunk_words(t)));
@@ -503,189 +492,137 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
   return w;
 }
 
-namespace {
+Frame::Frame(RankWorld& rank_world, const CommonOptions& opts,
+             SolveResult& result)
+    : world(rank_world), out(result), opts_(opts) {}
 
-/// Everything the ranks share, fixed once per solve outside them.
-struct Setup {
-  const LassoProblem& problem;
-  const SolverOptions& opts;
-  std::size_t mbar;
-  double gamma;
-  data::Partition data_part;  ///< sample blocks of the real ranks
-  data::Partition cost_part;  ///< sample blocks of the modeled P
-  /// Decorator counters of every rank (ThreadGroup::last_run_stats only
-  /// sums the backend endpoints).
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> faults{0};
-};
-
-/// The engine's run of the chunk loop on one rank of `backend`'s world (a
-/// 1-rank world when null), from w = 0 with the per-iteration history,
-/// convergence ring and tol stop.  Rank 0 writes `out`.
-void run_rank(Setup& su, dist::Communicator* backend, SolveResult& out) {
-  const LassoProblem& problem = su.problem;
-  const SolverOptions& opts = su.opts;
-  RankWorld world(backend, opts.retry, opts.threads, opts.trace);
-  // Fold the decorator counters into the shared totals on scope exit --
-  // including when this rank dies mid-schedule (injected aborts and
-  // exhausted retries throw through this frame), so failure results
-  // still report how many faults actually fired.
-  struct CounterFold {
-    RankWorld& world;
-    Setup& su;
-    ~CounterFold() {
-      su.retries += world.retrying.retries();
-      su.faults += world.faulty.faults_injected();
-    }
-  } fold{world, su};
-  const bool tracing = opts.trace && obs::TraceSession::global().enabled();
-  model::CostTracker cost(opts.collective);
-  ChunkLoop loop{world,        problem.dataset(), opts, su.mbar,
-                 su.data_part, su.cost_part,      cost};
-
-  const std::size_t d = problem.dim();
-  const bool is_root = world.comm.rank() == 0;
-  la::Vector w_iter_prev(d);  // w_0 = 0, then w before the latest sweeps
-  bool converged = false;     // tol reached: every rank stops at the same n
-  std::vector<IterationRecord> history;
-  obs::ConvergenceRing conv;
-
-  int iterations = 0;
-  const auto after = [&](int n, const la::Vector& w, const la::Vector& grad) {
-    iterations = n;
-    // Rank 0 records history.  With tol every rank evaluates the
-    // objective from the shared problem; the iterates agree bitwise, so
-    // the stop decision is symmetric without a collective.
-    const bool record =
-        is_root && opts.track_history && n % opts.history_stride == 0;
-    const double objective_n =
-        record || opts.tol > 0.0 ? objective_at(problem, opts, w.span())
-                                 : std::numeric_limits<double>::quiet_NaN();
-    const double rel_error = relative_error(objective_n, opts.f_star);
-    if (record) {
-      history.push_back(IterationRecord{
-          n, objective_n, rel_error, cost.seconds(opts.machine),
-          loop.comm_rounds, loop.raw_gram_flops, loop.raw_update_flops,
-          loop.comm_payload_words});
-    }
-    converged = opts.tol > 0.0 && rel_error <= opts.tol;
-
-    // Convergence telemetry: O(d) per-iteration summary, recorded into
-    // the bounded ring regardless of track_history (objective stays NaN
-    // on iterations where it was not evaluated).
-    obs::ConvergenceRecord rec;
-    rec.iteration = static_cast<std::uint64_t>(n);
-    rec.objective = objective_n;
-    rec.grad_norm = std::sqrt(la::dot(grad.span(), grad.span()));
-    double support = 0.0;
-    double step_sq = 0.0;
-    for (std::size_t i = 0; i < d; ++i) {
-      support += w[i] != 0.0 ? 1.0 : 0.0;
-      const double dw = w[i] - w_iter_prev[i];
-      step_sq += dw * dw;
-    }
-    rec.support = support;
-    rec.step = std::sqrt(step_sq);
-    conv.push(rec);
-    obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
-                           static_cast<double>(n), rec.objective, rec.step);
-    la::copy(w.span(), w_iter_prev.span());
-    return converged;
-  };
-  la::Vector w = loop.run({.start = w_iter_prev.span(), .gamma = su.gamma,
-                           .lambda = problem.lambda(),
-                           .iters = opts.max_iters},
-                          after);
-
-  obs::PhaseSummary phases;
-  obs::append_phase(phases, "sampling", loop.ph_sampling);
-  obs::append_phase(phases, "gram", loop.ph_gram);
-  obs::append_phase(phases, "allreduce", loop.ph_allreduce);
-  obs::append_phase(phases, "allreduce_post", loop.ph_post);
-  obs::append_phase(phases, "allreduce_wait", loop.ph_wait);
-  obs::append_phase(phases, "update", loop.ph_update);
-  obs::FleetMetrics fleet;
-  if (tracing) {
-    // Cross-rank aggregation: every rank records its phase totals and comm
-    // endpoint stats into a rank-local registry, then all ranks reduce them
-    // in aux mode, so the comm.* counters just recorded stay exact.
-    obs::MetricsRegistry local;
-    const dist::CommStats rank_stats = world.comm.stats();
-    obs::record_solve_metrics(local, phases, &rank_stats);
-    fleet = obs::aggregate(local, world.comm);
-  }
-  if (is_root) {
-    out.w = std::move(w);
-    out.iterations = iterations;
-    out.converged = converged;
-    out.history = std::move(history);
-    out.cost = cost;
-    out.phases = std::move(phases);
-    out.fleet = std::move(fleet);
-    out.conv = std::move(conv);
-  }
+void Frame::begin(std::span<const double> w0, int n0) {
+  prev_.assign(w0.begin(), w0.end());
+  out.iterations = n0;
 }
 
-/// Both entry points: run_rank on every rank of `group`, or inline on a
-/// 1-rank world when `group` is null, then the result assembly.
-SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
-                  const std::string& solver_name, dist::ThreadGroup* group) {
-  validate_options(problem, opts, group);
+bool Frame::wants_objective() const {
+  return (is_root() && opts_.track_history) || opts_.tol > 0.0;
+}
+
+bool Frame::record(int n, std::span<const double> w, double objective,
+                   std::span<const double> grad, const Counters& counters) {
+  const double rel_error = relative_error(objective, opts_.f_star);
+  if (is_root() && opts_.track_history) {
+    out.history.push_back(IterationRecord{
+        n, objective, rel_error, out.cost.seconds(opts_.machine),
+        counters.comm_rounds, counters.raw_gram_flops,
+        counters.raw_update_flops, counters.comm_payload_words});
+  }
+  // Convergence telemetry: O(d) per-iteration summary, recorded into the
+  // bounded ring regardless of track_history (objective stays NaN on
+  // iterations where it was not evaluated).
+  obs::ConvergenceRecord rec;
+  rec.iteration = static_cast<std::uint64_t>(n);
+  rec.objective = objective;
+  if (!grad.empty()) {
+    rec.grad_norm = std::sqrt(la::dot(grad, grad));
+  }
+  double support = 0.0;
+  double step_sq = 0.0;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    support += w[i] != 0.0 ? 1.0 : 0.0;
+    const double dw = w[i] - prev_[i];
+    step_sq += dw * dw;
+  }
+  rec.support = support;
+  rec.step = std::sqrt(step_sq);
+  out.conv.push(rec);
+  obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
+                         static_cast<double>(n), rec.objective, rec.step);
+  la::copy(w, std::span<double>(prev_));
+  out.iterations = n;
+  out.converged = opts_.tol > 0.0 && rel_error <= opts_.tol;
+  return out.converged;
+}
+
+SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
+                      std::string solver, dist::ThreadGroup* group,
+                      const Body& body) {
+  RCF_CHECK_MSG(opts.procs >= 1, "options: procs must be >= 1");
+  RCF_CHECK_MSG(group == nullptr || opts.procs == 1 ||
+                    opts.procs == group->size(),
+                "options: procs must be 1 or the ThreadGroup size");
+  RCF_CHECK_MSG(opts.threads >= 0, "options: threads must be >= 0");
+  RCF_CHECK_MSG(opts.tol <= 0.0 || !std::isnan(opts.f_star),
+                "options: tol-based stopping requires f_star (run the "
+                "reference solver first)");
   WallTimer wall;
   // Alerts raised before the solve began are not attributed to it.
   const std::uint64_t health_base = obs::LiveMonitor::global().alert_count();
-  const std::size_t m = problem.num_samples();
-  const int ranks = group != nullptr ? group->size() : 1;
-  const auto mbar = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(
-             opts.sampling_rate * static_cast<double>(m))));
-  Setup su{problem,
-           opts,
-           mbar,
-           auto_step_size(problem, opts, mbar),
-           data::Partition(m, ranks),
-           data::Partition(m, group != nullptr ? ranks : opts.procs)};
+  const bool tracing = opts.trace && obs::TraceSession::global().enabled();
 
   SolveResult result;
-  result.solver = solver_name;
+  result.solver = std::move(solver);
+  result.objective = std::numeric_limits<double>::quiet_NaN();
+  // Decorator counters of every rank (ThreadGroup::last_run_stats only sums
+  // the backend endpoints).
+  std::atomic<std::uint64_t> retries{0};
+  std::atomic<std::uint64_t> faults{0};
+  const auto run_rank = [&](dist::Communicator* backend) {
+    RankWorld world(backend, retry, opts.threads, opts.trace);
+    // Fold the decorator counters into the shared totals on scope exit --
+    // including when this rank dies mid-schedule (injected aborts and
+    // exhausted retries throw through this frame), so failure results
+    // still report how many faults actually fired.
+    struct CounterFold {
+      RankWorld& world;
+      std::atomic<std::uint64_t>& retries;
+      std::atomic<std::uint64_t>& faults;
+      ~CounterFold() {
+        retries += world.retrying.retries();
+        faults += world.faulty.faults_injected();
+      }
+    } fold{world, retries, faults};
+    SolveResult scratch;
+    Frame frame(world, opts, world.comm.rank() == 0 ? result : scratch);
+    frame.out.cost = model::CostTracker(opts.collective);
+    body(frame);
+    if (tracing) {
+      // Cross-rank aggregation: every rank records its phase totals and comm
+      // endpoint stats into a rank-local registry, then all ranks reduce
+      // them in aux mode, so the comm.* counters just recorded stay exact.
+      obs::MetricsRegistry local;
+      const dist::CommStats rank_stats = world.comm.stats();
+      obs::record_solve_metrics(local, frame.out.phases, &rank_stats);
+      frame.out.fleet = obs::aggregate(local, world.comm);
+    }
+  };
 
-  std::optional<std::string> failure;
   try {
     if (group != nullptr) {
-      group->run([&](dist::ThreadComm& comm) { run_rank(su, &comm, result); });
+      group->run([&](dist::ThreadComm& comm) { run_rank(&comm); });
     } else {
-      run_rank(su, nullptr, result);
+      run_rank(nullptr);
     }
   } catch (...) {
-    failure = structured_failure();
+    // A structured failure keeps what the body left -- and, below, the comm
+    // counters and health alerts: the retry storm / straggler trail leading
+    // up to it is what a post-mortem wants.
+    result.failure_reason = structured_failure();
+    result.failed = true;
   }
-
-  if (failure) {
-    // A structured failure still carries the comm counters and health
-    // alerts below -- the retry storm / straggler trail leading up to it is
-    // what a post-mortem wants.
-    result = SolveResult::failure(solver_name, *failure);
-  } else {
-    result.objective = objective_at(problem, opts, result.w.span());
-    if (!std::isfinite(result.objective)) {
-      // Divergence (or corrupted inputs) is reported as a structured
-      // failure rather than handing the caller a NaN/Inf objective.
-      result.failed = true;
-      result.failure_reason =
-          "engine: non-finite objective at the final iterate";
-    }
-    result.rel_error = relative_error(result.objective, opts.f_star);
-    result.sim_seconds = result.cost.seconds(opts.machine);
-    if (!result.fleet.empty()) {
-      obs::publish(result.fleet, obs::MetricsRegistry::global());
-    }
+  if (!result.failed && !std::isfinite(result.objective)) {
+    // Divergence (or corrupted inputs) is reported as a structured failure
+    // rather than handing the caller a NaN/Inf objective.
+    result.failed = true;
+    result.failure_reason =
+        result.solver + ": non-finite objective at the final iterate";
+  }
+  result.rel_error = relative_error(result.objective, opts.f_star);
+  result.sim_seconds = result.cost.seconds(opts.machine);
+  if (!result.fleet.empty()) {
+    obs::publish(result.fleet, obs::MetricsRegistry::global());
   }
   result.wall_seconds = wall.seconds();
   // Backend endpoint counters (none on the 1-rank world) plus the decorator
   // counters they miss; after a failure, ranks that threw before reaching
   // the fold are lost, so retries/faults are a lower bound.
-  const std::uint64_t retries = su.retries.load(std::memory_order_relaxed);
-  const std::uint64_t faults = su.faults.load(std::memory_order_relaxed);
   if (group != nullptr) {
     result.comm_stats = group->last_run_stats();
     if (obs::TraceSession::global().enabled()) {
@@ -702,13 +639,60 @@ SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
   return result;
 }
 
+namespace {
+
+/// The engine on `problem`: the chunk loop on each rank from w = 0, every
+/// iteration recorded, F(w) evaluated only when the recorder wants it.
+SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
+                  std::string solver, dist::ThreadGroup* group) {
+  validate_options(problem, opts);
+  const std::size_t m = problem.num_samples();
+  const auto mbar = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::floor(
+             opts.sampling_rate * static_cast<double>(m))));
+  const double gamma = auto_step_size(problem, opts, mbar);
+  return run_solve(opts, opts.retry, std::move(solver), group,
+                   [&](Frame& frame) {
+    // A ThreadGroup charges the cost model for its own size; procs is then
+    // 1 or that size.
+    const int ranks = frame.world.comm.size();
+    ChunkLoop loop{frame.world,
+                   problem.dataset(),
+                   opts,
+                   mbar,
+                   data::Partition(m, ranks),
+                   data::Partition(m, std::max(opts.procs, ranks)),
+                   frame.out.cost};
+    const la::Vector w0(problem.dim());
+    frame.begin(w0.span());
+    const auto after = [&](int n, const la::Vector& w, const la::Vector& grad) {
+      const double objective = frame.wants_objective()
+                                   ? objective_at(problem, opts, w.span())
+                                   : std::numeric_limits<double>::quiet_NaN();
+      return frame.record(n, w.span(), objective, grad.span(), loop.counters);
+    };
+    la::Vector w = loop.run({.start = w0.span(), .gamma = gamma,
+                             .lambda = problem.lambda(),
+                             .iters = opts.max_iters},
+                            after);
+    obs::PhaseSummary& phases = frame.out.phases;
+    obs::append_phase(phases, "sampling", loop.ph_sampling);
+    obs::append_phase(phases, "gram", loop.ph_gram);
+    obs::append_phase(phases, "allreduce", loop.ph_allreduce);
+    obs::append_phase(phases, "allreduce_post", loop.ph_post);
+    obs::append_phase(phases, "allreduce_wait", loop.ph_wait);
+    obs::append_phase(phases, "update", loop.ph_update);
+    if (frame.is_root()) {
+      frame.out.objective = objective_at(problem, opts, w.span());
+    }
+    frame.out.w = std::move(w);
+  });
+}
+
 }  // namespace
 
 double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
                       std::size_t mbar) {
-  if (opts.step_size > 0.0) {
-    return opts.step_size;
-  }
   const std::size_t m = problem.num_samples();
   const std::size_t d = problem.dim();
   double l_est = problem.lipschitz();
@@ -741,7 +725,7 @@ double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
       l_est = std::max(l_est, 1.35 * power.eigenvalue);
     }
   }
-  return opts.step_scale / l_est;
+  return 1.0 / l_est;
 }
 
 SolveResult run_sfista_engine(const LassoProblem& problem,

@@ -1,7 +1,8 @@
-// The RC-SFISTA execution engine (paper Alg. 5): one SPMD loop over a
-// dist::Communicator implements the whole solver family, because the
-// communication-avoiding reformulations are *schedules*, not different
-// arithmetic:
+// The RC-SFISTA execution engine (paper Alg. 5) and the one solve frame.
+//
+// One SPMD loop over a dist::Communicator implements the whole RC-SFISTA
+// family, because the communication-avoiding reformulations are
+// *schedules*, not different arithmetic:
 //
 //   * k = 1, S = 1, b = 1      -> distributed FISTA (Alg. 2)
 //   * k = 1, S = 1, b < 1      -> SFISTA (Alg. 4)
@@ -18,6 +19,13 @@
 // outer << 20 for PN (base + 0 is the outer Hessian draw).
 // So runs with different k produce bitwise identical iterates -- the
 // identity behind Fig. 2(b) -- and any P agrees up to reduction order.
+//
+// Every solver -- the engine, proximal Newton and ProxCoCoA -- is a body
+// run inside one solve frame (run_solve), which owns what surrounds the
+// loop: the shared-option checks, each rank's RankWorld and cost tracker,
+// the iteration recorder (history, convergence ring, progress telemetry,
+// tol stop), structured failures, the result tail, fleet metrics and the
+// health annotation.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +33,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "check/checked_comm.hpp"
 #include "core/options.hpp"
@@ -39,6 +48,10 @@
 #include "la/vector.hpp"
 #include "obs/trace.hpp"
 
+namespace rcf::dist {
+class ThreadGroup;
+}
+
 namespace rcf::core {
 
 /// Runs the engine on `problem` under `opts` in the calling thread;
@@ -48,18 +61,13 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
                               const SolverOptions& opts,
                               const std::string& solver_name);
 
-/// The engine's automatic step size: opts.step_size if set, otherwise
-/// step_scale over the larger of the full-Gram Lipschitz constant and a
-/// probed spectral norm of sampled Gram draws (individual H_S can exceed L
-/// substantially when mbar is small relative to d).  Computed once per
-/// solve, outside the ranks, so every P runs the same trajectory.
+/// The engine's step size: 1 over the larger of the full-Gram Lipschitz
+/// constant and a probed spectral norm of sampled Gram draws (individual
+/// H_S can exceed L substantially when mbar is small relative to d).
+/// Computed once per solve, outside the ranks, so every P runs the same
+/// trajectory.
 double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
                       std::size_t mbar);
-
-/// Call only inside a catch block: the message of the exception in flight if
-/// it is a structured solve failure (an injected abort, exhausted retries or
-/// a persistently poisoned payload); anything else is rethrown.
-std::string structured_failure();
 
 /// One rank's collective world for a solve: backend <- FaultyComm <-
 /// RetryingComm <- CheckedComm, and the rank's exec pool as the ambient
@@ -81,6 +89,60 @@ struct RankWorld {
   exec::Pool pool;
   exec::PoolGuard pool_guard;
 };
+
+/// IterationRecord's cumulative machine-independent counters, as a body
+/// reports them to Frame::record.
+struct Counters {
+  std::uint64_t comm_rounds = 0;
+  double raw_gram_flops = 0.0;
+  double raw_update_flops = 0.0;
+  double comm_payload_words = 0.0;
+};
+
+/// One rank's view of the solve frame: its world, its share of the result
+/// and the iteration recorder.
+class Frame {
+ public:
+  Frame(RankWorld& rank_world, const CommonOptions& opts, SolveResult& result);
+
+  RankWorld& world;
+  /// Rank 0's is the solve's result (other ranks get a scratch one).  A
+  /// body charges out.cost and leaves its iterate, its final objective and
+  /// its phases here; what it left stands after a structured failure.
+  SolveResult& out;
+
+  [[nodiscard]] bool is_root() const { return world.comm.rank() == 0; }
+  /// Starts the record at w0, after n0 completed iterations.
+  void begin(std::span<const double> w0, int n0 = 0);
+  /// Whether record() needs F(w) on this rank: rank 0 records history, and
+  /// with tol every rank tests it.  A body that does not keep F(w) up to
+  /// date evaluates it only then.
+  [[nodiscard]] bool wants_objective() const;
+  /// Records completed iteration n: its convergence record (objective, the
+  /// norm of `grad` unless empty, nnz(w), the step from the last recorded
+  /// iterate), a kProgress event, the history record on rank 0 and the
+  /// count.  Returns true when tol is reached -- the same answer on every
+  /// rank, since the iterates agree bitwise.
+  bool record(int n, std::span<const double> w, double objective,
+              std::span<const double> grad, const Counters& counters);
+
+ private:
+  const CommonOptions& opts_;
+  std::vector<double> prev_;  ///< the last recorded iterate
+};
+
+/// A solver body: one rank's part of a solve.
+using Body = std::function<void(Frame&)>;
+
+/// The solve frame: validates the shared options, runs `body` on every rank
+/// of `group` (or inline on a 1-rank world when null), catches structured
+/// failures, and fills the result tail -- rel_error, sim_seconds, wall
+/// time, comm counters, fleet metrics and health alerts.  The result fails
+/// on a structured failure or a non-finite final objective.  Throws
+/// InvalidArgument for inconsistent options.
+SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
+                      std::string solver, dist::ThreadGroup* group,
+                      const Body& body);
 
 /// Paper Alg. 5 stages A-D (Fig. 1) on one rank of a RankWorld: A draws
 /// block n's index set, the same on every rank; B accumulates the rank's
@@ -120,10 +182,9 @@ struct ChunkLoop {
   data::Partition data_part;
   data::Partition cost_part;  ///< the modeled ranks `cost` is charged for
   model::CostTracker& cost;
-  // Cumulative machine-independent counters (IterationRecord's) and phase
-  // observation: counts always, wall time when tracing.
-  std::uint64_t comm_rounds = 0;
-  double raw_gram_flops = 0.0, raw_update_flops = 0.0, comm_payload_words = 0.0;
+  // Cumulative counters and phase observation: counts always, wall time
+  // when tracing.
+  Counters counters{};
   obs::PhaseAgg ph_sampling{}, ph_gram{}, ph_allreduce{}, ph_post{},
       ph_wait{}, ph_update{};
 };

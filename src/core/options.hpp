@@ -28,33 +28,48 @@ enum class MomentumRule {
   kNone,
 };
 
-/// Options shared by the FISTA-family solvers (FISTA / SFISTA / RC-SFISTA).
-///
-/// The defaults run RC-SFISTA with k = S = 1 and full sampling, which is
-/// exactly distributed FISTA.  Parameter names follow the paper: b is the
-/// sampling rate, k the iteration-overlapping depth, s the Hessian-reuse
-/// inner iterations.
-struct SolverOptions {
-  // -- iteration control ----------------------------------------------------
-  int max_iters = 500;  ///< N, total inner iterations.
+/// The options every solver shares: SolverOptions, PnOptions and
+/// CocoaOptions derive from this, and the solve frame (core/engine.hpp)
+/// validates it once for all of them.
+struct CommonOptions {
   /// Stop when the relative objective error |F(w)-F*|/|F*| <= tol; requires
   /// f_star.  The paper uses tol = 0.01 for the speedup experiments.
   double tol = 0.0;
   /// Reference optimum F(w*) from the reference solver (the paper computes
   /// it with TFOCS).  NaN disables the relative-error stopping criterion.
   double f_star = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t seed = 42;
+  /// Record SolveResult::history, one IterationRecord per iteration.
+  bool track_history = true;
+  /// When false, this solve skips its phase spans and per-phase wall-time
+  /// measurement even if the global obs::TraceSession is enabled (the
+  /// phase *counts* in SolveResult::phases are maintained regardless);
+  /// ThreadComm ranks still record their collective spans.
+  bool trace = true;
+  /// Pool threads per rank for the shared-memory kernels (Gram, SpMV,
+  /// BLAS-2/3).  1 = sequential (today's path), 0 = hardware concurrency
+  /// divided by the number of SPMD ranks so ThreadComm ranks don't
+  /// oversubscribe.  Results are bit-identical at every width.
+  int threads = 1;
+  /// P, the modeled processor count for cost accounting.  A ThreadGroup
+  /// solve models its own size, so there procs must be 1 or the group size.
+  int procs = 1;
+  model::CollectiveModel collective = model::CollectiveModel::kPaperLogP;
+  model::MachineSpec machine = model::comet();
+};
 
-  // -- step size ------------------------------------------------------------
-  /// Explicit step size gamma; 0 selects 1/L (L from power iteration)
-  /// scaled by step_scale.
-  double step_size = 0.0;
-  double step_scale = 1.0;
+/// Options of the FISTA-family solvers (FISTA / SFISTA / RC-SFISTA).
+///
+/// The defaults run RC-SFISTA with k = S = 1 and full sampling, which is
+/// exactly distributed FISTA.  Parameter names follow the paper: b is the
+/// sampling rate, k the iteration-overlapping depth, s the Hessian-reuse
+/// inner iterations.  The step size is always automatic (auto_step_size).
+struct SolverOptions : CommonOptions {
+  // -- iteration control ----------------------------------------------------
+  int max_iters = 500;  ///< N, total inner iterations.
+
+  // -- momentum ---------------------------------------------------------------
   MomentumRule momentum = MomentumRule::kFista;
-  /// Upper bound on the extrapolation weight mu_n (1 = the unmodified
-  /// schedule).  FISTA's mu -> 1 amplifies sampled-gradient noise without
-  /// bound; with small batches relative to d (rank-deficient sampled
-  /// Hessians) a cap restores stability at a modest cost in acceleration.
-  double momentum_cap = 1.0;
   /// O'Donoghue-Candes gradient-based adaptive restart: reset the momentum
   /// counter whenever the momentum direction opposes the latest step.  A
   /// trajectory-determined decision, so the k-invariance of RC-SFISTA is
@@ -101,40 +116,12 @@ struct SolverOptions {
   /// Must outlive the solve.  Null keeps the paper's lambda ||w||_1.
   const prox::Regularizer* regularizer = nullptr;
 
-  // -- reproducibility --------------------------------------------------------
-  std::uint64_t seed = 42;
-
-  // -- history ----------------------------------------------------------------
-  bool track_history = true;
-  int history_stride = 1;  ///< record every n-th iteration.
-
-  // -- observability ----------------------------------------------------------
-  /// When false, this solve skips its phase spans and per-phase wall-time
-  /// measurement even if the global obs::TraceSession is enabled (the
-  /// phase *counts* in SolveResult::phases are maintained regardless);
-  /// ThreadComm ranks still record their collective spans.
-  bool trace = true;
-
-  // -- intra-rank execution ----------------------------------------------------
-  /// Pool threads per rank for the shared-memory kernels (Gram, SpMV,
-  /// BLAS-2/3).  1 = sequential (today's path), 0 = hardware concurrency
-  /// divided by the number of SPMD ranks so ThreadComm ranks don't
-  /// oversubscribe.  Results are bit-identical at every width.
-  int threads = 1;
-
   // -- resilience -------------------------------------------------------------
   /// Retry/backoff policy for transient collective failures, at every P
   /// (see dist/retry.hpp).  The defaults absorb up to three
   /// transient faults per collective; retries surface as
   /// CommStats::retries and the "comm.backoff_us" obs counter.
   dist::RetryPolicy retry{};
-
-  // -- cost model (simulated distributed execution) ---------------------------
-  /// P, the modeled processor count for cost accounting.  A ThreadGroup
-  /// solve models its own size, so there procs must be 1 or the group size.
-  int procs = 1;
-  model::CollectiveModel collective = model::CollectiveModel::kPaperLogP;
-  model::MachineSpec machine = model::comet();
 };
 
 /// Inner solver choice for the proximal Newton driver (Alg. 1).
@@ -149,7 +136,7 @@ enum class PnInnerSolver {
 };
 
 /// Options for the proximal Newton driver.
-struct PnOptions {
+struct PnOptions : CommonOptions {
   int max_outer = 30;             ///< outer Newton iterations.
   int inner_iters = 40;           ///< inner-solver iterations per subproblem.
   double hessian_sampling_rate = 0.1;  ///< b for the outer Hessian estimate.
@@ -157,15 +144,6 @@ struct PnOptions {
   PnInnerSolver inner = PnInnerSolver::kFista;
   int k = 1;                      ///< overlap depth for the RC-SFISTA inner.
   int s = 1;                      ///< Hessian-reuse for the RC-SFISTA inner.
-  double tol = 0.0;
-  double f_star = std::numeric_limits<double>::quiet_NaN();
-  std::uint64_t seed = 42;
-  bool track_history = true;
-  bool trace = true;   ///< see SolverOptions::trace
-  int threads = 1;     ///< see SolverOptions::threads
-  int procs = 1;
-  model::CollectiveModel collective = model::CollectiveModel::kPaperLogP;
-  model::MachineSpec machine = model::comet();
 
   // -- checkpoint / restore ---------------------------------------------------
   /// Called after every completed outer iteration with the state needed to
@@ -185,19 +163,10 @@ enum class CocoaAggregation {
 };
 
 /// Options for the ProxCoCoA baseline (Smith et al. 2015).
-struct CocoaOptions {
+struct CocoaOptions : CommonOptions {
   int max_rounds = 200;     ///< communication rounds.
   int local_epochs = 1;     ///< local coordinate-descent passes per round.
   CocoaAggregation aggregation = CocoaAggregation::kAdding;
-  double tol = 0.0;
-  double f_star = std::numeric_limits<double>::quiet_NaN();
-  std::uint64_t seed = 42;
-  bool track_history = true;
-  bool trace = true;   ///< see SolverOptions::trace
-  int threads = 1;     ///< see SolverOptions::threads
-  int procs = 1;
-  model::CollectiveModel collective = model::CollectiveModel::kPaperLogP;
-  model::MachineSpec machine = model::comet();
 };
 
 }  // namespace rcf::core

@@ -8,35 +8,22 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
+#include "core/engine.hpp"
 #include "data/partition.hpp"
-#include "exec/pool.hpp"
 #include "la/blas.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prox/operators.hpp"
 
 namespace rcf::core {
 
 namespace {
+
 using model::Phase;
-}
 
-SolveResult solve_prox_cocoa(const LassoProblem& problem,
-                             const CocoaOptions& opts) {
-  RCF_CHECK_MSG(opts.max_rounds >= 1, "cocoa: max_rounds must be >= 1");
-  RCF_CHECK_MSG(opts.local_epochs >= 1, "cocoa: local_epochs must be >= 1");
-  RCF_CHECK_MSG(opts.procs >= 1, "cocoa: procs must be >= 1");
-  if (opts.tol > 0.0) {
-    RCF_CHECK_MSG(!std::isnan(opts.f_star), "cocoa: tol requires f_star");
-  }
-  RCF_CHECK_MSG(opts.threads >= 0, "cocoa: threads must be >= 0");
-
-  exec::Pool pool(exec::Pool::resolve_width(opts.threads, 1));
-  exec::PoolGuard pool_guard(&pool);
-
-  WallTimer wall;
+/// ProxCoCoA as a solve-frame body: P simulated workers on the frame's
+/// 1-rank world, charged to the cost model for opts.procs.
+void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
+                Frame& frame) {
   const std::size_t d = problem.dim();
   const std::size_t m = problem.num_samples();
   const auto md = static_cast<double>(m);
@@ -60,10 +47,7 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
           ? 1.0
           : 1.0 / static_cast<double>(opts.procs);
 
-  SolveResult result;
-  result.solver = "prox-cocoa";
-  result.cost = model::CostTracker(opts.collective);
-  model::CostTracker& cost = result.cost;
+  model::CostTracker& cost = frame.out.cost;
   std::uint64_t comm_rounds = 0;
 
   // Round phases: the local coordinate-descent sweeps and the m-word
@@ -73,6 +57,7 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
 
   // Global state: w and the shared residual res = X^T w - y.
   la::Vector w(d);
+  frame.begin(w.span());
   la::Vector res(m);
   for (std::size_t i = 0; i < m; ++i) {
     res[i] = -problem.y()[i];
@@ -156,7 +141,6 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
     }
 
     // One allreduce of the m-word residual update per round.
-    double round_step_sq = 0.0;
     obs::timed_phase(tracing, ph_allreduce, "allreduce",
                      static_cast<double>(m), [&] {
       la::axpy(1.0, res_accum.span(), res.span());
@@ -165,69 +149,40 @@ SolveResult solve_prox_cocoa(const LassoProblem& problem,
         // values whole (exact assignment, not w += delta, so the adding
         // path stays bitwise identical to a plain copy).
         if (apply_scale != 1.0) {
-          const double delta = apply_scale * (w_stage[j] - w[j]);
-          w[j] += delta;
-          round_step_sq += delta * delta;
+          w[j] += apply_scale * (w_stage[j] - w[j]);
         } else {
-          const double delta = w_stage[j] - w[j];
           w[j] = w_stage[j];
-          round_step_sq += delta * delta;
         }
       }
       cost.add_flops(Phase::kUpdate, max_rank_flops);
       cost.add_allreduce(opts.procs, m);
     });
     ++comm_rounds;
-    const double round_step = std::sqrt(round_step_sq);
 
-    // Objective from the maintained residual (exact by construction).
+    // Objective from the maintained residual (exact by construction); no
+    // gradient on this path.
     const double objective =
         0.5 * la::dot(res.span(), res.span()) / md + lambda * la::asum(w.span());
-
-    // Convergence telemetry: one record per communication round (no
-    // gradient on this path -- grad_norm stays NaN; step is the movement
-    // of w over the round).
-    {
-      obs::ConvergenceRecord rec;
-      rec.iteration = static_cast<std::uint64_t>(round);
-      rec.objective = objective;
-      double support = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        support += w[j] != 0.0 ? 1.0 : 0.0;
-      }
-      rec.support = support;
-      rec.step = round_step;
-      result.conv.push(rec);
-    }
-
-    const double rel_error = relative_error(objective, opts.f_star);
-    if (opts.track_history) {
-      result.history.push_back(IterationRecord{
-          round, objective, rel_error, cost.seconds(opts.machine),
-          comm_rounds});
-    }
-    result.iterations = round;
-    if (opts.tol > 0.0 && !std::isnan(rel_error) && rel_error <= opts.tol) {
-      result.converged = true;
+    if (frame.record(round, w.span(), objective, {},
+                     {.comm_rounds = comm_rounds})) {
       break;
     }
   }
 
-  result.w = w;
-  result.objective = problem.objective(result.w.span());
-  result.rel_error = relative_error(result.objective, opts.f_star);
-  result.sim_seconds = cost.seconds(opts.machine);
-  result.wall_seconds = wall.seconds();
-  obs::append_phase(result.phases, "local_solve", ph_local);
-  obs::append_phase(result.phases, "allreduce", ph_allreduce);
-  if (tracing) {
-    obs::MetricsRegistry local;
-    obs::record_solve_metrics(local, result.phases, nullptr);
-    dist::SeqComm seq;
-    result.fleet = obs::aggregate(local, seq);
-    obs::publish(result.fleet, obs::MetricsRegistry::global());
-  }
-  return result;
+  frame.out.objective = problem.objective(w.span());
+  frame.out.w = std::move(w);
+  obs::append_phase(frame.out.phases, "local_solve", ph_local);
+  obs::append_phase(frame.out.phases, "allreduce", ph_allreduce);
+}
+
+}  // namespace
+
+SolveResult solve_prox_cocoa(const LassoProblem& problem,
+                             const CocoaOptions& opts) {
+  RCF_CHECK_MSG(opts.max_rounds >= 1, "cocoa: max_rounds must be >= 1");
+  RCF_CHECK_MSG(opts.local_epochs >= 1, "cocoa: local_epochs must be >= 1");
+  return run_solve(opts, dist::RetryPolicy{}, "prox-cocoa", nullptr,
+                   [&](Frame& frame) { prox_cocoa(problem, opts, frame); });
 }
 
 }  // namespace rcf::core

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
 #include "core/logistic.hpp"
@@ -16,8 +15,6 @@
 #include "fault/plan.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prox/operators.hpp"
 
@@ -55,7 +52,8 @@ struct SampledHessianOp {
   }
 };
 
-/// Throws InvalidArgument for any out-of-range PnOptions field.
+/// Throws InvalidArgument for any out-of-range PnOptions field of its own;
+/// run_solve checks the shared ones.
 void validate_pn_options(const PnOptions& opts) {
   RCF_CHECK_MSG(opts.max_outer >= 1, "pn: max_outer must be >= 1");
   RCF_CHECK_MSG(opts.inner_iters >= 1, "pn: inner_iters must be >= 1");
@@ -65,20 +63,14 @@ void validate_pn_options(const PnOptions& opts) {
                 "pn: hessian_sampling_rate must be in (0, 1]");
   RCF_CHECK_MSG(opts.damping > 0.0 && opts.damping <= 1.0,
                 "pn: damping must be in (0, 1]");
-  RCF_CHECK_MSG(opts.tol <= 0.0 || !std::isnan(opts.f_star),
-                "pn: tol requires f_star");
-  RCF_CHECK_MSG(opts.threads >= 0, "pn: threads must be >= 0");
 }
 
-/// Proximal Newton for every smooth loss.  The loss enters only through
-/// problem.objective(w) and problem.gradient(w, grad, curvature), whose
-/// per-sample curvature weights (1 for least squares, sigma (1 - sigma) for
-/// logistic) scale the sampled Hessian.  `name` prefixes the solver label.
+/// Proximal Newton for every smooth loss, as a solve-frame body.  The loss
+/// enters only through problem.objective(w) and problem.gradient(w, grad,
+/// curvature), whose per-sample curvature weights (1 for least squares,
+/// sigma (1 - sigma) for logistic) scale the sampled Hessian.
 template <class Problem>
-SolveResult prox_newton(const Problem& problem, const PnOptions& opts,
-                        const std::string& name) {
-  validate_pn_options(opts);
-  WallTimer wall;
+void prox_newton(const Problem& problem, const PnOptions& opts, Frame& frame) {
   const std::size_t d = problem.dim();
   const std::size_t m = problem.num_samples();
   const sparse::CsrMatrix& xt = problem.dataset().xt;
@@ -86,33 +78,33 @@ SolveResult prox_newton(const Problem& problem, const PnOptions& opts,
       1, static_cast<std::size_t>(
              std::floor(opts.hessian_sampling_rate * static_cast<double>(m))));
   const double lambda = problem.lambda();
-
-  SolveResult result;
-  result.solver =
-      name + (opts.inner == PnInnerSolver::kFista ? "-fista" : "-rc-sfista");
-  result.cost = model::CostTracker(opts.collective);
-  model::CostTracker& cost = result.cost;
+  model::CostTracker& cost = frame.out.cost;
   std::uint64_t comm_rounds = 0;
 
-  // The engine's 1-rank world, with one pool for the whole solve.
-  RankWorld world(nullptr, dist::RetryPolicy{}, opts.threads, opts.trace);
   // The inner chunk loop runs the VR update; each run pins the anchor at w.
-  const SolverOptions inner{.variance_reduction = true, .k = opts.k,
-                            .s = opts.s, .seed = opts.seed,
-                            .trace = opts.trace, .machine = opts.machine};
-  ChunkLoop chunks{world, problem.dataset(), inner, mbar, data::Partition(m, 1),
-                   data::Partition(m, opts.procs), cost};
+  SolverOptions inner;
+  static_cast<CommonOptions&>(inner) = opts;
+  inner.variance_reduction = true;
+  inner.k = opts.k;
+  inner.s = opts.s;
+  ChunkLoop chunks{frame.world, problem.dataset(), inner, mbar,
+                   data::Partition(m, 1), data::Partition(m, opts.procs),
+                   cost};
 
   // Outer-loop phase observation (Alg. 1 lines: gradient, step-size power
   // iteration, inner subproblem solve, damped line search).
   const bool tracing = opts.trace && obs::TraceSession::global().enabled();
   obs::PhaseAgg ph_gradient, ph_power, ph_inner, ph_linesearch;
 
-  la::Vector w(d), grad(d), z(d), curvature(m);
-  la::Vector w_prev_outer(d);  // for the convergence ring's step norm
+  // w and F(w) live in the result, so a structured failure reports the
+  // last completed outer iteration's.
+  la::Vector& w = frame.out.w;
+  double& objective = frame.out.objective;
+  w = la::Vector(d);
+  la::Vector grad(d), z(d), curvature(m);
   const MomentumSchedule outer_mu(MomentumRule::kFista);
 
-  double objective = problem.objective(w.span());
+  objective = problem.objective(w.span());
 
   // Checkpoint resume: restore (outer, w, F(w)) and replay the remaining
   // outer iterations.  All other per-iteration state -- Hessian index
@@ -131,14 +123,12 @@ SolveResult prox_newton(const Problem& problem, const PnOptions& opts,
     objective = ck.objective;
     first_outer = ck.outer + 1;
   }
+  frame.begin(w.span(), first_outer - 1);
 
-  int completed = first_outer - 1;  // last completed outer iteration
-  try {
   for (int outer = first_outer; outer <= opts.max_outer; ++outer) {
     // Chaos hook: an `abort:at=pn.outer,index=N` plan kills the solve here,
     // before iteration N runs (see fault/plan.hpp).
     fault::iteration_point("pn.outer", static_cast<std::uint64_t>(outer));
-    la::copy(w.span(), w_prev_outer.span());
     // Exact gradient of f and the curvature weights at w_n: two SpMVs over
     // distributed data plus one allreduce of the length-d partial sums.
     obs::timed_phase(tracing, ph_gradient, "gradient",
@@ -257,31 +247,11 @@ SolveResult prox_newton(const Problem& problem, const PnOptions& opts,
       cost.add_flops(Phase::kUpdate, 3.0 * static_cast<double>(d));
     });
 
-    // Convergence telemetry: one record per outer iteration (objective and
-    // exact gradient are both maintained on this path).
-    {
-      obs::ConvergenceRecord rec;
-      rec.iteration = static_cast<std::uint64_t>(outer);
-      rec.objective = objective;
-      rec.grad_norm = std::sqrt(la::dot(grad.span(), grad.span()));
-      double support = 0.0;
-      double step_sq = 0.0;
-      for (std::size_t i = 0; i < d; ++i) {
-        support += w[i] != 0.0 ? 1.0 : 0.0;
-        const double dw = w[i] - w_prev_outer[i];
-        step_sq += dw * dw;
-      }
-      rec.support = support;
-      rec.step = std::sqrt(step_sq);
-      result.conv.push(rec);
-    }
-
-    const double rel_error = relative_error(objective, opts.f_star);
-    if (opts.track_history) {
-      result.history.push_back(IterationRecord{
-          outer, objective, rel_error, cost.seconds(opts.machine),
-          comm_rounds + chunks.comm_rounds});
-    }
+    // One record per outer iteration; objective and exact gradient are both
+    // maintained on this path.
+    const bool stop = frame.record(
+        outer, w.span(), objective, grad.span(),
+        {.comm_rounds = comm_rounds + chunks.counters.comm_rounds});
     if (opts.checkpoint_sink) {
       PnCheckpoint ck;
       ck.outer = outer;
@@ -289,55 +259,38 @@ SolveResult prox_newton(const Problem& problem, const PnOptions& opts,
       ck.w.assign(w.data(), w.data() + d);
       opts.checkpoint_sink(ck);
     }
-    completed = outer;
-    if (opts.tol > 0.0 && !std::isnan(rel_error) && rel_error <= opts.tol) {
-      result.converged = true;
+    if (stop) {
       break;
     }
   }
-  } catch (...) {
-    // Structured failure: report the partial iterate and how far the solve
-    // got; a checkpoint_sink caller can resume from the last completed
-    // outer iteration.
-    result.failure_reason = structured_failure();
-    result.failed = true;
-  }
 
-  result.w = w;
-  result.iterations = completed;
-  result.comm_stats.retries = world.retrying.retries();
-  result.comm_stats.faults_injected = world.faulty.faults_injected();
-  result.objective = objective;
-  if (!result.failed && !std::isfinite(objective)) {
-    result.failed = true;
-    result.failure_reason = "pn: non-finite objective at the final iterate";
-  }
-  result.rel_error = relative_error(result.objective, opts.f_star);
-  result.sim_seconds = cost.seconds(opts.machine);
-  result.wall_seconds = wall.seconds();
-  obs::append_phase(result.phases, "gradient", ph_gradient);
-  obs::append_phase(result.phases, "power_iter", ph_power);
-  obs::append_phase(result.phases, "inner", ph_inner);
-  obs::append_phase(result.phases, "linesearch", ph_linesearch);
-  if (tracing) {
-    obs::MetricsRegistry local;
-    obs::record_solve_metrics(local, result.phases, nullptr);
-    result.fleet = obs::aggregate(local, world.seq);
-    obs::publish(result.fleet, obs::MetricsRegistry::global());
-  }
-  return result;
+  obs::append_phase(frame.out.phases, "gradient", ph_gradient);
+  obs::append_phase(frame.out.phases, "power_iter", ph_power);
+  obs::append_phase(frame.out.phases, "inner", ph_inner);
+  obs::append_phase(frame.out.phases, "linesearch", ph_linesearch);
+}
+
+/// Runs prox_newton in the solve frame; `name` prefixes the solver label.
+template <class Problem>
+SolveResult solve_pn(const Problem& problem, const PnOptions& opts,
+                     const std::string& name) {
+  validate_pn_options(opts);
+  return run_solve(
+      opts, dist::RetryPolicy{},
+      name + (opts.inner == PnInnerSolver::kFista ? "-fista" : "-rc-sfista"),
+      nullptr, [&](Frame& frame) { prox_newton(problem, opts, frame); });
 }
 
 }  // namespace
 
 SolveResult solve_proximal_newton(const LassoProblem& problem,
                                   const PnOptions& opts) {
-  return prox_newton(problem, opts, "pn");
+  return solve_pn(problem, opts, "pn");
 }
 
 SolveResult solve_logistic_prox_newton(const LogisticProblem& problem,
                                        const PnOptions& opts) {
-  return prox_newton(problem, opts, "logistic-pn");
+  return solve_pn(problem, opts, "logistic-pn");
 }
 
 }  // namespace rcf::core

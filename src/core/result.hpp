@@ -64,8 +64,11 @@ struct SolveResult {
   /// Structured failure flag: the solve was rejected (poisoned payload
   /// surviving the recompute fallback, injected rank abort, exhausted
   /// collective retries, non-finite objective) instead of diverging
-  /// silently.  `w` may hold a partial iterate; `failure_reason` names the
-  /// cause.  Callers should test ok() before consuming numeric fields.
+  /// silently.  `failure_reason` names the cause; `iterations`, `history`,
+  /// `conv` and `cost` cover the iterations completed before it, and `w`
+  /// holds a partial iterate when the solver keeps one (proximal Newton's
+  /// last completed outer iterate; empty for the engine).  Callers should
+  /// test ok() before consuming numeric fields.
   bool failed = false;
   std::string failure_reason;
   double objective = 0.0;    ///< F at the final iterate.
@@ -104,14 +107,15 @@ struct SolveResult {
   /// registry; on SeqComm runs this is the 1-rank view.
   obs::FleetMetrics fleet;
   /// Per-iteration convergence telemetry (bounded ring; always recorded,
-  /// unlike `history` which honours track_history/history_stride).
+  /// unlike `history`, which honours track_history).
   obs::ConvergenceRing conv;
   /// Health annotation: watchdog alerts attributable to this solve -- the
   /// deterministic end-of-solve convergence scan (stall / divergence /
   /// non-finite; obs::scan_convergence over `conv`) plus any runtime
   /// alerts (straggler, retry storm, ring overflow) the live monitor
-  /// raised while the solve ran.  Empty on healthy runs; does not imply
-  /// failed (a stalled solve still returns its iterate).
+  /// raised while the solve ran.  The solve frame (core/engine.hpp) fills
+  /// it for every solver.  Empty on healthy runs; does not imply failed (a
+  /// stalled solve still returns its iterate).
   std::vector<obs::Alert> alerts;
 };
 

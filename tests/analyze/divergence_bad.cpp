@@ -3,8 +3,8 @@
 // this file with scope_as=src/core/fixture.cpp so the src/-scoped rules
 // apply.
 //
-// This corpus is excluded from the repo-wide sweep and from rcf-lint; it
-// never compiles as part of the build.
+// This corpus is excluded from the repo-wide sweep; it never compiles as
+// part of the build.
 #include <vector>
 
 namespace fixture {

@@ -1,9 +1,14 @@
 // Seeded-bad fixture for the nondeterministic-reduction check, analyzed
 // with scope_as=src/la/fixture_kernel.cpp so both the kernel-file rules
 // (float, unordered iteration anywhere) and the parallel-body rules
-// (shared accumulators) apply.
+// (shared accumulators) apply.  Each marker names its rule after the
+// check -- float, unordered or shared -- so the same file also pins the
+// whole-file scopes: float fires under src/dist/, unordered under src/obs/
+// and tools/.
 #include <cstddef>
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace fixture {
@@ -14,11 +19,11 @@ struct Pool {
 void parallel_for(Pool& pool, std::size_t n, const char* label,
                   const std::vector<double>& xs);
 
-float unstable_norm(const std::vector<double>& xs);  // BAD(nondeterministic-reduction)
+float unstable_norm(const std::vector<double>& xs);  // BAD(nondeterministic-reduction) float
 
 double hash_order_sum(const std::unordered_map<int, double>& weights) {
   double total = 0.0;
-  for (const auto& kv : weights) {  // BAD(nondeterministic-reduction)
+  for (const auto& kv : weights) {  // BAD(nondeterministic-reduction) unordered
     total += kv.second;
   }
   return total;
@@ -27,7 +32,7 @@ double hash_order_sum(const std::unordered_map<int, double>& weights) {
 double shared_accumulator(Pool& pool, const std::vector<double>& xs) {
   double sum = 0.0;
   parallel_for(pool, xs.size(), "bad-sum", [&](std::size_t i) {
-    sum += xs[i];  // BAD(nondeterministic-reduction)
+    sum += xs[i];  // BAD(nondeterministic-reduction) shared
   });
   return sum;
 }
@@ -39,7 +44,7 @@ double shared_member_accumulator(Pool& pool, const std::vector<double>& xs,
   };
   Stats stats;
   parallel_for(pool, xs.size(), "bad-member", [&](std::size_t i) {
-    stats.total += xs[i];  // BAD(nondeterministic-reduction)
+    stats.total += xs[i];  // BAD(nondeterministic-reduction) shared
     out[i] = xs[i];
   });
   return stats.total;
@@ -61,9 +66,37 @@ struct V4 {
 double shared_simd_accumulator(Pool& pool, const std::vector<V4>& xs) {
   V4 acc = {{0.0, 0.0, 0.0, 0.0}};
   parallel_for(pool, xs.size(), "bad-simd", [&](std::size_t i) {
-    acc += xs[i];  // BAD(nondeterministic-reduction)
+    acc += xs[i];  // BAD(nondeterministic-reduction) shared
   });
   return (acc.lane[0] + acc.lane[1]) + (acc.lane[2] + acc.lane[3]);
+}
+
+// Collective-backend twin (src/dist/): rank contributions staged through
+// float before they are combined.
+void stage_contributions(const std::vector<double>& in,
+                         std::vector<double>& out) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const float staged = static_cast<float>(in[i]);  // BAD(nondeterministic-reduction) float
+    out[i] += staged;
+  }
+}
+
+// Metric-path twin (src/obs/): per-rank counters folded in hash order.
+double fold_counters(const std::unordered_map<std::string, double>& counters) {
+  double total = 0.0;
+  for (auto it = counters.begin(); it != counters.end(); ++it) {  // BAD(nondeterministic-reduction) unordered
+    total += it->second;
+  }
+  return total;
+}
+
+// Report twin (tools/): rows rendered in hash order.
+std::string render_rows(const std::unordered_set<std::string>& names) {
+  std::string out;
+  for (const std::string& name : names) {  // BAD(nondeterministic-reduction) unordered
+    out += name;
+  }
+  return out;
 }
 
 }  // namespace fixture

@@ -1,8 +1,12 @@
 // Known-good fixture for the nondeterministic-reduction check, analyzed
-// with scope_as=src/la/fixture_kernel_ok.cpp: output-partitioned writes,
-// body-local accumulators, and ordered containers must stay silent.
+// with scope_as=src/la/fixture_kernel_ok.cpp and under src/dist/, src/obs/
+// and tools/: output-partitioned writes, body-local accumulators, and
+// ordered containers must stay silent.
 #include <cstddef>
 #include <map>
+#include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace fixture {
@@ -61,6 +65,35 @@ double ordered_sum(const std::map<int, double>& weights) {
     total += kv.second;  // std::map iterates in key order: replayable
   }
   return total;
+}
+
+// Collective-backend twin (src/dist/): contributions combined in double.
+void stage_contributions(const std::vector<double>& in,
+                         std::vector<double>& out) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const double staged = in[i];
+    out[i] += staged;
+  }
+}
+
+// Metric-path twin (src/obs/): the hash map is only looked up; the fold
+// follows a sorted name list.
+double fold_counters(const std::unordered_map<std::string, double>& counters,
+                     const std::vector<std::string>& sorted_names) {
+  double total = 0.0;
+  for (const std::string& name : sorted_names) {
+    total += counters.at(name);
+  }
+  return total;
+}
+
+// Report twin (tools/): rows rendered from an ordered set.
+std::string render_rows(const std::set<std::string>& names) {
+  std::string out;
+  for (const std::string& name : names) {
+    out += name;
+  }
+  return out;
 }
 
 }  // namespace fixture

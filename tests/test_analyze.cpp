@@ -115,6 +115,56 @@ TEST(Analyze, NondeterministicReductionSilentOnKnownGood) {
   check_fixture({"reduction_good.cpp", "src/la/fixture_kernel_ok.cpp"});
 }
 
+/// line -> the rule a nondeterministic-reduction marker names after the
+/// check ("float", "unordered" or "shared").
+std::map<int, std::string> reduction_rules(const std::string& text) {
+  const std::string marker = "// BAD(nondeterministic-reduction) ";
+  std::map<int, std::string> out;
+  std::istringstream in(text);
+  std::string l;
+  for (int line = 1; std::getline(in, l); ++line) {
+    const std::size_t at = l.find(marker);
+    if (at != std::string::npos) {
+      out[line] = l.substr(at + marker.size());
+    }
+  }
+  return out;
+}
+
+TEST(Analyze, NondeterministicReductionWholeFileScopes) {
+  // The whole-file rules follow their contracts: float arithmetic in
+  // src/dist/ as in the kernels, unordered iteration in src/obs/ and
+  // tools/; shared accumulators in parallel bodies fire in every scope.
+  const std::string text = slurp(fixture_path("reduction_bad.cpp"));
+  const auto rules = reduction_rules(text);
+  const std::pair<const char*, std::set<std::string>> scopes[] = {
+      {"src/dist/fixture.cpp", {"float", "shared"}},
+      {"src/obs/fixture.cpp", {"unordered", "shared"}},
+      {"tools/fixture.cpp", {"unordered", "shared"}},
+  };
+  for (const auto& [scope, fire] : scopes) {
+    SCOPED_TRACE(scope);
+    std::set<int> got;
+    for (const Finding& f :
+         rcf::analyze::analyze_text("reduction_bad.cpp", text, scope)) {
+      if (f.check == "nondeterministic-reduction") {
+        got.insert(f.line);
+      }
+    }
+    for (const auto& [line, rule] : rules) {
+      EXPECT_EQ(got.count(line) != 0, fire.count(rule) != 0)
+          << "line " << line << " (" << rule << ")";
+    }
+    for (const int line : got) {
+      EXPECT_TRUE(rules.count(line) != 0) << "unmarked finding at " << line;
+    }
+  }
+  for (const char* scope : {"src/dist/fixture_ok.cpp", "src/obs/fixture_ok.cpp",
+                            "tools/fixture_ok.cpp"}) {
+    check_fixture({"reduction_good.cpp", scope});
+  }
+}
+
 TEST(Analyze, HandleLeakFiresOnSeededBad) {
   check_fixture({"handle_bad.cpp", "src/core/fixture.cpp"});
 }

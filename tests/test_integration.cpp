@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "rcf.hpp"
 
@@ -132,6 +133,31 @@ TEST(Integration, DistributedEndToEnd) {
   EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9);
   EXPECT_NEAR(seq.objective, par.objective,
               1e-9 * std::abs(seq.objective) + 1e-12);
+}
+
+TEST(Integration, NonFiniteLabelFailsEverySolver) {
+  // One NaN label makes F(w) NaN at every iterate: each solver must report
+  // a structured failure, never an ok() result with a NaN objective.
+  data::SyntheticOptions gen;
+  gen.num_samples = 200;
+  gen.num_features = 12;
+  gen.density = 0.5;
+  auto dataset = data::make_regression(gen);
+  dataset.y[7] = std::numeric_limits<double>::quiet_NaN();
+  const core::LassoProblem problem(dataset, 0.01);
+  core::SolverOptions ropts;
+  ropts.max_iters = 20;
+  core::PnOptions popts;
+  popts.max_outer = 3;
+  popts.inner_iters = 5;
+  core::CocoaOptions copts;
+  copts.max_rounds = 5;
+  for (const auto& r : {core::solve_rc_sfista(problem, ropts),
+                        core::solve_proximal_newton(problem, popts),
+                        core::solve_prox_cocoa(problem, copts)}) {
+    EXPECT_FALSE(r.ok()) << r.solver;
+    EXPECT_FALSE(r.failure_reason.empty()) << r.solver;
+  }
 }
 
 TEST(Integration, CostModelRoundTripThroughRecords) {

@@ -11,14 +11,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/distributed.hpp"
 #include "core/problem.hpp"
+#include "core/prox_cocoa.hpp"
+#include "core/prox_newton.hpp"
 #include "core/solvers.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
@@ -419,7 +423,8 @@ TEST(Watchdog, AlertJsonIsWellFormed) {
 }
 
 TEST(Watchdog, ScanConvergenceCleanOnRealSolve) {
-  // The acceptance bar: zero false positives on a clean converging solve.
+  // The acceptance bar: zero false positives on a clean converging solve,
+  // for every solver the solve frame annotates.
   data::SyntheticOptions gen;
   gen.num_samples = 400;
   gen.num_features = 60;
@@ -428,10 +433,14 @@ TEST(Watchdog, ScanConvergenceCleanOnRealSolve) {
   const core::LassoProblem problem(dataset, 0.05);
   core::SolverOptions opts;
   opts.max_iters = 150;
-  const auto result = core::solve_rc_sfista(problem, opts);
-  const auto alerts = obs::scan_convergence(result.conv.ordered());
-  EXPECT_TRUE(alerts.empty());
-  EXPECT_TRUE(result.alerts.empty());
+  for (const auto& result : {core::solve_rc_sfista(problem, opts),
+                             core::solve_proximal_newton(problem, {}),
+                             core::solve_prox_cocoa(problem, {})}) {
+    EXPECT_TRUE(result.ok()) << result.solver;
+    EXPECT_TRUE(obs::scan_convergence(result.conv.ordered()).empty())
+        << result.solver;
+    EXPECT_TRUE(result.alerts.empty()) << result.solver;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -482,15 +491,13 @@ class TempFile {
   std::string path_;
 };
 
-TEST(LiveMonitor, CleanSolveStreamsSnapshotsWithZeroAlerts) {
-  TempFile stream("live_clean.jsonl");
-  obs::LiveConfig config;
-  config.out = stream.path();
-  config.period_ms = 10;
-  ASSERT_TRUE(obs::LiveMonitor::global().start(config));
-  EXPECT_TRUE(obs::LiveMonitor::global().running());
-  EXPECT_FALSE(obs::LiveMonitor::global().start(config));  // already running
+/// One labelled solve for the per-solver LiveMonitor cases.
+struct NamedSolve {
+  const char* name;
+  std::function<core::SolveResult()> run;
+};
 
+TEST(LiveMonitor, CleanSolveStreamsSnapshotsWithZeroAlerts) {
   data::SyntheticOptions gen;
   gen.num_samples = 600;
   gen.num_features = 64;
@@ -499,25 +506,47 @@ TEST(LiveMonitor, CleanSolveStreamsSnapshotsWithZeroAlerts) {
   const core::LassoProblem problem(dataset, 0.05);
   core::SolverOptions opts;
   opts.max_iters = 80;
-  const auto result = core::solve_rc_sfista(problem, opts);
+  core::PnOptions pn_opts;
+  pn_opts.max_outer = 10;
+  core::CocoaOptions cocoa_opts;
+  cocoa_opts.max_rounds = 80;
+  const NamedSolve solves[] = {
+      {"rc-sfista", [&] { return core::solve_rc_sfista(problem, opts); }},
+      {"pn", [&] { return core::solve_proximal_newton(problem, pn_opts); }},
+      {"prox-cocoa",
+       [&] { return core::solve_prox_cocoa(problem, cocoa_opts); }},
+  };
 
-  obs::LiveMonitor::global().sample_now();
-  EXPECT_EQ(obs::LiveMonitor::global().alert_count(), 0u);
-  obs::LiveMonitor::global().stop();
-  EXPECT_FALSE(obs::LiveMonitor::global().running());
+  for (const NamedSolve& solve : solves) {
+    SCOPED_TRACE(solve.name);
+    TempFile stream("live_clean.jsonl");
+    obs::LiveConfig config;
+    config.out = stream.path();
+    config.period_ms = 10;
+    ASSERT_TRUE(obs::LiveMonitor::global().start(config));
+    EXPECT_TRUE(obs::LiveMonitor::global().running());
+    EXPECT_FALSE(obs::LiveMonitor::global().start(config));  // already running
 
-  EXPECT_TRUE(result.alerts.empty());
-  const auto frames = parse_frames(stream.path());
-  ASSERT_GE(frames.size(), 2u);
-  EXPECT_NE(frames[0].find("\"type\":\"header\""), std::string::npos);
-  bool saw_progress = false;
-  for (std::size_t i = 1; i < frames.size(); ++i) {
-    EXPECT_NE(frames[i].find("\"type\":\"snapshot\""), std::string::npos);
-    if (frames[i].find("\"epoch\":0") == std::string::npos) {
-      saw_progress = true;
+    const auto result = solve.run();
+
+    obs::LiveMonitor::global().sample_now();
+    EXPECT_EQ(obs::LiveMonitor::global().alert_count(), 0u);
+    obs::LiveMonitor::global().stop();
+    EXPECT_FALSE(obs::LiveMonitor::global().running());
+
+    EXPECT_TRUE(result.alerts.empty());
+    const auto frames = parse_frames(stream.path());
+    ASSERT_GE(frames.size(), 2u);
+    EXPECT_NE(frames[0].find("\"type\":\"header\""), std::string::npos);
+    bool saw_progress = false;
+    for (std::size_t i = 1; i < frames.size(); ++i) {
+      EXPECT_NE(frames[i].find("\"type\":\"snapshot\""), std::string::npos);
+      if (frames[i].find("\"epoch\":0") == std::string::npos) {
+        saw_progress = true;
+      }
     }
+    EXPECT_TRUE(saw_progress) << "no snapshot observed solver progress";
   }
-  EXPECT_TRUE(saw_progress) << "no snapshot observed solver progress";
 }
 
 TEST(LiveMonitor, DistributedSolveReportsAllRanks) {
@@ -555,24 +584,10 @@ TEST(LiveMonitor, DistributedSolveReportsAllRanks) {
 }
 
 TEST(LiveMonitor, RetryStormAnnotatesSolveResult) {
-  // Transient faults on every collective force RetryingComm retries; with
-  // the storm threshold at 1 the watchdog must alert, and the runtime
-  // alert must land on SolveResult::alerts.
-  TempFile stream("live_storm.jsonl");
-  obs::LiveConfig config;
-  config.out = stream.path();
-  config.period_ms = 2;  // fine-grained windows: retries land after baseline
-  config.watchdog.retry_storm = 1;
-  ASSERT_TRUE(obs::LiveMonitor::global().start(config));
-
-  // Single-shot transients at distinct call indices: each costs exactly
-  // one retry (never exhausting the retry budget), spread across the run
-  // so some land after the watchdog's baseline window.
-  // (k=4 over 40 iterations means only ~10 collectives per rank, so the
-  // targeted call indices must stay small.)
-  fault::ScopedFaultPlan plan(
-      "transient:rank=1,call=2;transient:rank=1,call=4;"
-      "transient:rank=1,call=6;transient:rank=1,call=8");
+  // Transient faults force RetryingComm retries; with the storm threshold at
+  // 1 the watchdog must alert, and the runtime alert must land on
+  // SolveResult::alerts -- for the engine's SPMD ranks and for proximal
+  // Newton's chunk reductions on its 1-rank world.
   const auto dataset = data::make_paper_clone("SUSY", 0.002);
   const core::LassoProblem problem(dataset, 0.005);
   core::SolverOptions opts;
@@ -580,28 +595,68 @@ TEST(LiveMonitor, RetryStormAnnotatesSolveResult) {
   opts.sampling_rate = 0.2;
   opts.k = 4;
   opts.track_history = false;
-  dist::ThreadGroup group(4);
-  const auto result = core::solve_rc_sfista_distributed(problem, opts, group);
+  core::PnOptions pn_opts;
+  pn_opts.max_outer = 4;
+  pn_opts.inner_iters = 16;
+  pn_opts.inner = core::PnInnerSolver::kRcSfista;
+  pn_opts.k = 4;  // 4 chunk reductions per outer iteration, 16 in all
+  pn_opts.track_history = false;
+  // Single-shot transients at distinct call indices: each costs exactly one
+  // retry (never exhausting the retry budget), spread across the run.
+  // (k=4 over 40 iterations means only ~10 collectives per engine rank, so
+  // the targeted call indices must stay small.)
+  struct StormCase {
+    NamedSolve solve;
+    const char* plan;
+  };
+  const StormCase cases[] = {
+      {{"rc-sfista-distributed",
+        [&] {
+          dist::ThreadGroup group(4);
+          return core::solve_rc_sfista_distributed(problem, opts, group);
+        }},
+       "transient:rank=1,call=2;transient:rank=1,call=4;"
+       "transient:rank=1,call=6;transient:rank=1,call=8"},
+      {{"pn", [&] { return core::solve_proximal_newton(problem, pn_opts); }},
+       "transient:rank=0,call=2;transient:rank=0,call=6;"
+       "transient:rank=0,call=10;transient:rank=0,call=14"},
+  };
 
-  obs::LiveMonitor::global().stop();
+  for (const StormCase& c : cases) {
+    SCOPED_TRACE(c.solve.name);
+    TempFile stream("live_storm.jsonl");
+    obs::LiveConfig config;
+    config.out = stream.path();
+    config.period_ms = 2;
+    config.watchdog.retry_storm = 1;
+    ASSERT_TRUE(obs::LiveMonitor::global().start(config));
+    // The first sample is the watchdog's retry baseline; take it before the
+    // solve, so every retry lands in a later window.
+    obs::LiveMonitor::global().sample_now();
 
-  ASSERT_TRUE(result.ok()) << result.failure_reason;
-  EXPECT_GE(result.comm_stats.retries, 1u);
-  bool saw_storm = false;
-  for (const obs::Alert& alert : result.alerts) {
-    if (alert.kind == obs::AlertKind::kRetryStorm) {
-      saw_storm = true;
+    fault::ScopedFaultPlan plan{std::string_view(c.plan)};
+    const auto result = c.solve.run();
+
+    obs::LiveMonitor::global().stop();
+
+    ASSERT_TRUE(result.ok()) << result.failure_reason;
+    EXPECT_GE(result.comm_stats.retries, 1u);
+    bool saw_storm = false;
+    for (const obs::Alert& alert : result.alerts) {
+      if (alert.kind == obs::AlertKind::kRetryStorm) {
+        saw_storm = true;
+      }
     }
-  }
-  EXPECT_TRUE(saw_storm) << "retry storm not annotated on SolveResult";
-  bool alert_frame = false;
-  for (const std::string& frame : parse_frames(stream.path())) {
-    if (frame.find("\"type\":\"alert\"") != std::string::npos &&
-        frame.find("\"kind\":\"retry_storm\"") != std::string::npos) {
-      alert_frame = true;
+    EXPECT_TRUE(saw_storm) << "retry storm not annotated on SolveResult";
+    bool alert_frame = false;
+    for (const std::string& frame : parse_frames(stream.path())) {
+      if (frame.find("\"type\":\"alert\"") != std::string::npos &&
+          frame.find("\"kind\":\"retry_storm\"") != std::string::npos) {
+        alert_frame = true;
+      }
     }
+    EXPECT_TRUE(alert_frame) << "retry-storm alert missing from the stream";
   }
-  EXPECT_TRUE(alert_frame) << "retry-storm alert missing from the stream";
 }
 
 TEST(LiveMonitor, AlertsSinceHonorsMark) {

@@ -147,11 +147,15 @@ TEST_F(CocoaTest, InvalidOptionsThrow) {
   opts = {};
   opts.local_epochs = 0;
   EXPECT_THROW(solve_prox_cocoa(problem_, opts), InvalidArgument);
+  // The shared fields, checked by the solve frame.
   opts = {};
   opts.procs = 0;
   EXPECT_THROW(solve_prox_cocoa(problem_, opts), InvalidArgument);
   opts = {};
-  opts.tol = 0.1;
+  opts.threads = -1;
+  EXPECT_THROW(solve_prox_cocoa(problem_, opts), InvalidArgument);
+  opts = {};
+  opts.tol = 0.1;  // without f_star
   EXPECT_THROW(solve_prox_cocoa(problem_, opts), InvalidArgument);
 }
 

@@ -193,15 +193,6 @@ TEST_F(FistaTest, ObjectiveDecreasesOverall) {
   }
 }
 
-TEST_F(FistaTest, HistoryStride) {
-  SolverOptions opts;
-  opts.max_iters = 100;
-  opts.history_stride = 10;
-  const auto result = solve_fista(problem_, opts);
-  EXPECT_EQ(result.history.size(), 10u);
-  EXPECT_EQ(result.history.front().iteration, 10);
-}
-
 TEST_F(FistaTest, TolWithoutFStarThrows) {
   SolverOptions opts;
   opts.tol = 0.01;  // no f_star
@@ -222,10 +213,17 @@ TEST_F(FistaTest, InvalidOptionsThrow) {
   opts.sampling_rate = 1.5;
   EXPECT_THROW(solve_rc_sfista(problem_, opts), InvalidArgument);
   opts = {};
+  opts.max_iters = 0;
+  EXPECT_THROW(solve_rc_sfista(problem_, opts), InvalidArgument);
+  // The shared fields, checked by the solve frame.
+  opts = {};
   opts.procs = 0;
   EXPECT_THROW(solve_rc_sfista(problem_, opts), InvalidArgument);
   opts = {};
-  opts.max_iters = 0;
+  opts.threads = -1;
+  EXPECT_THROW(solve_rc_sfista(problem_, opts), InvalidArgument);
+  opts = {};
+  opts.tol = 0.1;  // without f_star
   EXPECT_THROW(solve_rc_sfista(problem_, opts), InvalidArgument);
 }
 
@@ -242,16 +240,6 @@ TEST_F(FistaTest, Theorem1StepBound) {
   EXPECT_LE(problem_.theorem1_step_bound(8), 1.0 / l);
   EXPECT_THROW((void)problem_.theorem1_step_bound(0), InvalidArgument);
   EXPECT_THROW((void)problem_.theorem1_step_bound(801), InvalidArgument);
-}
-
-TEST_F(FistaTest, ExplicitStepSizeHonored) {
-  SolverOptions opts;
-  opts.max_iters = 5;
-  opts.step_size = 1e-9;  // absurdly small: barely moves
-  const auto tiny = solve_fista(problem_, opts);
-  la::Vector zero(40);
-  EXPECT_NEAR(tiny.objective, problem_.objective(zero.span()),
-              problem_.objective(zero.span()) * 0.01);
 }
 
 }  // namespace

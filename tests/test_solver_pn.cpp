@@ -124,6 +124,13 @@ TEST_F(PnTest, InvalidOptionsThrow) {
   opts = {};
   opts.damping = 1.5;
   EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
+  // The shared fields, checked by the solve frame.
+  opts = {};
+  opts.procs = 0;
+  EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
+  opts = {};
+  opts.threads = -1;
+  EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
   opts = {};
   opts.tol = 0.1;  // without f_star
   EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);

@@ -170,21 +170,6 @@ TEST_F(SfistaTest, EpochLengthValidation) {
   EXPECT_THROW(solve_sfista(problem_, opts), InvalidArgument);
 }
 
-
-TEST_F(SfistaTest, MomentumCapBoundsExtrapolation) {
-  // A capped schedule must still converge and be deterministic; cap = 0 is
-  // exactly ISTA.
-  SolverOptions opts;
-  opts.max_iters = 200;
-  opts.sampling_rate = 1.0;
-  opts.momentum_cap = 0.0;
-  const auto capped = solve_sfista(problem_, opts);
-  opts.momentum = MomentumRule::kNone;
-  opts.momentum_cap = 1.0;
-  const auto ista = solve_sfista(problem_, opts);
-  EXPECT_EQ(capped.w, ista.w);  // mu capped to zero == no momentum
-}
-
 TEST_F(SfistaTest, AdaptiveRestartConvergesAndIsDeterministic) {
   SolverOptions opts;
   opts.max_iters = 400;

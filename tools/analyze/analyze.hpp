@@ -14,8 +14,11 @@
 //   nondeterministic-reduction float arithmetic, unordered-container
 //                              iteration, or accumulation into shared state
 //                              inside exec::parallel_for / Pool::run bodies
-//                              or the src/la + src/sparse kernels violates
-//                              the pool's bit-identity contract.
+//                              violates the pool's bit-identity contract;
+//                              float arithmetic in the src/la, src/sparse
+//                              and src/dist reductions, or unordered
+//                              iteration in those kernels or the src/obs and
+//                              tools/ metric paths, breaks bitwise replay.
 //   handle-leak                a posted CommHandle (iallreduce_*) must be
 //                              waited on every path, including early
 //                              returns and throw sites; an abandoned handle
@@ -35,7 +38,7 @@
 // hosts that have clang dev headers without touching the checks.
 //
 // A line opts out with a trailing `// rcf-analyze: allow(<check>)` comment
-// (counted and reported, like tools/rcf-lint waivers); whole findings can
+// (counted and reported, so waivers stay visible); whole findings can
 // be suppressed by the annotated baseline file tools/analyze-baseline.json
 // with zero tolerance for *new* findings.
 #pragma once

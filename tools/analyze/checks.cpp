@@ -6,8 +6,11 @@
 //                              src/dist/ (the backends implement the
 //                              collectives and are legitimately
 //                              rank-conditional inside).
-//   nondeterministic-reduction src/ (kernel-file slices only in src/la +
-//                              src/sparse; parallel-body slices anywhere).
+//   nondeterministic-reduction src/, tools/ (parallel-body slices
+//                              anywhere; whole-file float in src/la,
+//                              src/sparse, src/dist; whole-file unordered
+//                              iteration in src/la, src/sparse, src/obs,
+//                              tools/).
 //   handle-leak                src/, tools/, bench/, examples/ (tests
 //                              deliberately exercise abandon semantics).
 //   telemetry-discipline       threads: src/ minus exec+dist; RNG: src/
@@ -270,7 +273,8 @@ struct ReductionCheck {
   }
 
   void scan_region(std::size_t b, std::size_t e, const char* where,
-                   const std::set<std::string>* locals) {
+                   const std::set<std::string>* locals, bool floats = true,
+                   bool unordered = true) {
     for (std::size_t i = b; i < e; ++i) {
       const Token& t = ctx.tok(i);
       if (t.kind != Token::Kind::kIdent) {
@@ -303,14 +307,14 @@ struct ReductionCheck {
         }
         continue;
       }
-      if (t.text == "float") {
+      if (floats && t.text == "float") {
         ctx.emit("nondeterministic-reduction", t.line,
                  std::string("float arithmetic in ") + where +
                      ": the bitwise replay contract is stated over double; "
                      "float accumulation changes summation error with "
                      "blocking/width");
       }
-      if (unordered_vars.count(t.text) != 0) {
+      if (unordered && unordered_vars.count(t.text) != 0) {
         // Iteration: range-for `: var` or `var.begin()`.
         const bool range_for = i > b && ctx.tok(i - 1).text == ":";
         const bool begin_call = i + 3 < e && ctx.tok(i + 1).text == "." &&
@@ -406,13 +410,22 @@ struct ReductionCheck {
 
   void run() {
     collect_unordered_vars();
-    const bool kernel_file = starts(ctx.scope, "src/la/") ||
-                             starts(ctx.scope, "src/sparse/");
-    if (kernel_file) {
-      scan_region(0, ctx.size(), "a reduction-kernel file (src/la, "
-                                 "src/sparse)", nullptr);
+    // Whole-file rules, scoped like the contracts they guard: reductions
+    // are specified over double in the kernels and the collective
+    // backends, and folds over hash order do not replay in the kernels or
+    // the metric/report paths.
+    const std::string_view p = ctx.scope;
+    const bool kernel = starts(p, "src/la/") || starts(p, "src/sparse/");
+    const bool backend = starts(p, "src/dist/");
+    const bool report = starts(p, "src/obs/") || starts(p, "tools/");
+    if (kernel || backend || report) {
+      scan_region(0, ctx.size(),
+                  kernel    ? "a reduction-kernel file (src/la, src/sparse)"
+                  : backend ? "a collective backend (src/dist)"
+                            : "a metric/report path (src/obs, tools)",
+                  nullptr, kernel || backend, kernel || report);
     }
-    // Parallel dispatch bodies anywhere in src/: exec::parallel_for and
+    // Parallel dispatch bodies anywhere in scope: exec::parallel_for and
     // Pool::run (receiver named *pool*).
     for (std::size_t i = 0; i < ctx.size(); ++i) {
       if (ctx.tok(i).kind != Token::Kind::kIdent) {
@@ -879,7 +892,8 @@ void run_checks(const SourceFile& src, const std::vector<Function>& fns,
     DivergenceCheck div{ctx, {}};
     div.run(fns);
   }
-  if (enabled("nondeterministic-reduction") && starts(p, "src/")) {
+  if (enabled("nondeterministic-reduction") &&
+      (starts(p, "src/") || starts(p, "tools/"))) {
     ReductionCheck red{ctx, {}};
     red.run();
   }

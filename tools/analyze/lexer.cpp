@@ -25,22 +25,18 @@ bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-/// Records `// rcf-analyze: allow(check)` (and legacy rcf-lint spelling)
-/// waivers found in comment text.
+/// Records `// rcf-analyze: allow(check)` waivers found in comment text.
 void harvest_allows(std::string_view comment, int line, SourceFile& out) {
-  for (const std::string_view marker :
-       {std::string_view("rcf-analyze: allow("),
-        std::string_view("rcf-lint: allow(")}) {
-    std::size_t pos = 0;
-    while ((pos = comment.find(marker, pos)) != std::string_view::npos) {
-      pos += marker.size();
-      const std::size_t close = comment.find(')', pos);
-      if (close == std::string_view::npos) {
-        break;
-      }
-      out.allows[line].insert(std::string(comment.substr(pos, close - pos)));
-      pos = close + 1;
+  constexpr std::string_view marker = "rcf-analyze: allow(";
+  std::size_t pos = 0;
+  while ((pos = comment.find(marker, pos)) != std::string_view::npos) {
+    pos += marker.size();
+    const std::size_t close = comment.find(')', pos);
+    if (close == std::string_view::npos) {
+      break;
     }
+    out.allows[line].insert(std::string(comment.substr(pos, close - pos)));
+    pos = close + 1;
   }
 }
 
