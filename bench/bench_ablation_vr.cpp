@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
         opts.max_iters = iters;
         opts.sampling_rate = b;
         opts.variance_reduction = vr;
-        opts.epoch_length = static_cast<int>(cli.get_int("epoch", 40));
+        if (vr) {
+          opts.epoch_length = static_cast<int>(cli.get_int("epoch", 40));
+        }
         opts.f_star = bp.f_star();
         opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
         const auto result = core::solve_sfista(bp.problem(), opts);

@@ -241,16 +241,17 @@ BENCHMARK(BM_SpMVPooled)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SymvPooled(benchmark::State& state) {
+void BM_GemvPooled(benchmark::State& state) {
+  // The solver's pooled H.v product on a d x d symmetric block.
   const std::size_t d = 1024;
   la::Matrix h(d, d, 0.5);
   la::Vector x(d, 1.0), y(d);
   run_pooled(state, [&] {
-    la::symv(1.0, h, x.span(), 0.0, y.span());
+    la::gemv(1.0, h, x.span(), 0.0, y.span());
     benchmark::DoNotOptimize(y.data());
   });
 }
-BENCHMARK(BM_SymvPooled)
+BENCHMARK(BM_GemvPooled)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -282,33 +283,6 @@ void run_backend_pair(benchmark::State& state, double flops_per_iter,
   state.counters["simd_speedup"] =
       (iters > 0 && total > 0.0) ? scalar_sec / (total / iters) : 0.0;
 }
-
-void BM_GemmBackend(benchmark::State& state) {
-  const auto d = static_cast<std::size_t>(state.range(0));
-  la::Matrix a(d, d, 0.5), b(d, d, 0.25), c(d, d);
-  const double dd = static_cast<double>(d);
-  run_backend_pair(state, 2.0 * dd * dd * dd, [&] {
-    la::gemm(1.0, a, b, 0.0, c);
-    benchmark::DoNotOptimize(c.data());
-  });
-}
-BENCHMARK(BM_GemmBackend)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SyrkBackend(benchmark::State& state) {
-  // The dense Gram kernel H = A A^T: the shape RC-SFISTA hits on dense
-  // clones (d x mbar sampled block).
-  const auto d = static_cast<std::size_t>(state.range(0));
-  const std::size_t k = 512;
-  la::Matrix a(d, k, 0.5), c(d, d);
-  run_backend_pair(
-      state, static_cast<double>(d) * static_cast<double>(d) *
-                 static_cast<double>(k),
-      [&] {
-        la::syrk(1.0, a, 0.0, c);
-        benchmark::DoNotOptimize(c.data());
-      });
-}
-BENCHMARK(BM_SyrkBackend)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_SampledGramBackend(benchmark::State& state) {
   // Dense rows take the four-sample fused SIMD path in sampled_gram.

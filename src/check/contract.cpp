@@ -1,5 +1,7 @@
 #include "check/contract.hpp"
 
+#include <optional>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -17,13 +19,24 @@ ContractBoard::ContractBoard(int ranks, const CheckOptions& opts)
   RCF_CHECK_MSG(ranks >= 1, "ContractBoard: ranks must be >= 1");
 }
 
-void ContractBoard::verify(int rank, const Fingerprint& fp) {
+void ContractBoard::verify(int rank, const Fingerprint& fp,
+                           std::int64_t seq) {
   obs::TraceScope span("check.contract");
   slots_[static_cast<std::size_t>(rank)] = fp;
-  // Publish rendezvous: a rank that never issues this collective is the
-  // deadlock case; the stall timeout turns it into a CommTimeout naming
-  // the missing ranks.
-  barrier_.arrive_and_wait(rank, opts_.timeout_ms, to_string(fp.kind));
+  {
+    // Publish rendezvous: a rank that never issues this collective is the
+    // deadlock case; the stall timeout turns it into a CommTimeout naming
+    // the missing ranks.  It also absorbs a straggler's lateness: the board
+    // releases every rank together, so the collective's own publish wait
+    // cannot see who was late.  The stamped span carries the arrival
+    // instead.  Aux traffic is not aligned, and a barrier's own span is
+    // all wait, so neither gets one.
+    std::optional<obs::TraceScope> wait;
+    if (seq >= 0 && fp.kind != CollectiveKind::kBarrier) {
+      wait.emplace("contract_wait", 0.0, nullptr, seq);
+    }
+    barrier_.arrive_and_wait(rank, opts_.timeout_ms, to_string(fp.kind));
+  }
   checked_.add(1);
   for (int r = 0; r < ranks_; ++r) {
     const Fingerprint& theirs = slots_[static_cast<std::size_t>(r)];

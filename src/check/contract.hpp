@@ -12,6 +12,7 @@
 // both call sites -- and the corrupted collective never executes.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,11 @@ class ContractBoard {
   /// cross-checks all published fingerprints.  Throws ContractViolation on
   /// mismatch (all ranks throw), CommTimeout if some rank never arrives
   /// within the stall timeout, or CommPoisoned after another rank failed.
-  void verify(int rank, const Fingerprint& fp);
+  /// `seq` is the collective's span sequence number (-1 for aux traffic):
+  /// for engine collectives other than barriers the publish rendezvous is
+  /// traced as a "contract_wait" span stamped with it, which the cross-rank
+  /// timeline reads as this rank's arrival.
+  void verify(int rank, const Fingerprint& fp, std::int64_t seq);
 
   /// Propagates an external failure (rank body exception) to all waiters.
   void poison(const std::string& reason) { barrier_.poison(reason); }

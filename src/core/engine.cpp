@@ -76,6 +76,11 @@ void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
                 "options: staleness > 0 requires pipeline");
   RCF_CHECK_MSG(!opts.variance_reduction || opts.epoch_length >= 1,
                 "options: epoch_length must be >= 1 with VR");
+  RCF_CHECK_MSG(opts.variance_reduction ||
+                    opts.epoch_length == SolverOptions{}.epoch_length,
+                "options: epoch_length requires variance_reduction");
+  RCF_CHECK_MSG(opts.variance_reduction || !opts.vr_restart_momentum,
+                "options: vr_restart_momentum requires variance_reduction");
   RCF_CHECK_MSG(problem.dim() > 0, "options: empty problem");
 }
 

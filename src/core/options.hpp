@@ -47,9 +47,9 @@ struct CommonOptions {
   /// ThreadComm ranks still record their collective spans.
   bool trace = true;
   /// Pool threads per rank for the shared-memory kernels (Gram, SpMV,
-  /// BLAS-2/3).  1 = sequential (today's path), 0 = hardware concurrency
-  /// divided by the number of SPMD ranks so ThreadComm ranks don't
-  /// oversubscribe.  Results are bit-identical at every width.
+  /// gemv, symmetrize).  1 = sequential (today's path), 0 = hardware
+  /// concurrency divided by the number of SPMD ranks so ThreadComm ranks
+  /// don't oversubscribe.  Results are bit-identical at every width.
   int threads = 1;
   /// P, the modeled processor count for cost accounting.  A ThreadGroup
   /// solve models its own size, so there procs must be 1 or the group size.

@@ -58,6 +58,10 @@ void validate_pn_options(const PnOptions& opts) {
   RCF_CHECK_MSG(opts.max_outer >= 1, "pn: max_outer must be >= 1");
   RCF_CHECK_MSG(opts.inner_iters >= 1, "pn: inner_iters must be >= 1");
   RCF_CHECK_MSG(opts.k >= 1 && opts.s >= 1, "pn: k and s must be >= 1");
+  RCF_CHECK_MSG(opts.inner == PnInnerSolver::kRcSfista || opts.k == 1,
+                "pn: k requires inner = kRcSfista");
+  RCF_CHECK_MSG(opts.inner == PnInnerSolver::kRcSfista || opts.s == 1,
+                "pn: s requires inner = kRcSfista");
   RCF_CHECK_MSG(opts.hessian_sampling_rate > 0.0 &&
                     opts.hessian_sampling_rate <= 1.0,
                 "pn: hessian_sampling_rate must be in (0, 1]");

@@ -1,27 +1,51 @@
 #include "core/solvers.hpp"
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace rcf::core {
 
+namespace {
+
+/// The facades below fix fields of the RC-SFISTA options.  A caller's
+/// other value would be dropped silently, so it is rejected by name.
+void reject_fixed(bool set, const char* solver, const char* field) {
+  if (set) {
+    throw InvalidArgument(std::string(solver) + ": " + field +
+                          " is fixed by this solver (use solve_rc_sfista)");
+  }
+}
+
+void reject_overlap(const SolverOptions& opts, const char* solver) {
+  reject_fixed(opts.k != 1, solver, "k");
+  reject_fixed(opts.s != 1, solver, "s");
+}
+
+void reject_sampling(const SolverOptions& opts, const char* solver) {
+  reject_overlap(opts, solver);
+  reject_fixed(opts.sampling_rate != 1.0, solver, "sampling_rate");
+  reject_fixed(opts.variance_reduction, solver, "variance_reduction");
+}
+
+}  // namespace
+
 SolveResult solve_ista(const LassoProblem& problem, SolverOptions opts) {
+  reject_sampling(opts, "ista");
+  reject_fixed(opts.adaptive_restart, "ista", "adaptive_restart");
   opts.momentum = MomentumRule::kNone;
-  opts.sampling_rate = 1.0;
-  opts.k = 1;
-  opts.s = 1;
-  opts.variance_reduction = false;
   return run_sfista_engine(problem, opts, "ista");
 }
 
-SolveResult solve_fista(const LassoProblem& problem, SolverOptions opts) {
-  opts.sampling_rate = 1.0;
-  opts.k = 1;
-  opts.s = 1;
-  opts.variance_reduction = false;
+SolveResult solve_fista(const LassoProblem& problem,
+                        const SolverOptions& opts) {
+  reject_sampling(opts, "fista");
   return run_sfista_engine(problem, opts, "fista");
 }
 
-SolveResult solve_sfista(const LassoProblem& problem, SolverOptions opts) {
-  opts.k = 1;
-  opts.s = 1;
+SolveResult solve_sfista(const LassoProblem& problem,
+                         const SolverOptions& opts) {
+  reject_overlap(opts, "sfista");
   return run_sfista_engine(problem, opts, "sfista");
 }
 

@@ -13,16 +13,24 @@
 
 namespace rcf::core {
 
-/// ISTA: proximal gradient without momentum.  Ignores opts.momentum / k / s.
+/// ISTA: proximal gradient without momentum, with full batches (b = 1).
+/// Throws InvalidArgument on a k, s, sampling_rate, variance_reduction or
+/// adaptive_restart other than the default.  opts.momentum is always
+/// overwritten with kNone, whatever the caller set: an explicit kFista
+/// cannot be told from the default, so the field is not checked.
 SolveResult solve_ista(const LassoProblem& problem, SolverOptions opts);
 
 /// FISTA (Alg. 2), run distributed-style with full batches (b = 1).
-/// Ignores opts.sampling_rate / k / s.
-SolveResult solve_fista(const LassoProblem& problem, SolverOptions opts);
+/// Throws InvalidArgument on a k, s, sampling_rate or variance_reduction
+/// other than the default.
+SolveResult solve_fista(const LassoProblem& problem,
+                        const SolverOptions& opts);
 
 /// SFISTA (Alg. 3/4): stochastic FISTA with sampling rate opts.sampling_rate
-/// and one communication round per iteration (k = 1, S = 1).
-SolveResult solve_sfista(const LassoProblem& problem, SolverOptions opts);
+/// and one communication round per iteration.  Throws InvalidArgument
+/// unless k = S = 1.
+SolveResult solve_sfista(const LassoProblem& problem,
+                         const SolverOptions& opts);
 
 /// RC-SFISTA (Alg. 5): iteration-overlapping (opts.k) + Hessian-reuse
 /// (opts.s) on top of SFISTA.  The paper's main contribution.

@@ -274,7 +274,7 @@ CommHandle ThreadComm::post_iallreduce(std::span<double> inout, bool use_max,
                        nullptr, seq);
   contract_check(use_max ? check::CollectiveKind::kIallreduceMax
                          : check::CollectiveKind::kIallreduceSum,
-                 inout.size(), 0, site);
+                 inout.size(), 0, seq, site);
   if (use_max) {
     ++stats_.allreduce_max_calls;
   } else {
@@ -308,14 +308,14 @@ CommHandle ThreadComm::iallreduce_max(std::span<double> inout,
 }
 
 void ThreadComm::contract_check(check::CollectiveKind kind, std::size_t words,
-                                std::uint64_t extra,
+                                std::uint64_t extra, std::int64_t seq,
                                 const std::source_location& site) {
   if (state_->board == nullptr) {
     return;
   }
   const check::Fingerprint fp =
       tracker_.next(kind, words, extra, aux_mode(), site);
-  state_->board->verify(rank_, fp);
+  state_->board->verify(rank_, fp, seq);
 }
 
 std::int64_t ThreadComm::next_span_seq() {
@@ -327,7 +327,7 @@ void ThreadComm::barrier(std::source_location site) {
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span(aux_mode() ? "aux_collective" : "barrier_wait", 0.0,
                        aux_mode() ? nullptr : &barrier_wait(), seq);
-  contract_check(check::CollectiveKind::kBarrier, 0, 0, site);
+  contract_check(check::CollectiveKind::kBarrier, 0, 0, seq, site);
   if (!aux_mode()) {
     ++stats_.barrier_calls;
   }
@@ -341,7 +341,8 @@ void ThreadComm::allreduce_sum(std::span<double> inout,
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
                        static_cast<double>(inout.size()),
                        aux_mode() ? nullptr : &allreduce_latency(), seq);
-  contract_check(check::CollectiveKind::kAllreduceSum, inout.size(), 0, site);
+  contract_check(check::CollectiveKind::kAllreduceSum, inout.size(), 0, seq,
+                 site);
   if (!aux_mode()) {
     ++stats_.allreduce_calls;
     stats_.allreduce_words += inout.size();
@@ -363,7 +364,8 @@ void ThreadComm::allreduce_max(std::span<double> inout,
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
                        static_cast<double>(inout.size()),
                        aux_mode() ? nullptr : &allreduce_latency(), seq);
-  contract_check(check::CollectiveKind::kAllreduceMax, inout.size(), 0, site);
+  contract_check(check::CollectiveKind::kAllreduceMax, inout.size(), 0, seq,
+                 site);
   if (!aux_mode()) {
     ++stats_.allreduce_max_calls;
     stats_.allreduce_words += inout.size();
@@ -479,7 +481,7 @@ void ThreadComm::broadcast(std::span<double> buffer, int root,
   obs::TraceScope span(aux_mode() ? "aux_collective" : "broadcast",
                        static_cast<double>(buffer.size()), nullptr, seq);
   contract_check(check::CollectiveKind::kBroadcast, buffer.size(),
-                 static_cast<std::uint64_t>(root), site);
+                 static_cast<std::uint64_t>(root), seq, site);
   if (!aux_mode()) {
     ++stats_.broadcast_calls;
     stats_.broadcast_words += buffer.size();
@@ -510,7 +512,8 @@ void ThreadComm::allgather(std::span<const double> input,
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allgather",
                        static_cast<double>(input.size()), nullptr, seq);
-  contract_check(check::CollectiveKind::kAllgather, input.size(), 0, site);
+  contract_check(check::CollectiveKind::kAllgather, input.size(), 0, seq,
+                 site);
   if (!aux_mode()) {
     ++stats_.allgather_calls;
     stats_.allgather_words += input.size();

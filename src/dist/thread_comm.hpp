@@ -115,9 +115,11 @@ class ThreadComm final : public Communicator {
   /// Data-movement rendezvous (stall-timeout bounded).
   void rendezvous(const char* what);
   /// Contract-checker hook: fingerprints + cross-checks the collective
-  /// about to execute.  No-op (one null test) when checking is off.
+  /// about to execute; `seq` is its span sequence number (next_span_seq).
+  /// No-op (one null test) when checking is off.
   void contract_check(check::CollectiveKind kind, std::size_t words,
-                      std::uint64_t extra, const std::source_location& site);
+                      std::uint64_t extra, std::int64_t seq,
+                      const std::source_location& site);
   /// Sequence number stamped on this collective's spans for the cross-rank
   /// timeline merge: the engine-space per-endpoint collective count (the
   /// same counting scheme check::SequenceTracker fingerprints), -1 in aux

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "check/partition.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfctr.hpp"
@@ -66,7 +65,6 @@ Pool::Pool(int width)
     : width_(width),
       dispatches_(obs::MetricsRegistry::global().counter("exec.dispatches")) {
   RCF_CHECK_MSG(width >= 1, "exec::Pool: width must be >= 1");
-  scratch_.resize(static_cast<std::size_t>(width));
   errors_.resize(static_cast<std::size_t>(width));
   obs::MetricsRegistry::global().gauge("exec.pool_width").set(width);
   workers_.reserve(static_cast<std::size_t>(width - 1));
@@ -173,25 +171,6 @@ void Pool::worker_main(int index) {
   }
 }
 
-std::span<double> Pool::scratch(int thread, std::size_t n) {
-  RCF_DCHECK(thread >= 0 && thread < width_);
-  auto& arena = scratch_[static_cast<std::size_t>(thread)];
-  if (arena.size() < n) {
-    arena.resize(n);
-  }
-  return {arena.data(), n};
-}
-
-std::span<double> Pool::aligned_scratch(int thread, std::size_t n) {
-  constexpr std::size_t kPad = kScratchAlign / sizeof(double);
-  auto raw = scratch(thread, n + kPad - 1);
-  const auto addr = reinterpret_cast<std::uintptr_t>(raw.data());
-  const std::size_t skip =
-      ((kScratchAlign - addr % kScratchAlign) % kScratchAlign) /
-      sizeof(double);
-  return raw.subspan(skip, n);
-}
-
 int Pool::resolve_width(int requested, int ranks) {
   RCF_CHECK_MSG(requested >= 0, "exec::Pool: threads must be >= 0");
   if (requested > 0) {
@@ -212,30 +191,6 @@ PoolGuard::PoolGuard(Pool* pool) : previous_(tls_current_pool) {
 }
 
 PoolGuard::~PoolGuard() { tls_current_pool = previous_; }
-
-void parallel_for(std::size_t n, const char* label,
-                  const std::function<void(int, Range)>& fn) {
-  Pool* pool = usable_pool(n);
-  if (pool == nullptr) {
-    fn(0, Range{0, n});
-    return;
-  }
-  const int width = pool->width();
-  if (check::partition_audit_due()) {
-    check::audit_partition(
-        label != nullptr ? label : "exec.parallel_for", n,
-        static_cast<std::size_t>(width), [&](std::size_t part) {
-          const Range r = block_range(n, width, static_cast<int>(part));
-          return std::pair<std::size_t, std::size_t>{r.begin, r.end};
-        });
-  }
-  pool->run(label, [&fn, n, width](int t) {
-    const Range range = block_range(n, width, t);
-    if (!range.empty()) {
-      fn(t, range);
-    }
-  });
-}
 
 int threads_from_env(int fallback) {
   const char* env = std::getenv("RCF_THREADS");

@@ -9,10 +9,10 @@
 //    per pool thread and barriers before returning, so a kernel's work
 //    assignment is a pure function of (problem size, pool width).
 //  * Determinism contract: kernels built on the pool partition their
-//    *output* ranges (H rows, y entries, C rows), never the reduction over
-//    input terms.  Each output element therefore accumulates exactly the
-//    same floating-point terms in exactly the sequential order regardless
-//    of pool width -- results are bit-identical across 1/2/N threads, and
+//    *output* ranges (H rows, y entries), never the reduction over input
+//    terms.  Each output element therefore accumulates exactly the same
+//    floating-point terms in exactly the sequential order regardless of
+//    pool width -- results are bit-identical across 1/2/N threads, and
 //    width 1 is literally the sequential code path.
 //  * Oversubscription rule: `resolve_width(0, ranks)` divides the hardware
 //    concurrency by the SPMD rank count, so ThreadComm ranks each running a
@@ -34,7 +34,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -43,10 +42,6 @@ class Counter;
 }
 
 namespace rcf::exec {
-
-/// Alignment (bytes) guaranteed by Pool::aligned_scratch -- one full SIMD
-/// vector (la::simd::kLanes doubles).
-inline constexpr std::size_t kScratchAlign = 32;
 
 /// Half-open index range [begin, end).
 struct Range {
@@ -64,7 +59,8 @@ struct Range {
 /// Partition of the row index [0, n) of an upper-triangular n x n loop nest
 /// (row i carries n - i inner iterations) into `parts` contiguous ranges of
 /// approximately equal triangle area.  Depends only on (n, parts).  Used by
-/// the Gram and syrk kernels, whose per-row work shrinks with the row index.
+/// the Gram kernels, whose per-row work shrinks with the row index, and
+/// (reversed) by the symmetrize, whose per-row work grows with it.
 [[nodiscard]] Range triangle_range(std::size_t n, int parts, int part);
 
 /// Persistent barrier-based thread pool of `width` threads: the owning
@@ -91,18 +87,6 @@ class Pool {
   /// usable.
   void run(const char* label, const std::function<void(int)>& task);
 
-  /// Per-thread scratch arena: a double buffer that persists (and only
-  /// grows) across dispatches.  Contents are unspecified on entry.  Must
-  /// only be called with the caller's own task index.
-  std::span<double> scratch(int thread, std::size_t n);
-
-  /// scratch() with the returned pointer aligned to kScratchAlign bytes
-  /// (the SIMD vector width), for packed panels in the vectorized kernel
-  /// backend.  Same arena, same lifetime rules; alignment is a performance
-  /// contract only -- SIMD loads are position-based (memcpy), so results
-  /// never depend on it.
-  std::span<double> aligned_scratch(int thread, std::size_t n);
-
   /// Resolves a requested width: > 0 is taken literally; 0 means the
   /// hardware concurrency divided by `ranks` (at least 1), so SPMD ranks
   /// running one pool each share the node without oversubscribing.
@@ -114,7 +98,6 @@ class Pool {
 
   int width_;
   obs::Counter& dispatches_;  ///< "exec.dispatches" (registry-owned)
-  std::vector<std::vector<double>> scratch_;
   std::vector<std::exception_ptr> errors_;
 
   std::mutex mutex_;
@@ -163,13 +146,6 @@ inline constexpr std::uint64_t kParallelWorkCutoff = 1u << 15;
              ? pool
              : nullptr;
 }
-
-/// Runs fn(thread, range) over the static blocked partition of [0, n) on
-/// the ambient pool (inline as one range when no pool is usable for
-/// `n` units of work -- pass a larger estimate via dispatching on
-/// usable_pool + Pool::run directly when n misrepresents the work).
-void parallel_for(std::size_t n, const char* label,
-                  const std::function<void(int, Range)>& fn);
 
 /// Pool width requested by the RCF_THREADS environment variable, or
 /// `fallback` when unset/unparseable.  (0 still means "auto": hardware

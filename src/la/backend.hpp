@@ -1,6 +1,5 @@
 // Runtime-selected kernel backend: scalar reference vs. explicitly
-// vectorized (SIMD + register/cache-blocked) implementations of the hot
-// dense/sparse kernels.
+// vectorized (SIMD) implementations of the hot dense/sparse kernels.
 //
 // The scalar bodies are the reference semantics -- they are the loops the
 // determinism contract, the cost model, and the golden fixtures were
@@ -15,7 +14,7 @@
 //    A kernel therefore produces bit-identical results at widths 1/2/N on
 //    either backend.
 //  * Scalar vs. SIMD results may legitimately differ: multi-lane
-//    accumulators reassociate long reductions (gemv/syrk/spmv row dots), so
+//    accumulators reassociate long reductions (gemv/spmv row dots, dot), so
 //    cross-backend agreement is a tolerance contract, enforced by the
 //    differential suite (tests/test_backend_diff.cpp).  Solver trajectories
 //    are pinned per backend by their own golden fixtures.

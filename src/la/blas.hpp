@@ -1,4 +1,4 @@
-// BLAS-style dense kernels (levels 1-3) over std::span.
+// BLAS-style dense kernels (levels 1-2) over std::span.
 //
 // These substitute the Intel MKL routines the paper links against.  All
 // kernels are written for predictable vectorization (contiguous unit-stride
@@ -51,40 +51,14 @@ void copy(std::span<const double> src, std::span<double> dst);
 void set_zero(std::span<double> x);
 
 // ---------------------------------------------------------------------------
-// Level 2 -- matrix-vector.  Flop counts: gemv 2*rows*cols, symv 2*n^2,
-// ger 2*rows*cols.
+// Level 2 -- matrix-vector.  Flop counts: gemv 2*rows*cols; the mirror none.
 // ---------------------------------------------------------------------------
 
 /// y = alpha * A x + beta * y  (A row-major rows x cols)
 void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
           std::span<double> y);
 
-/// y = alpha * A^T x + beta * y
-void gemv_t(double alpha, const Matrix& a, std::span<const double> x,
-            double beta, std::span<double> y);
-
-/// y = alpha * A x + beta * y for symmetric A (full storage; uses both
-/// triangles as stored -- caller guarantees symmetry).
-void symv(double alpha, const Matrix& a, std::span<const double> x, double beta,
-          std::span<double> y);
-
-/// A += alpha * x y^T  (rank-1 update)
-void ger(double alpha, std::span<const double> x, std::span<const double> y,
-         Matrix& a);
-
-// ---------------------------------------------------------------------------
-// Level 3 -- matrix-matrix.  Flop counts: gemm 2*m*n*k, syrk n^2*k.
-// ---------------------------------------------------------------------------
-
-/// C = alpha * A B + beta * C
-void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
-          Matrix& c);
-
-/// C = alpha * A A^T + beta * C, C symmetric (full storage written).
-/// This is the dense Gram kernel H = (1/mbar) X_S X_S^T for dense datasets.
-void syrk(double alpha, const Matrix& a, double beta, Matrix& c);
-
-/// Copies the upper triangle of C onto the lower triangle.
+/// Copies the upper triangle of C onto the lower triangle (C square).
 void symmetrize_from_upper(Matrix& c);
 
 }  // namespace rcf::la

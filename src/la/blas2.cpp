@@ -1,3 +1,4 @@
+#include "check/partition.hpp"
 #include "exec/pool.hpp"
 #include "la/backend.hpp"
 #include "la/blas.hpp"
@@ -5,21 +6,19 @@
 
 namespace rcf::la {
 
-// Parallelization note (applies to every kernel in this file): work is
-// partitioned over *output* ranges -- rows of y for gemv/symv/ger, entries
-// of y for gemv_t -- and each output element is computed with exactly the
-// sequential loop body and term order.  Results are therefore bit-identical
-// at any pool width (DESIGN.md "Execution layer").
+// Parallelization note (applies to both kernels in this file): work is
+// partitioned over *output* ranges -- rows of y for gemv, lower-triangle
+// rows for the symmetrize -- and each output element is computed with
+// exactly the sequential loop body and term order.  Results are therefore
+// bit-identical at any pool width (DESIGN.md "Execution layer").
 //
-// Backend note: each kernel carries two interchangeable per-range bodies.
-// The scalar body is the reference loop (unchanged from the seed); the SIMD
-// body (la::Backend::kSimd) vectorizes with the la/simd.hpp primitives.
-// Reduction kernels (gemv's row dot) regroup the sum into fixed-order lane
-// accumulators, so SIMD results differ from scalar within rounding but stay
-// bit-identical across pool widths -- the grouping depends only on the
-// reduction length, never on the partition (DESIGN.md "Kernel backends").
-// Elementwise kernels (gemv_t, ger) keep the scalar per-element operation
-// order exactly.
+// Backend note: gemv carries two interchangeable per-range bodies.  The
+// scalar body is the reference loop (unchanged from the seed); the SIMD
+// body (la::Backend::kSimd) computes each row dot with simd::dot4, whose
+// fixed-order lane accumulators make SIMD results differ from scalar within
+// rounding but stay bit-identical across pool widths -- the grouping
+// depends only on the reduction length, never on the partition (DESIGN.md
+// "Kernel backends").
 
 void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
           std::span<double> y) {
@@ -62,97 +61,45 @@ void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
   });
 }
 
-void gemv_t(double alpha, const Matrix& a, std::span<const double> x,
-            double beta, std::span<double> y) {
-  if (a.rows() != x.size() || a.cols() != y.size()) {
-    throw DimensionMismatch("gemv_t: shape mismatch");
+void symmetrize_from_upper(Matrix& c) {
+  if (c.rows() != c.cols()) {
+    throw DimensionMismatch("symmetrize_from_upper: matrix must be square");
   }
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  const bool use_simd = active_backend() == Backend::kSimd;
-  // Each task owns the y entries in [lo, hi): it applies the beta scaling
-  // to its slice, then accumulates the rows of A in row order restricted
-  // to its columns (unit stride on both A and y within the slice).  The
-  // SIMD body is the same saxpy sweep vectorized elementwise -- identical
-  // per-element operation order, including the xr == 0 row skip.
-  const auto col_block = [&](int, exec::Range range) {
-    auto y_slice = y.subspan(range.begin, range.size());
-    if (beta == 0.0) {
-      set_zero(y_slice);
-    } else if (beta != 1.0) {
-      scal(beta, y_slice);
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double xr = alpha * x[r];
-      if (xr == 0.0) {
-        continue;
-      }
-      const auto row = a.row(r);
-      if (use_simd) {
-        simd::axpy4(xr, row.data() + range.begin, y.data() + range.begin,
-                    range.size());
-        continue;
-      }
-      for (std::size_t c = range.begin; c < range.end; ++c) {
-        y[c] += xr * row[c];
-      }
-    }
-  };
-  exec::Pool* pool =
-      exec::usable_pool(2 * static_cast<std::uint64_t>(rows) * cols);
-  if (pool == nullptr) {
-    col_block(0, {0, cols});
-    return;
-  }
-  const int width = pool->width();
-  pool->run("la.gemv_t", [&](int t) {
-    const exec::Range range = exec::block_range(cols, width, t);
-    if (!range.empty()) {
-      col_block(t, range);
-    }
-  });
-}
-
-void symv(double alpha, const Matrix& a, std::span<const double> x, double beta,
-          std::span<double> y) {
-  if (a.rows() != a.cols()) {
-    throw DimensionMismatch("symv: matrix must be square");
-  }
-  gemv(alpha, a, x, beta, y);  // full storage: plain gemv is correct
-}
-
-void ger(double alpha, std::span<const double> x, std::span<const double> y,
-         Matrix& a) {
-  if (a.rows() != x.size() || a.cols() != y.size()) {
-    throw DimensionMismatch("ger: shape mismatch");
-  }
-  const std::size_t rows = a.rows();
-  const bool use_simd = active_backend() == Backend::kSimd;
+  const std::size_t n = c.rows();
+  // Task t owns the lower-triangle rows in its range: writes to row j only,
+  // reads from the (already final) upper triangle.  Pure copies: no SIMD
+  // variant needed (no arithmetic to regroup).
   const auto row_block = [&](int, exec::Range range) {
-    for (std::size_t r = range.begin; r < range.end; ++r) {
-      const double xr = alpha * x[r];
-      if (xr == 0.0) {
-        continue;
-      }
-      auto row = a.row(r);
-      if (use_simd) {
-        simd::axpy4(xr, y.data(), row.data(), row.size());
-        continue;
-      }
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        row[c] += xr * y[c];
+    for (std::size_t j = range.begin; j < range.end; ++j) {
+      for (std::size_t i = 0; i < j; ++i) {
+        c(j, i) = c(i, j);
       }
     }
   };
-  exec::Pool* pool =
-      exec::usable_pool(2 * static_cast<std::uint64_t>(rows) * a.cols());
+  exec::Pool* pool = exec::usable_pool(static_cast<std::uint64_t>(n) * n / 2);
   if (pool == nullptr) {
-    row_block(0, {0, rows});
+    row_block(0, {0, n});
     return;
   }
   const int width = pool->width();
-  pool->run("la.ger", [&](int t) {
-    const exec::Range range = exec::block_range(rows, width, t);
+  if (check::partition_audit_due()) {
+    // Audit parts in reverse so claimed ranges match the dispatch below;
+    // the auditor only cares that the union of [n-rev.end, n-rev.begin)
+    // tiles [0, n) exactly.
+    check::audit_partition(
+        "la.symmetrize", n, static_cast<std::size_t>(width),
+        [&](std::size_t part) {
+          const exec::Range rev = exec::triangle_range(
+              n, width, width - 1 - static_cast<int>(part));
+          return std::pair<std::size_t, std::size_t>{n - rev.end,
+                                                     n - rev.begin};
+        });
+  }
+  pool->run("la.symmetrize", [&](int t) {
+    // Lower-triangle row j carries j copies: mirror-image triangle balance
+    // (row 0 is empty), so reuse triangle_range on the reversed index.
+    const exec::Range rev = exec::triangle_range(n, width, width - 1 - t);
+    const exec::Range range{n - rev.end, n - rev.begin};
     if (!range.empty()) {
       row_block(t, range);
     }

@@ -5,24 +5,6 @@
 
 namespace rcf::la {
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  // Block the loops so both source and destination stay cache-resident.
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t rb = 0; rb < rows_; rb += kBlock) {
-    const std::size_t rend = std::min(rows_, rb + kBlock);
-    for (std::size_t cb = 0; cb < cols_; cb += kBlock) {
-      const std::size_t cend = std::min(cols_, cb + kBlock);
-      for (std::size_t r = rb; r < rend; ++r) {
-        for (std::size_t c = cb; c < cend; ++c) {
-          t(c, r) = (*this)(r, c);
-        }
-      }
-    }
-  }
-  return t;
-}
-
 double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw DimensionMismatch("Matrix::max_abs_diff: shape mismatch");

@@ -58,9 +58,6 @@ class Matrix {
     data_.assign(rows * cols, 0.0);
   }
 
-  /// Returns the transposed matrix (new storage).
-  [[nodiscard]] Matrix transposed() const;
-
   /// Max |a_ij - b_ij|; throws DimensionMismatch on shape mismatch.
   [[nodiscard]] static double max_abs_diff(const Matrix& a, const Matrix& b);
 

@@ -97,9 +97,8 @@ inline double hsum(V4 v) {
 
 /// Fixed-order dot product of x[0..n) and y[0..n): one 4-lane accumulator
 /// over the n/4 main body, hsum, then the sequential tail.  The grouping is
-/// a pure function of n.  This is the reduction primitive for the SIMD
-/// gemv / spmv / dot paths; syrk and gemm use wider register tiles built
-/// from the same pattern.
+/// a pure function of n.  This is the reduction primitive of the SIMD gemv
+/// and dot paths.
 inline double dot4(const double* x, const double* y, std::size_t n) {
   V4 acc = zero4();
   std::size_t i = 0;
@@ -111,19 +110,6 @@ inline double dot4(const double* x, const double* y, std::size_t n) {
     sum += x[i] * y[i];
   }
   return sum;
-}
-
-/// y[0..n) += a * x[0..n), vectorized elementwise (no reduction: the
-/// per-element operation order is exactly the scalar loop's).
-inline void axpy4(double a, const double* x, double* y, std::size_t n) {
-  const V4 va = broadcast(a);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    store4(y + i, load4(y + i) + va * load4(x + i));
-  }
-  for (; i < n; ++i) {
-    y[i] += a * x[i];
-  }
 }
 
 }  // namespace rcf::la::simd

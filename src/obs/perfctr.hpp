@@ -2,7 +2,7 @@
 // cycles, retired instructions, and LLC misses read as one counter group,
 // for roofline rows (achieved FLOP/cycle, DRAM arithmetic intensity) on
 // the kernel spans the solver is built from (gram.task, sparse.spmv,
-// la.gemm; see bench_kernels --counters).
+// la.gemv; see bench_kernels --counters).
 //
 // Degradation contract: on kernels/containers where perf_event_open is
 // unavailable (ENOSYS, EACCES under perf_event_paranoid, seccomp), the

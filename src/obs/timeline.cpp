@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -15,13 +16,17 @@ namespace {
 // collective's duration already contains them, so the decomposition must
 // not count them twice).
 bool is_nested_wait(const std::string& name) {
-  return name == "allreduce_wait" || name == "reduce_wait";
+  return name == "allreduce_wait" || name == "reduce_wait" ||
+         name == "contract_wait";
 }
 
-// The publish-rendezvous wait: its start is the moment the rank arrived at
-// the collective, which is the signal straggler attribution is built on.
+// The publish-rendezvous waits: the earliest one starts the moment the rank
+// arrived at the collective, which is the signal straggler attribution is
+// built on.  Under the contract checker that is the board's publish
+// (contract_wait); it releases every rank together, so the allreduce_wait
+// after it starts at the same time on every rank.
 bool is_arrival_wait(const std::string& name) {
-  return name == "allreduce_wait";
+  return name == "allreduce_wait" || name == "contract_wait";
 }
 
 }  // namespace
@@ -170,7 +175,9 @@ Timeline Timeline::build(std::vector<TimelineSpan> spans) {
   }
 
   // Attach the nested publish waits: by sequence number when stamped, by
-  // containment in the rank's collective span otherwise.
+  // containment in the rank's collective span otherwise.  The earliest
+  // wait of a (collective, rank) replaces the span start as its arrival.
+  std::set<std::pair<std::int64_t, std::size_t>> waited;
   for (const TimelineSpan& s : spans) {
     if (!is_arrival_wait(s.name)) {
       continue;
@@ -196,7 +203,10 @@ Timeline Timeline::build(std::vector<TimelineSpan> spans) {
     }
     CollectiveInstance::RankEntry& entry = inst->ranks[ri];
     entry.wait_us += s.dur_us;
-    entry.arrival_us = s.start_us;  // waiting began on arrival
+    // Waiting began on arrival.
+    entry.arrival_us = waited.insert({inst->seq, ri}).second
+                           ? s.start_us
+                           : std::min(entry.arrival_us, s.start_us);
   }
 
   // Straggler attribution per instance.

@@ -47,7 +47,7 @@ struct TimelineSpan {
 enum class SpanCategory {
   kCompute,  ///< anything not recognized below
   kComm,     ///< allreduce / broadcast / allgather (data movement)
-  kWait,     ///< allreduce_wait / reduce_wait / barrier_wait (pure idling)
+  kWait,     ///< allreduce/reduce/contract/barrier_wait (pure idling)
   kAux,      ///< aux_collective / aux_wait (aggregation overhead)
 };
 [[nodiscard]] SpanCategory classify_span(const std::string& name);
@@ -84,8 +84,8 @@ struct CollectiveInstance {
     bool present = false;
     std::int64_t start_us = 0;    ///< collective span start
     std::int64_t end_us = 0;      ///< collective span end
-    std::int64_t arrival_us = 0;  ///< when this rank reached the rendezvous
-    std::int64_t wait_us = 0;     ///< nested publish-wait duration
+    std::int64_t arrival_us = 0;  ///< start of the earliest publish wait
+    std::int64_t wait_us = 0;     ///< nested publish-wait durations, summed
   };
   std::vector<RankEntry> ranks;  ///< index = position in Timeline::ranks()
 

@@ -1,8 +1,7 @@
-// Coordinate-format (triplet) sparse matrix builder.
+// Coordinate-format (triplet) entry: the input of CsrMatrix::from_triplets.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace rcf::sparse {
 
@@ -13,20 +12,6 @@ struct Triplet {
   double value;
 
   friend bool operator==(const Triplet&, const Triplet&) = default;
-};
-
-/// Unordered triplet collection; convert with CsrMatrix::from_triplets.
-/// Duplicate (row, col) entries are summed during conversion.
-struct CooMatrix {
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  std::vector<Triplet> entries;
-
-  void add(std::uint32_t row, std::uint32_t col, double value) {
-    entries.push_back({row, col, value});
-  }
-
-  [[nodiscard]] std::size_t nnz() const { return entries.size(); }
 };
 
 }  // namespace rcf::sparse

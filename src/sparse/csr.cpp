@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "exec/pool.hpp"
 #include "la/backend.hpp"
-#include "la/simd.hpp"
 
 namespace rcf::sparse {
 
@@ -75,27 +74,6 @@ CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::from_dense(std::size_t rows, std::size_t cols,
-                                std::span<const double> row_major) {
-  RCF_CHECK_MSG(row_major.size() == rows * cols,
-                "from_dense: buffer size mismatch");
-  CsrMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(rows + 1, 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double v = row_major[r * cols + c];
-      if (v != 0.0) {
-        m.col_idx_.push_back(static_cast<std::uint32_t>(c));
-        m.values_.push_back(v);
-      }
-    }
-    m.row_ptr_[r + 1] = m.values_.size();
-  }
-  return m;
-}
-
 double CsrMatrix::density() const {
   if (rows_ == 0 || cols_ == 0) {
     return 0.0;
@@ -104,17 +82,17 @@ double CsrMatrix::density() const {
          (static_cast<double>(rows_) * static_cast<double>(cols_));
 }
 
-// Parallelization note (spmv / spmv_t / spmm): output-partitioned on the
-// ambient exec pool -- y rows for spmv/spmm, y entries (= matrix columns)
-// for spmv_t -- with the sequential loop body per element, so results are
-// bit-identical at any pool width (DESIGN.md "Execution layer").
+// Parallelization note (spmv / spmv_t): output-partitioned on the ambient
+// exec pool -- y rows for spmv, y entries (= matrix columns) for spmv_t --
+// with the sequential loop body per element, so results are bit-identical
+// at any pool width (DESIGN.md "Execution layer").
 //
 // Backend note: the SIMD spmv body batches each row's gathered products
 // into four independent accumulator chains combined in the fixed hsum
 // order; the grouping is a pure function of the row's nnz, so each backend
-// stays bitwise width-invariant (DESIGN.md "Kernel backends").  spmv_t and
-// spmm vectorize only elementwise work (per-element operation order
-// unchanged from scalar).
+// stays bitwise width-invariant (DESIGN.md "Kernel backends").  spmv_t
+// only unrolls its scatter (per-element operation order unchanged from
+// scalar).
 
 void CsrMatrix::spmv(std::span<const double> x, std::span<double> y) const {
   if (x.size() != cols_ || y.size() != rows_) {
@@ -239,45 +217,6 @@ void CsrMatrix::spmv_t(std::span<const double> x, std::span<double> y) const {
   });
 }
 
-void CsrMatrix::spmm(const la::Matrix& b, la::Matrix& y) const {
-  if (b.rows() != cols_ || y.rows() != rows_ || y.cols() != b.cols()) {
-    throw DimensionMismatch("spmm: shape mismatch");
-  }
-  const std::size_t n = b.cols();
-  const bool use_simd = la::active_backend() == la::Backend::kSimd;
-  const auto row_block = [&](int, exec::Range range) {
-    for (std::size_t r = range.begin; r < range.end; ++r) {
-      auto yrow = y.row(r);
-      std::fill(yrow.begin(), yrow.end(), 0.0);
-      for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-        const double v = values_[i];
-        const auto brow = b.row(col_idx_[i]);
-        if (use_simd) {
-          // Elementwise axpy across the B row: per-element operation order
-          // identical to the scalar loop.
-          la::simd::axpy4(v, brow.data(), yrow.data(), n);
-          continue;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          yrow[j] += v * brow[j];
-        }
-      }
-    }
-  };
-  exec::Pool* pool = exec::usable_pool(2 * nnz() * n);
-  if (pool == nullptr) {
-    row_block(0, {0, rows_});
-    return;
-  }
-  const int width = pool->width();
-  pool->run("sparse.spmm", [&](int t) {
-    const exec::Range range = exec::block_range(rows_, width, t);
-    if (!range.empty()) {
-      row_block(t, range);
-    }
-  });
-}
-
 CsrMatrix CsrMatrix::select_rows(std::span<const std::uint32_t> rows) const {
   CsrMatrix m;
   m.rows_ = rows.size();
@@ -357,15 +296,6 @@ std::size_t CsrMatrix::memory_bytes() const {
   return row_ptr_.size() * sizeof(std::size_t) +
          col_idx_.size() * sizeof(std::uint32_t) +
          values_.size() * sizeof(double);
-}
-
-std::uint64_t CsrMatrix::sum_row_nnz_squared() const {
-  std::uint64_t total = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::uint64_t k = row_nnz(r);
-    total += k * k;
-  }
-  return total;
 }
 
 }  // namespace rcf::sparse

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "la/matrix.hpp"
 #include "sparse/coo.hpp"
 
 namespace rcf::sparse {
@@ -33,20 +32,11 @@ class CsrMatrix {
   static CsrMatrix from_triplets(std::size_t rows, std::size_t cols,
                                  std::vector<Triplet> triplets);
 
-  static CsrMatrix from_coo(const CooMatrix& coo) {
-    return from_triplets(coo.rows, coo.cols, coo.entries);
-  }
-
   /// Builds directly from CSR arrays (validated).
   static CsrMatrix from_parts(std::size_t rows, std::size_t cols,
                               std::vector<std::size_t> row_ptr,
                               std::vector<std::uint32_t> col_idx,
                               std::vector<double> values);
-
-  /// Builds a dense matrix stored as CSR (every entry explicit).  Used for
-  /// the dense benchmarks (abalone, epsilon) so all solvers share one path.
-  static CsrMatrix from_dense(std::size_t rows, std::size_t cols,
-                              std::span<const double> row_major);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -70,11 +60,6 @@ class CsrMatrix {
   /// y = A^T x  (2*nnz flops)
   void spmv_t(std::span<const double> x, std::span<double> y) const;
 
-  /// Y = A B for dense row-major B (cols x n) into Y (rows x n);
-  /// 2*nnz*n flops.  The blocked-SpMV kernel behind multi-RHS Gram
-  /// applications; row-partitioned on the ambient exec pool.
-  void spmm(const la::Matrix& b, la::Matrix& y) const;
-
   /// New matrix containing the given rows (in the given order).
   [[nodiscard]] CsrMatrix select_rows(
       std::span<const std::uint32_t> rows) const;
@@ -90,10 +75,6 @@ class CsrMatrix {
 
   /// Approximate resident bytes of the CSR arrays.
   [[nodiscard]] std::size_t memory_bytes() const;
-
-  /// Sum of squared row nnz counts: the exact multiply count of one
-  /// outer-product Gram accumulation over all rows.
-  [[nodiscard]] std::uint64_t sum_row_nnz_squared() const;
 
   [[nodiscard]] std::span<const std::size_t> row_ptr() const { return row_ptr_; }
   [[nodiscard]] std::span<const std::uint32_t> col_idx() const { return col_idx_; }

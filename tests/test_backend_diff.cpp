@@ -10,15 +10,15 @@
 //    determinism contract; compared with memcmp so NaN payloads count as
 //    equal when their bit patterns are).
 //  * Cross-backend agreement, to tolerance, on finite inputs: the SIMD
-//    reductions (gemv/syrk/spmv row dots, dot) regroup terms into 4-lane
+//    reductions (gemv/spmv row dots, dot) regroup terms into 4-lane
 //    accumulators, so scalar and SIMD legitimately differ within rounding.
 //    Denormal payloads are finite and stay inside this gate.
 //
-// NaN/Inf payloads are checked for width invariance only: the scalar gemm
-// short-circuits exact-zero A entries (skipping 0 * inf = NaN products)
-// and the SIMD tiles do not, so cross-backend comparison on non-finite
-// data is not part of the contract -- only that each backend propagates
-// them deterministically.
+// NaN/Inf payloads are checked for width invariance only: the two backends
+// group each sum differently, and which NaN payload survives (or whether a
+// sum overflows) depends on the grouping, so cross-backend comparison on
+// non-finite data is not part of the contract -- only that each backend
+// propagates them deterministically.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -113,7 +113,7 @@ la::Matrix payload_matrix(prop::Gen& g, std::size_t rows, std::size_t cols,
 }
 
 // ---------------------------------------------------------------------------
-// Dense level-1/2/3 kernel pairs.
+// Dense level-1/2 kernel pairs.
 // ---------------------------------------------------------------------------
 
 TEST(BackendDiff, Dot) {
@@ -143,63 +143,6 @@ TEST(BackendDiff, Gemv) {
           return y;
         },
         1e-12);
-  });
-}
-
-TEST(BackendDiff, GemvT) {
-  prop::for_all("gemv_t scalar-vs-simd", kSeed, 40, [](prop::Gen& g) {
-    const prop::Shape s = prop::shape(g, 48);
-    const la::Matrix a = payload_matrix(g, s.rows, s.cols,
-                                        prop::Payload::kNormal);
-    const auto x = g.vector(s.rows);
-    const double alpha = g.real(-2.0, 2.0), beta = g.real(-1.0, 1.0);
-    const auto y0 = g.vector(s.cols);
-    return check_kernel(
-        "gemv_t",
-        [&] {
-          auto y = y0;
-          la::gemv_t(alpha, a, x, beta, y);
-          return y;
-        },
-        1e-12);
-  });
-}
-
-TEST(BackendDiff, Gemm) {
-  prop::for_all("gemm scalar-vs-simd", kSeed, 30, [](prop::Gen& g) {
-    const std::size_t m = prop::dim(g, 24);
-    const std::size_t k = prop::dim(g, 24);
-    const std::size_t n = prop::dim(g, 24);
-    const la::Matrix a = payload_matrix(g, m, k, prop::Payload::kNormal);
-    const la::Matrix b = payload_matrix(g, k, n, prop::Payload::kNormal);
-    const la::Matrix c0 = payload_matrix(g, m, n, prop::Payload::kNormal);
-    const double alpha = g.real(-2.0, 2.0), beta = g.real(-1.0, 1.0);
-    return check_kernel(
-        "gemm",
-        [&] {
-          la::Matrix c = c0;
-          la::gemm(alpha, a, b, beta, c);
-          return std::vector<double>(c.data(), c.data() + m * n);
-        },
-        1e-11);
-  });
-}
-
-TEST(BackendDiff, SyrkAndSymmetrize) {
-  prop::for_all("syrk scalar-vs-simd", kSeed, 30, [](prop::Gen& g) {
-    const prop::Shape s = prop::shape(g, 32);
-    const la::Matrix a = payload_matrix(g, s.rows, s.cols,
-                                        prop::Payload::kNormal);
-    const double alpha = g.real(-2.0, 2.0);
-    return check_kernel(
-        "syrk",
-        [&] {
-          la::Matrix c(s.rows, s.rows);
-          la::syrk(alpha, a, 0.0, c);
-          return std::vector<double>(c.data(),
-                                     c.data() + s.rows * s.rows);
-        },
-        1e-11);
   });
 }
 
@@ -234,23 +177,6 @@ TEST(BackendDiff, SpmvT) {
           std::vector<double> y(s.cols);
           a.spmv_t(x, y);
           return y;
-        },
-        1e-12);
-  });
-}
-
-TEST(BackendDiff, Spmm) {
-  prop::for_all("spmm scalar-vs-simd", kSeed, 30, [](prop::Gen& g) {
-    const prop::Shape s = prop::shape(g, 32);
-    const std::size_t n = prop::dim(g, 24);
-    const sparse::CsrMatrix a = prop::csr(g, s.rows, s.cols);
-    const la::Matrix b = payload_matrix(g, s.cols, n, prop::Payload::kNormal);
-    return check_kernel(
-        "spmm",
-        [&] {
-          la::Matrix y(s.rows, n);
-          a.spmm(b, y);
-          return std::vector<double>(y.data(), y.data() + s.rows * n);
         },
         1e-12);
   });

@@ -1,11 +1,7 @@
-// Tests for the dense BLAS substitute: levels 1-3, shape checking, and
+// Tests for the dense BLAS substitute: levels 1-2, shape checking, and
 // reference-value cross-checks.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
-#include "common/rng.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
 #include "la/vector.hpp"
@@ -72,87 +68,10 @@ TEST(Blas2, GemvKnownValues) {
   EXPECT_DOUBLE_EQ(y[1], 17.0);  // 15 + 2
 }
 
-TEST(Blas2, GemvTransposeMatchesExplicitTranspose) {
-  Rng rng(3, 0);
-  Matrix a(5, 7);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a.data()[i] = rng.normal();
-  }
-  Vector x(5), y1(7), y2(7);
-  for (auto& v : x) v = rng.normal();
-  gemv_t(1.0, a, x.span(), 0.0, y1.span());
-  const Matrix at = a.transposed();
-  gemv(1.0, at, x.span(), 0.0, y2.span());
-  EXPECT_LT(max_abs_diff(y1.span(), y2.span()), 1e-14);
-}
-
 TEST(Blas2, GemvShapeChecks) {
   Matrix a(2, 3);
   Vector x(2), y(2);
   EXPECT_THROW(gemv(1.0, a, x.span(), 0.0, y.span()), DimensionMismatch);
-}
-
-TEST(Blas2, Ger) {
-  Matrix a(2, 2);
-  Vector x{1.0, 2.0}, y{3.0, 4.0};
-  ger(1.0, x.span(), y.span(), a);
-  EXPECT_DOUBLE_EQ(a(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(a(1, 1), 8.0);
-}
-
-TEST(Blas2, SymvRequiresSquare) {
-  Matrix a(2, 3);
-  Vector x(3), y(2);
-  EXPECT_THROW(symv(1.0, a, x.span(), 0.0, y.span()), DimensionMismatch);
-}
-
-TEST(Blas3, GemmAgainstGemv) {
-  Rng rng(4, 0);
-  Matrix a(4, 6), b(6, 3), c(4, 3);
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
-  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.normal();
-  gemm(1.0, a, b, 0.0, c);
-  // Column j of C must equal A * (column j of B).
-  for (std::size_t j = 0; j < 3; ++j) {
-    Vector bj(6), cj(4);
-    for (std::size_t i = 0; i < 6; ++i) bj[i] = b(i, j);
-    gemv(1.0, a, bj.span(), 0.0, cj.span());
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_NEAR(c(i, j), cj[i], 1e-13);
-    }
-  }
-}
-
-TEST(Blas3, SyrkMatchesGemmWithTranspose) {
-  Rng rng(5, 0);
-  Matrix a(5, 8);
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
-  Matrix c1(5, 5), c2(5, 5);
-  syrk(1.0, a, 0.0, c1);
-  gemm(1.0, a, a.transposed(), 0.0, c2);
-  EXPECT_LT(Matrix::max_abs_diff(c1, c2), 1e-13);
-  // Result must be symmetric to the bit.
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      EXPECT_EQ(c1(i, j), c1(j, i));
-    }
-  }
-}
-
-TEST(Blas3, GemmBetaAccumulates) {
-  Matrix a(1, 1), b(1, 1), c(1, 1);
-  a(0, 0) = 2.0;
-  b(0, 0) = 3.0;
-  c(0, 0) = 10.0;
-  gemm(1.0, a, b, 0.5, c);
-  EXPECT_DOUBLE_EQ(c(0, 0), 11.0);
-}
-
-TEST(Matrix, TransposeRoundTrip) {
-  Rng rng(6, 0);
-  Matrix a(9, 17);
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
-  EXPECT_LT(Matrix::max_abs_diff(a, a.transposed().transposed()), 0.0 + 1e-300);
 }
 
 TEST(Matrix, RowViewsAreContiguous) {

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "la/blas.hpp"
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
+#include "la/vector.hpp"
 
 namespace rcf::la {
 namespace {
@@ -24,7 +24,11 @@ TEST(PowerIteration, GramMatrixAgainstKnownSpectrum) {
   // A = u u^T has eigenvalue ||u||^2.
   Vector u{1.0, 2.0, 2.0};
   Matrix a(3, 3);
-  ger(1.0, u.span(), u.span(), a);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      a(i, j) = u[i] * u[j];
+    }
+  }
   const auto result = power_iteration(a, 200, 1e-12);
   EXPECT_NEAR(result.eigenvalue, 9.0, 1e-8);
 }
@@ -62,7 +66,13 @@ TEST(PowerIteration, DeterministicAcrossRuns) {
   }
   // Make it PSD-ish by squaring: B = A A^T.
   Matrix b(6, 6);
-  syrk(1.0, a, 0.0, b);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) {
+      for (std::size_t p = 0; p < 6; ++p) {
+        b(i, j) += a(i, p) * a(j, p);
+      }
+    }
+  }
   const auto r1 = power_iteration(b, 300, 1e-10, /*seed=*/77);
   const auto r2 = power_iteration(b, 300, 1e-10, /*seed=*/77);
   EXPECT_EQ(r1.eigenvalue, r2.eigenvalue);

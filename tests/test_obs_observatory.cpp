@@ -103,6 +103,51 @@ TEST(ObsTimeline, MergesSyntheticTwoRankTrace) {
   EXPECT_EQ(c.ranks[1].wait_us, 100);
 }
 
+// Under the contract checker the board's publish rendezvous comes first:
+//
+//   rank 0: [0,1000) gram.task | [1000,1400) allreduce seq=0
+//             with contract_wait [1000,1300), allreduce_wait [1312,1330)
+//   rank 1: [0,1300) gram.task | [1300,1400) allreduce seq=0
+//             with contract_wait [1300,1301), allreduce_wait [1310,1330)
+//
+// The board releases both ranks together, so the allreduce_waits start at
+// about the same time and rank 0's happens to start last.  The arrival is
+// the earliest stamped wait: rank 1 arrived last and imposed the idle.
+TEST(ObsTimeline, ArrivalIsEarliestStampedWait) {
+  const auto timeline = obs::Timeline::build({
+      {"gram.task", 0, -1, 0, 1000, 0.0},
+      {"allreduce", 0, 0, 1000, 400, 144.0},
+      {"contract_wait", 0, 0, 1000, 300, 0.0},
+      {"allreduce_wait", 0, 0, 1312, 18, 0.0},
+      {"gram.task", 1, -1, 0, 1300, 0.0},
+      {"allreduce", 1, 0, 1300, 100, 144.0},
+      {"contract_wait", 1, 0, 1300, 1, 0.0},
+      {"allreduce_wait", 1, 0, 1310, 20, 0.0},
+  });
+  EXPECT_EQ(obs::classify_span("contract_wait"), obs::SpanCategory::kWait);
+  ASSERT_EQ(timeline.collectives().size(), 1u);
+  const auto& c = timeline.collectives()[0];
+  EXPECT_EQ(c.straggler_rank, 1);
+  EXPECT_EQ(c.last_arrival_us, 1300);
+  ASSERT_EQ(c.ranks.size(), 2u);
+  EXPECT_EQ(c.ranks[0].arrival_us, 1000);
+  EXPECT_EQ(c.ranks[1].arrival_us, 1300);
+  EXPECT_EQ(c.ranks[0].wait_us, 318);
+  EXPECT_EQ(c.ranks[1].wait_us, 21);
+  EXPECT_EQ(c.wait_imposed_us, 297);
+
+  // Both waits nest inside the allreduce span: 400us = 82 comm + 318 wait.
+  const auto& rt = timeline.rank_times();
+  ASSERT_EQ(rt.size(), 2u);
+  EXPECT_NEAR(rt[0].comm_s, 82e-6, 1e-12);
+  EXPECT_NEAR(rt[0].wait_s, 318e-6, 1e-12);
+  EXPECT_NEAR(rt[0].compute_s, 1000e-6, 1e-12);
+
+  const auto path = obs::critical_path(timeline);
+  ASSERT_FALSE(path.top_stragglers.empty());
+  EXPECT_EQ(path.top_stragglers[0].rank, 1);
+}
+
 TEST(ObsTimeline, OrdinalFallbackAlignsUnstampedSpans) {
   // Two collectives per rank, no sequence numbers: alignment must fall
   // back to per-rank arrival order and still pair them up.

@@ -129,7 +129,9 @@ TEST_F(LogisticTest, ProxNewtonConvergesWithBothInnerSolvers) {
     opts.inner_iters = 60;
     opts.hessian_sampling_rate = 0.5;
     opts.inner = inner;
-    opts.k = 4;
+    if (inner == PnInnerSolver::kRcSfista) {
+      opts.k = 4;
+    }
     opts.tol = 0.01;
     opts.f_star = ref.objective;
     const auto result = solve_logistic_prox_newton(problem_, opts);
@@ -203,6 +205,13 @@ TEST_F(LogisticTest, InvalidOptionsThrow) {
     EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument)
         << "damping=" << damping;
   }
+  // k and s tune the RC-SFISTA inner solver only.
+  opts = {};
+  opts.k = 4;
+  EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
+  opts = {};
+  opts.s = 2;
+  EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
 }
 
 TEST_F(LogisticTest, EarlyStopReportsLastCompletedIteration) {

@@ -134,6 +134,15 @@ TEST_F(PnTest, InvalidOptionsThrow) {
   opts = {};
   opts.tol = 0.1;  // without f_star
   EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
+  // k and s tune the RC-SFISTA inner solver only.
+  opts = {};
+  opts.inner = PnInnerSolver::kFista;
+  opts.k = 4;
+  EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
+  opts = {};
+  opts.inner = PnInnerSolver::kFista;
+  opts.s = 2;
+  EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
 }
 
 TEST_F(PnTest, EarlyStopReportsLastCompletedIteration) {

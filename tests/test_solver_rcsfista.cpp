@@ -386,8 +386,14 @@ TEST(SpmdProperty, MatchesSequentialEngine) {
     opts.staleness = opts.pipeline ? static_cast<int>(g.index(3)) : 0;
     opts.threads = 1 + static_cast<int>(g.index(3));
     opts.variance_reduction = g.index(3) == 0;
-    opts.epoch_length = static_cast<int>(g.size(1, 10));
-    opts.vr_restart_momentum = g.index(2) == 0;
+    // Both VR knobs are drawn on every case, so the draws that follow do
+    // not shift, but set only where VR reads them.
+    const int epoch_length = static_cast<int>(g.size(1, 10));
+    const bool vr_restart = g.index(2) == 0;
+    if (opts.variance_reduction) {
+      opts.epoch_length = epoch_length;
+      opts.vr_restart_momentum = vr_restart;
+    }
     opts.regularizer = g.index(2) == 0 ? &elastic : nullptr;
     opts.seed = g.seed();
     const la::ScopedBackend backend(g.index(2) == 0 ? la::Backend::kScalar

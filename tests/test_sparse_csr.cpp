@@ -65,15 +65,6 @@ TEST(Csr, FromPartsValidates) {
                InvalidArgument);
 }
 
-TEST(Csr, FromDenseRoundTrip) {
-  const std::vector<double> dense = {1.0, 0.0, 2.0, 0.0, 0.0, 0.0,
-                                     3.0, 4.0, 0.0};
-  const auto m = CsrMatrix::from_dense(3, 3, dense);
-  EXPECT_EQ(m.nnz(), 4u);
-  EXPECT_EQ(m.to_dense(), dense);
-  EXPECT_EQ(m, small());
-}
-
 TEST(Csr, Spmv) {
   const auto m = small();
   la::Vector x{1.0, 2.0, 3.0}, y(3);
@@ -177,11 +168,6 @@ TEST(Csr, TransposedMatchesDense) {
       EXPECT_DOUBLE_EQ(dense[r * 7 + c], dense_t[c * 12 + r]);
     }
   }
-}
-
-TEST(Csr, SumRowNnzSquared) {
-  const auto m = small();
-  EXPECT_EQ(m.sum_row_nnz_squared(), 4u + 0u + 4u);
 }
 
 TEST(Csr, MemoryBytesPositive) {
