@@ -29,10 +29,9 @@ CheckedComm::CheckedComm(dist::Communicator& inner, CheckOptions opts)
           obs::MetricsRegistry::global().counter("check.epoch_exchanges")) {}
 
 bool CheckedComm::track(CollectiveKind kind, std::uint64_t words,
-                        std::uint64_t extra, const std::source_location& site,
-                        Fingerprint* fp) {
+                        const std::source_location& site, Fingerprint* fp) {
   const bool aux = aux_mode();
-  *fp = tracker_.next(kind, words, extra, aux, site);
+  *fp = tracker_.next(kind, words, aux, site);
   if (aux || opts_.epoch <= 0) return false;
   ++engine_calls_;
   return engine_calls_ % static_cast<std::uint64_t>(opts_.epoch) == 0;
@@ -86,7 +85,6 @@ class EpochOp final : public dist::detail::PendingOp {
     }
   }
   [[nodiscard]] bool test() override { return inner_->test(); }
-  [[nodiscard]] std::size_t words() const override { return inner_->words(); }
 
  private:
   CheckedComm* owner_;
@@ -95,25 +93,17 @@ class EpochOp final : public dist::detail::PendingOp {
   bool exchanged_ = false;
 };
 
-dist::CommHandle CheckedComm::post_iallreduce(std::span<double> inout,
-                                              bool use_max,
-                                              const std::source_location& site) {
-  if (!opts_.enabled) {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    return use_max ? inner_.iallreduce_max(inout, site)
-                   : inner_.iallreduce_sum(inout, site);
-  }
+dist::CommHandle CheckedComm::iallreduce_sum(std::span<double> inout,
+                                             std::source_location site) {
   Fingerprint fp;
-  const bool due = track(use_max ? CollectiveKind::kIallreduceMax
-                                 : CollectiveKind::kIallreduceSum,
-                         inout.size(), 0, site, &fp);
+  const bool due =
+      opts_.enabled &&
+      track(CollectiveKind::kIallreduceSum, inout.size(), site, &fp);
   dist::CommHandle handle;
   {
     std::optional<dist::Communicator::AuxScope> fwd;
     if (aux_mode()) fwd.emplace(inner_);
-    handle = use_max ? inner_.iallreduce_max(inout, site)
-                     : inner_.iallreduce_sum(inout, site);
+    handle = inner_.iallreduce_sum(inout, site);
   }
   if (!due || !handle.valid()) {
     return handle;
@@ -121,106 +111,31 @@ dist::CommHandle CheckedComm::post_iallreduce(std::span<double> inout,
   return dist::CommHandle(std::make_shared<EpochOp>(this, handle.op(), fp));
 }
 
-dist::CommHandle CheckedComm::iallreduce_sum(std::span<double> inout,
-                                             std::source_location site) {
-  return post_iallreduce(inout, /*use_max=*/false, site);
-}
-
-dist::CommHandle CheckedComm::iallreduce_max(std::span<double> inout,
-                                             std::source_location site) {
-  return post_iallreduce(inout, /*use_max=*/true, site);
-}
-
 void CheckedComm::allreduce_sum(std::span<double> inout,
                                 std::source_location site) {
-  if (!opts_.enabled) {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.allreduce_sum(inout, site);
-    return;
-  }
-  Fingerprint fp;
-  const bool due =
-      track(CollectiveKind::kAllreduceSum, inout.size(), 0, site, &fp);
-  {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.allreduce_sum(inout, site);
-  }
-  if (due) epoch_exchange(fp);
+  allreduce(inout, /*use_max=*/false, site);
 }
 
 void CheckedComm::allreduce_max(std::span<double> inout,
                                 std::source_location site) {
-  if (!opts_.enabled) {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.allreduce_max(inout, site);
-    return;
-  }
-  Fingerprint fp;
-  const bool due =
-      track(CollectiveKind::kAllreduceMax, inout.size(), 0, site, &fp);
-  {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.allreduce_max(inout, site);
-  }
-  if (due) epoch_exchange(fp);
+  allreduce(inout, /*use_max=*/true, site);
 }
 
-void CheckedComm::broadcast(std::span<double> buffer, int root,
-                            std::source_location site) {
-  if (!opts_.enabled) {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.broadcast(buffer, root, site);
-    return;
-  }
+void CheckedComm::allreduce(std::span<double> inout, bool use_max,
+                            const std::source_location& site) {
   Fingerprint fp;
-  const bool due = track(CollectiveKind::kBroadcast, buffer.size(),
-                         static_cast<std::uint64_t>(root), site, &fp);
+  const bool due = opts_.enabled &&
+                   track(use_max ? CollectiveKind::kAllreduceMax
+                                 : CollectiveKind::kAllreduceSum,
+                         inout.size(), site, &fp);
   {
     std::optional<dist::Communicator::AuxScope> fwd;
     if (aux_mode()) fwd.emplace(inner_);
-    inner_.broadcast(buffer, root, site);
-  }
-  if (due) epoch_exchange(fp);
-}
-
-void CheckedComm::allgather(std::span<const double> input,
-                            std::span<double> output,
-                            std::source_location site) {
-  if (!opts_.enabled) {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.allgather(input, output, site);
-    return;
-  }
-  Fingerprint fp;
-  const bool due =
-      track(CollectiveKind::kAllgather, input.size(), 0, site, &fp);
-  {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.allgather(input, output, site);
-  }
-  if (due) epoch_exchange(fp);
-}
-
-void CheckedComm::barrier(std::source_location site) {
-  if (!opts_.enabled) {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.barrier(site);
-    return;
-  }
-  Fingerprint fp;
-  const bool due = track(CollectiveKind::kBarrier, 0, 0, site, &fp);
-  {
-    std::optional<dist::Communicator::AuxScope> fwd;
-    if (aux_mode()) fwd.emplace(inner_);
-    inner_.barrier(site);
+    if (use_max) {
+      inner_.allreduce_max(inout, site);
+    } else {
+      inner_.allreduce_sum(inout, site);
+    }
   }
   if (due) epoch_exchange(fp);
 }

@@ -45,18 +45,10 @@ class CheckedComm final : public dist::Communicator {
   void allreduce_max(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void broadcast(
-      std::span<double> buffer, int root,
-      std::source_location site = std::source_location::current()) override;
-  void allgather(
-      std::span<const double> input, std::span<double> output,
-      std::source_location site = std::source_location::current()) override;
-  void barrier(
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking posts are fingerprinted *at post time* (the post is the
-  // schedule event: kIallreduceSum/Max enter the engine sequence space the
-  // moment they are issued, so a rank posting while another blocks is
-  // caught as divergence).  When a post lands on an epoch boundary, the
+  // schedule event: kIallreduceSum enters the engine sequence space the
+  // moment it is issued, so a rank posting while another blocks is caught
+  // as divergence).  When a post lands on an epoch boundary, the
   // hash exchange is deferred to the handle's first wait -- an aux
   // collective cannot run while the payload is still in flight -- and the
   // rolling hash compared is the one *through the due post*, so later
@@ -64,14 +56,8 @@ class CheckedComm final : public dist::Communicator {
   dist::CommHandle iallreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  dist::CommHandle iallreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   [[nodiscard]] const dist::CommStats& stats() const override {
     return inner_.stats();
-  }
-  [[nodiscard]] std::string backend_name() const override {
-    return inner_.backend_name() + "+check";
   }
 
  private:
@@ -79,15 +65,15 @@ class CheckedComm final : public dist::Communicator {
 
   /// Records the call in the tracker and returns whether an epoch
   /// exchange is due after it completes.
-  bool track(CollectiveKind kind, std::uint64_t words, std::uint64_t extra,
+  bool track(CollectiveKind kind, std::uint64_t words,
              const std::source_location& site, Fingerprint* fp);
+  /// Shared body of the blocking allreduces.
+  void allreduce(std::span<double> inout, bool use_max,
+                 const std::source_location& site);
   /// Cross-checks the engine-space rolling hash (through `last`) across
   /// ranks; throws ContractViolation naming this rank, the fleet hashes,
   /// and the last collective's call site on divergence.
   void epoch_exchange(const Fingerprint& last);
-  /// Shared body of the iallreduce posts.
-  dist::CommHandle post_iallreduce(std::span<double> inout, bool use_max,
-                                   const std::source_location& site);
 
   dist::Communicator& inner_;
   CheckOptions opts_;

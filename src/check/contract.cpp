@@ -29,10 +29,9 @@ void ContractBoard::verify(int rank, const Fingerprint& fp,
     // the missing ranks.  It also absorbs a straggler's lateness: the board
     // releases every rank together, so the collective's own publish wait
     // cannot see who was late.  The stamped span carries the arrival
-    // instead.  Aux traffic is not aligned, and a barrier's own span is
-    // all wait, so neither gets one.
+    // instead.  Aux traffic is not aligned, so it gets none.
     std::optional<obs::TraceScope> wait;
-    if (seq >= 0 && fp.kind != CollectiveKind::kBarrier) {
+    if (seq >= 0) {
       wait.emplace("contract_wait", 0.0, nullptr, seq);
     }
     barrier_.arrive_and_wait(rank, opts_.timeout_ms, to_string(fp.kind));
@@ -48,7 +47,7 @@ void ContractBoard::verify(int rank, const Fingerprint& fp,
           " issued " + theirs.describe();
       if (fp.rolling != theirs.rolling && fp.seq == theirs.seq &&
           fp.kind == theirs.kind && fp.words == theirs.words &&
-          fp.extra == theirs.extra && fp.site_hash == theirs.site_hash) {
+          fp.site_hash == theirs.site_hash) {
         msg += " (current calls agree; the schedules diverged earlier)";
       }
       // Every rank sees the same slots, so every rank throws; no rank

@@ -43,9 +43,9 @@ class ContractBoard {
   /// mismatch (all ranks throw), CommTimeout if some rank never arrives
   /// within the stall timeout, or CommPoisoned after another rank failed.
   /// `seq` is the collective's span sequence number (-1 for aux traffic):
-  /// for engine collectives other than barriers the publish rendezvous is
-  /// traced as a "contract_wait" span stamped with it, which the cross-rank
-  /// timeline reads as this rank's arrival.
+  /// for engine collectives the publish rendezvous is traced as a
+  /// "contract_wait" span stamped with it, which the cross-rank timeline
+  /// reads as this rank's arrival.
   void verify(int rank, const Fingerprint& fp, std::int64_t seq);
 
   /// Propagates an external failure (rank body exception) to all waiters.

@@ -31,16 +31,8 @@ const char* to_string(CollectiveKind kind) {
       return "allreduce_sum";
     case CollectiveKind::kAllreduceMax:
       return "allreduce_max";
-    case CollectiveKind::kBroadcast:
-      return "broadcast";
-    case CollectiveKind::kAllgather:
-      return "allgather";
-    case CollectiveKind::kBarrier:
-      return "barrier";
     case CollectiveKind::kIallreduceSum:
       return "iallreduce_sum";
-    case CollectiveKind::kIallreduceMax:
-      return "iallreduce_max";
   }
   return "unknown";
 }
@@ -60,10 +52,6 @@ std::string Fingerprint::describe() const {
   out += std::to_string(seq);
   out += "] words=";
   out += std::to_string(words);
-  if (kind == CollectiveKind::kBroadcast) {
-    out += " root=";
-    out += std::to_string(extra);
-  }
   out += " site=";
   out += trim_path(file);
   out += ":";
@@ -72,15 +60,13 @@ std::string Fingerprint::describe() const {
 }
 
 Fingerprint SequenceTracker::next(CollectiveKind kind, std::uint64_t words,
-                                  std::uint64_t extra, bool aux,
-                                  const std::source_location& site) {
+                                  bool aux, const std::source_location& site) {
   const int sp = aux ? 1 : 0;
   Fingerprint fp;
   fp.kind = kind;
   fp.space = static_cast<std::uint8_t>(sp);
   fp.seq = seq_[sp]++;
   fp.words = words;
-  fp.extra = extra;
   fp.file = site.file_name();
   fp.line = site.line();
   fp.site_hash = fnv1a(site.file_name(), std::strlen(site.file_name()));
@@ -91,7 +77,6 @@ Fingerprint SequenceTracker::next(CollectiveKind kind, std::uint64_t words,
   const std::uint8_t kind_byte = static_cast<std::uint8_t>(kind);
   h = fnv1a(&kind_byte, sizeof(kind_byte), h);
   h = fnv1a(&fp.words, sizeof(fp.words), h);
-  h = fnv1a(&fp.extra, sizeof(fp.extra), h);
   h = fnv1a(&fp.site_hash, sizeof(fp.site_hash), h);
   rolling_[sp] = h;
   fp.rolling = h;

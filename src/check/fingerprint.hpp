@@ -2,14 +2,13 @@
 // checker.
 //
 // Every collective a checked endpoint issues is summarized as a
-// Fingerprint -- operation kind, payload word count, an op-specific extra
-// (broadcast root), the call site, a per-space sequence number, and a
-// rolling FNV-1a hash chaining all of the above over the endpoint's
-// history.  Two ranks executing the same SPMD schedule produce identical
-// fingerprint streams; the first divergence (wrong op, wrong payload,
-// reordered call, skipped call) differs in at least the rolling hash, so
-// comparing fingerprints at a rendezvous pins the *first* bad collective,
-// not a later symptom.
+// Fingerprint -- operation kind, payload word count, the call site, a
+// per-space sequence number, and a rolling FNV-1a hash chaining all of the
+// above over the endpoint's history.  Two ranks executing the same SPMD
+// schedule produce identical fingerprint streams; the first divergence
+// (wrong op, wrong payload, reordered call, skipped call) differs in at
+// least the rolling hash, so comparing fingerprints at a rendezvous pins
+// the *first* bad collective, not a later symptom.
 //
 // Sequence spaces: engine collectives (space 0) and AuxScope collectives
 // (space 1, the obs::aggregate traffic layered on top of solves in PR 3)
@@ -29,14 +28,10 @@ namespace rcf::check {
 enum class CollectiveKind : std::uint8_t {
   kAllreduceSum,
   kAllreduceMax,
-  kBroadcast,
-  kAllgather,
-  kBarrier,
-  // Nonblocking posts fingerprint as distinct kinds: a rank posting an
+  // A nonblocking post fingerprints as a distinct kind: a rank posting an
   // iallreduce while another issues the blocking form is a schedule
   // divergence (the overlap structure differs), not an equivalence.
   kIallreduceSum,
-  kIallreduceMax,
 };
 
 [[nodiscard]] const char* to_string(CollectiveKind kind);
@@ -49,11 +44,10 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 /// One collective call as seen by a single rank endpoint.
 struct Fingerprint {
-  CollectiveKind kind = CollectiveKind::kBarrier;
+  CollectiveKind kind = CollectiveKind::kAllreduceSum;
   std::uint8_t space = 0;      ///< 0 = engine, 1 = AuxScope
   std::uint64_t seq = 0;       ///< per-space call index (0-based)
   std::uint64_t words = 0;     ///< payload in doubles
-  std::uint64_t extra = 0;     ///< op-specific (broadcast root), else 0
   std::uint64_t site_hash = 0; ///< hash of file:line
   std::uint64_t rolling = 0;   ///< chained hash including this call
   // Diagnostics only (not compared): the call site.
@@ -64,8 +58,8 @@ struct Fingerprint {
   /// site_hash covers the call site, rolling covers the full history).
   [[nodiscard]] bool matches(const Fingerprint& other) const {
     return kind == other.kind && space == other.space && seq == other.seq &&
-           words == other.words && extra == other.extra &&
-           site_hash == other.site_hash && rolling == other.rolling;
+           words == other.words && site_hash == other.site_hash &&
+           rolling == other.rolling;
   }
 
   /// Human-readable one-liner for diagnostics, e.g.
@@ -78,8 +72,7 @@ class SequenceTracker {
  public:
   /// Builds the fingerprint of the next collective in the given space and
   /// advances that space's sequence counter and rolling hash.
-  Fingerprint next(CollectiveKind kind, std::uint64_t words,
-                   std::uint64_t extra, bool aux,
+  Fingerprint next(CollectiveKind kind, std::uint64_t words, bool aux,
                    const std::source_location& site);
 
   /// Rolling hash of the given space after the last next() call.

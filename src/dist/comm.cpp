@@ -1,8 +1,5 @@
 #include "dist/comm.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -36,7 +33,6 @@ class SeqOp final : public detail::PendingOp {
     }
   }
   [[nodiscard]] bool test() override { return true; }
-  [[nodiscard]] std::size_t words() const override { return words_; }
 
  private:
   CommStats* stats_;  ///< null once the first wait has credited overlap
@@ -52,11 +48,6 @@ void publish_comm_stats(const CommStats& stats, const std::string& backend) {
   registry.counter(prefix + "allreduce_max_calls")
       .add(stats.allreduce_max_calls);
   registry.counter(prefix + "allreduce_words").add(stats.allreduce_words);
-  registry.counter(prefix + "broadcast_calls").add(stats.broadcast_calls);
-  registry.counter(prefix + "broadcast_words").add(stats.broadcast_words);
-  registry.counter(prefix + "allgather_calls").add(stats.allgather_calls);
-  registry.counter(prefix + "allgather_words").add(stats.allgather_words);
-  registry.counter(prefix + "barrier_calls").add(stats.barrier_calls);
   registry.counter(prefix + "retries").add(stats.retries);
   registry.counter(prefix + "faults_injected").add(stats.faults_injected);
   registry.counter(prefix + "overlapped_words").add(stats.overlapped_words);
@@ -66,86 +57,21 @@ void publish_comm_stats(const CommStats& stats, const std::string& backend) {
   }
 }
 
-CommHandle Communicator::iallreduce_sum(std::span<double> inout,
-                                        std::source_location site) {
-  allreduce_sum(inout, site);
-  return CommHandle(std::make_shared<CompletedOp>(inout.size()));
+void SeqComm::allreduce_sum(std::span<double> inout, std::source_location) {
+  allreduce(inout, /*use_max=*/false);
 }
 
-CommHandle Communicator::iallreduce_max(std::span<double> inout,
-                                        std::source_location site) {
-  allreduce_max(inout, site);
-  return CommHandle(std::make_shared<CompletedOp>(inout.size()));
+void SeqComm::allreduce_max(std::span<double> inout, std::source_location) {
+  allreduce(inout, /*use_max=*/true);
 }
 
-double Communicator::allreduce_sum_scalar(double value,
-                                           std::source_location site) {
-  allreduce_sum({&value, 1}, site);
-  return value;
-}
-
-double Communicator::allreduce_max_scalar(double value,
-                                           std::source_location site) {
-  allreduce_max({&value, 1}, site);
-  return value;
-}
-
-void SeqComm::allreduce_sum(std::span<double> inout,
-                            std::source_location) {
+void SeqComm::allreduce(std::span<double> inout, bool use_max) {
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
                        static_cast<double>(inout.size()),
                        aux_mode() ? nullptr : &allreduce_latency());
-  if (aux_mode()) {
-    return;
+  if (!aux_mode()) {
+    stats_.count_allreduce(use_max, inout.size());
   }
-  ++stats_.allreduce_calls;
-  stats_.allreduce_words += inout.size();
-  stats_.max_payload_words = std::max<std::uint64_t>(stats_.max_payload_words,
-                                                     inout.size());
-}
-
-void SeqComm::allreduce_max(std::span<double> inout,
-                            std::source_location) {
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
-                       static_cast<double>(inout.size()),
-                       aux_mode() ? nullptr : &allreduce_latency());
-  if (aux_mode()) {
-    return;
-  }
-  ++stats_.allreduce_max_calls;
-  stats_.allreduce_words += inout.size();
-  stats_.max_payload_words = std::max<std::uint64_t>(stats_.max_payload_words,
-                                                     inout.size());
-}
-
-void SeqComm::broadcast(std::span<double> buffer, int root,
-                        std::source_location) {
-  RCF_CHECK_MSG(root == 0, "SeqComm: root must be 0");
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "broadcast",
-                       static_cast<double>(buffer.size()));
-  if (aux_mode()) {
-    return;
-  }
-  ++stats_.broadcast_calls;
-  stats_.broadcast_words += buffer.size();
-  stats_.max_payload_words = std::max<std::uint64_t>(stats_.max_payload_words,
-                                                     buffer.size());
-}
-
-void SeqComm::allgather(std::span<const double> input,
-                        std::span<double> output, std::source_location) {
-  RCF_CHECK_MSG(output.size() == input.size(),
-                "SeqComm::allgather: output must equal input for 1 rank");
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allgather",
-                       static_cast<double>(input.size()));
-  std::copy(input.begin(), input.end(), output.begin());
-  if (aux_mode()) {
-    return;
-  }
-  ++stats_.allgather_calls;
-  stats_.allgather_words += input.size();
-  stats_.max_payload_words = std::max<std::uint64_t>(stats_.max_payload_words,
-                                                     input.size());
 }
 
 CommHandle SeqComm::iallreduce_sum(std::span<double> inout,
@@ -153,34 +79,10 @@ CommHandle SeqComm::iallreduce_sum(std::span<double> inout,
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce_post",
                        static_cast<double>(inout.size()));
   if (aux_mode()) {
-    return CommHandle(std::make_shared<CompletedOp>(inout.size()));
+    return CommHandle(std::make_shared<CompletedOp>());
   }
-  ++stats_.allreduce_calls;
-  stats_.allreduce_words += inout.size();
-  stats_.max_payload_words = std::max<std::uint64_t>(stats_.max_payload_words,
-                                                     inout.size());
+  stats_.count_allreduce(/*use_max=*/false, inout.size());
   return CommHandle(std::make_shared<SeqOp>(&stats_, inout.size()));
-}
-
-CommHandle SeqComm::iallreduce_max(std::span<double> inout,
-                                   std::source_location) {
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce_post",
-                       static_cast<double>(inout.size()));
-  if (aux_mode()) {
-    return CommHandle(std::make_shared<CompletedOp>(inout.size()));
-  }
-  ++stats_.allreduce_max_calls;
-  stats_.allreduce_words += inout.size();
-  stats_.max_payload_words = std::max<std::uint64_t>(stats_.max_payload_words,
-                                                     inout.size());
-  return CommHandle(std::make_shared<SeqOp>(&stats_, inout.size()));
-}
-
-void SeqComm::barrier(std::source_location) {
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "barrier_wait");
-  if (!aux_mode()) {
-    ++stats_.barrier_calls;
-  }
 }
 
 }  // namespace rcf::dist

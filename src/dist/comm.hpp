@@ -4,16 +4,18 @@
 // Fig. 1).  MPI is not available in this build environment, so this module
 // substitutes it with an interface plus two backends:
 //
-//  * SeqComm    -- a single-rank world; collectives are identities.
+//  * SeqComm    -- the 1-rank world; collectives are counted identities.
 //  * ThreadComm -- P ranks as std::threads in one process with real
-//                  rendezvous collectives (see thread_comm.hpp).  Exercises
+//                  rendezvous allreduces (see thread_comm.hpp).  Exercises
 //                  the genuine SPMD code path: partitioned data, partial
 //                  Gram sums, allreduce agreement.
 //
-// Timing for large P comes from the alpha-beta-gamma cost model in
-// src/model (see DESIGN.md "Substitutions"); the communicator interface
-// reports operation statistics so the model can be validated against the
-// actual number of collective calls.
+// Every collective the solvers run is an allreduce, so the interface has
+// three: blocking sum, blocking max (end-of-solve metric aggregation and
+// the contract checker's epoch exchange) and posted sum.  Timing for large
+// P comes from the alpha-beta-gamma cost model in src/model (see DESIGN.md
+// "Substitutions"); the communicator reports operation statistics so the
+// model can be validated against the actual number of collective calls.
 #pragma once
 
 #include <cstdint>
@@ -43,33 +45,25 @@ class PendingOp {
 
   virtual void wait() = 0;
   [[nodiscard]] virtual bool test() = 0;
-  [[nodiscard]] virtual std::size_t words() const = 0;
 };
 
-/// An op that completed inside the post call (the blocking degradation and
-/// every aux-mode post).  wait() is a no-op; the payload is already reduced
-/// in place.
+/// An op that completed inside the post call (every aux-mode post).
+/// wait() is a no-op; the payload is already reduced in place.
 class CompletedOp final : public PendingOp {
  public:
-  explicit CompletedOp(std::size_t words) : words_(words) {}
   void wait() override {}
   [[nodiscard]] bool test() override { return true; }
-  [[nodiscard]] std::size_t words() const override { return words_; }
-
- private:
-  std::size_t words_;
 };
 
 }  // namespace detail
 
 /// Move-only handle to an in-flight nonblocking collective (the analogue of
-/// MPI_Request).  Obtained from Communicator::iallreduce_*; completed by
-/// wait() -- either on the handle or through Communicator::wait().  A
-/// default-constructed or moved-from handle is inert: wait() is a no-op and
-/// test() reports complete.  Dropping a handle without waiting abandons the
-/// result (the collective still executes so the SPMD schedule stays
-/// symmetric) -- the caller's buffer is only updated by a successful wait().
-/// Handles must not outlive the communicator that issued them.
+/// MPI_Request).  Obtained from Communicator::iallreduce_sum; completed by
+/// wait().  A default-constructed or moved-from handle is inert: wait() is
+/// a no-op and test() reports complete.  Dropping a handle without waiting
+/// abandons the result (the collective still executes so the SPMD schedule
+/// stays symmetric) -- the caller's buffer is only updated by a successful
+/// wait().  Handles must not outlive the communicator that issued them.
 class CommHandle {
  public:
   CommHandle() = default;
@@ -81,9 +75,6 @@ class CommHandle {
   CommHandle& operator=(const CommHandle&) = delete;
 
   [[nodiscard]] bool valid() const { return op_ != nullptr; }
-  [[nodiscard]] std::size_t words() const {
-    return op_ != nullptr ? op_->words() : 0;
-  }
   /// Blocks until complete; rethrows the collective's failure.  Idempotent.
   void wait() {
     if (op_ != nullptr) {
@@ -116,11 +107,6 @@ struct CommStats {
   std::uint64_t allreduce_calls = 0;      ///< sum-allreduce count
   std::uint64_t allreduce_max_calls = 0;  ///< max-allreduce count
   std::uint64_t allreduce_words = 0;
-  std::uint64_t broadcast_calls = 0;
-  std::uint64_t broadcast_words = 0;
-  std::uint64_t allgather_calls = 0;
-  std::uint64_t allgather_words = 0;
-  std::uint64_t barrier_calls = 0;
   /// Largest payload (doubles) of any single collective call.
   std::uint64_t max_payload_words = 0;
   /// Collective attempts repeated after a TransientCommFailure (counted by
@@ -135,15 +121,17 @@ struct CommStats {
   /// measured overlap efficiency the cost ledger reports.
   std::uint64_t overlapped_words = 0;
 
+  /// Counts one engine-space allreduce (posted or blocking) of `words`.
+  void count_allreduce(bool use_max, std::uint64_t words) {
+    ++(use_max ? allreduce_max_calls : allreduce_calls);
+    allreduce_words += words;
+    max_payload_words = max_payload_words > words ? max_payload_words : words;
+  }
+
   CommStats& operator+=(const CommStats& o) {
     allreduce_calls += o.allreduce_calls;
     allreduce_max_calls += o.allreduce_max_calls;
     allreduce_words += o.allreduce_words;
-    broadcast_calls += o.broadcast_calls;
-    broadcast_words += o.broadcast_words;
-    allgather_calls += o.allgather_calls;
-    allgather_words += o.allgather_words;
-    barrier_calls += o.barrier_calls;
     retries += o.retries;
     faults_injected += o.faults_injected;
     overlapped_words += o.overlapped_words;
@@ -159,7 +147,7 @@ struct CommStats {
 /// traced run; callable from benches for SeqComm too).
 void publish_comm_stats(const CommStats& stats, const std::string& backend);
 
-/// Abstract SPMD communicator (subset of MPI semantics used by the paper).
+/// Abstract SPMD communicator: the three allreduces the solvers run.
 class Communicator {
  public:
   virtual ~Communicator() = default;
@@ -209,57 +197,20 @@ class Communicator {
       std::span<double> inout,
       std::source_location site = std::source_location::current()) = 0;
 
-  /// Broadcast from `root` to all ranks.
-  virtual void broadcast(
-      std::span<double> buffer, int root,
-      std::source_location site = std::source_location::current()) = 0;
-
-  /// Gathers each rank's `input` into `output` ordered by rank;
-  /// output.size() must equal size() * input.size().
-  virtual void allgather(
-      std::span<const double> input, std::span<double> output,
-      std::source_location site = std::source_location::current()) = 0;
-
-  /// Synchronization point for all ranks.
-  virtual void barrier(
-      std::source_location site = std::source_location::current()) = 0;
-
-  // Nonblocking collectives (MPI_Iallreduce analogue).  The returned
-  // handle completes the operation: `inout` must stay alive and untouched
-  // until wait() returns (backends snapshot the payload at post, so the
-  // *contents* at post time are what gets reduced; the result lands in
-  // `inout` at the first successful wait()).  Posts are collective: every
-  // rank must post the same sequence of operations, and every posted
-  // operation must eventually complete on every rank (wait it, or issue a
-  // later blocking collective, which quiesces the queue).  The default
-  // implementation degrades to the blocking call and returns an
-  // already-complete handle, so backends gain the API for free and
-  // override it only to actually overlap.
-
-  /// Nonblocking in-place sum-allreduce.
+  /// Nonblocking in-place sum-allreduce (MPI_Iallreduce analogue).  The
+  /// returned handle completes the operation: `inout` must stay alive and
+  /// untouched until wait() returns (backends snapshot the payload at post,
+  /// so the *contents* at post time are what gets reduced; the result lands
+  /// in `inout` at the first successful wait()).  Posts are collective:
+  /// every rank must post the same sequence of operations, and every posted
+  /// operation must eventually complete on every rank (wait it, or issue a
+  /// later blocking collective, which quiesces the queue).
   virtual CommHandle iallreduce_sum(
       std::span<double> inout,
-      std::source_location site = std::source_location::current());
-
-  /// Nonblocking in-place max-allreduce.
-  virtual CommHandle iallreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current());
-
-  /// Convenience forms of handle.wait() / handle.test().
-  void wait(CommHandle& handle) { handle.wait(); }
-  [[nodiscard]] bool test(CommHandle& handle) { return handle.test(); }
+      std::source_location site = std::source_location::current()) = 0;
 
   /// Statistics accumulated by this rank's endpoint.
   [[nodiscard]] virtual const CommStats& stats() const = 0;
-
-  [[nodiscard]] virtual std::string backend_name() const = 0;
-
-  /// Scalar allreduce helpers.
-  double allreduce_sum_scalar(
-      double value, std::source_location site = std::source_location::current());
-  double allreduce_max_scalar(
-      double value, std::source_location site = std::source_location::current());
 
  private:
   bool aux_ = false;  ///< set by AuxScope; each rank endpoint has its own.
@@ -278,24 +229,15 @@ class SeqComm final : public Communicator {
   void allreduce_max(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void broadcast(
-      std::span<double> buffer, int root,
-      std::source_location site = std::source_location::current()) override;
-  void allgather(
-      std::span<const double> input, std::span<double> output,
-      std::source_location site = std::source_location::current()) override;
-  void barrier(
-      std::source_location site = std::source_location::current()) override;
   CommHandle iallreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  CommHandle iallreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   [[nodiscard]] const CommStats& stats() const override { return stats_; }
-  [[nodiscard]] std::string backend_name() const override { return "seq"; }
 
  private:
+  /// Shared body of the blocking allreduces.
+  void allreduce(std::span<double> inout, bool use_max);
+
   CommStats stats_;
 };
 

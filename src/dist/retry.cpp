@@ -75,7 +75,6 @@ class RetryWaitOp final : public detail::PendingOp {
     }
   }
   [[nodiscard]] bool test() override { return inner_->test(); }
-  [[nodiscard]] std::size_t words() const override { return inner_->words(); }
 
  private:
   RetryingComm* owner_;
@@ -92,16 +91,6 @@ CommHandle RetryingComm::iallreduce_sum(std::span<double> inout,
   return CommHandle(std::make_shared<RetryWaitOp>(this, inner.op()));
 }
 
-CommHandle RetryingComm::iallreduce_max(std::span<double> inout,
-                                        std::source_location site) {
-  CommHandle inner =
-      with_retries([&] { return inner_.iallreduce_max(inout, site); });
-  if (!inner.valid()) {
-    return inner;
-  }
-  return CommHandle(std::make_shared<RetryWaitOp>(this, inner.op()));
-}
-
 void RetryingComm::allreduce_sum(std::span<double> inout,
                                  std::source_location site) {
   with_retries([&] { inner_.allreduce_sum(inout, site); });
@@ -110,21 +99,6 @@ void RetryingComm::allreduce_sum(std::span<double> inout,
 void RetryingComm::allreduce_max(std::span<double> inout,
                                  std::source_location site) {
   with_retries([&] { inner_.allreduce_max(inout, site); });
-}
-
-void RetryingComm::broadcast(std::span<double> buffer, int root,
-                             std::source_location site) {
-  with_retries([&] { inner_.broadcast(buffer, root, site); });
-}
-
-void RetryingComm::allgather(std::span<const double> input,
-                             std::span<double> output,
-                             std::source_location site) {
-  with_retries([&] { inner_.allgather(input, output, site); });
-}
-
-void RetryingComm::barrier(std::source_location site) {
-  with_retries([&] { inner_.barrier(site); });
 }
 
 const CommStats& RetryingComm::stats() const {

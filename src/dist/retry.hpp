@@ -52,14 +52,6 @@ class RetryingComm final : public Communicator {
   void allreduce_max(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void broadcast(
-      std::span<double> buffer, int root,
-      std::source_location site = std::source_location::current()) override;
-  void allgather(
-      std::span<const double> input, std::span<double> output,
-      std::source_location site = std::source_location::current()) override;
-  void barrier(
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking posts are retried like any collective (a transient at post
   // fires before the inner post, so repeating it is safe); the returned
   // handle additionally retries *at wait*, absorbing transients injected
@@ -67,14 +59,8 @@ class RetryingComm final : public Communicator {
   CommHandle iallreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  CommHandle iallreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   /// Inner stats with this decorator's retry count folded in.
   [[nodiscard]] const CommStats& stats() const override;
-  [[nodiscard]] std::string backend_name() const override {
-    return inner_.backend_name() + "+retry";
-  }
 
   /// Collectives that needed at least one retry resolve here; total
   /// attempts beyond the first across all calls.

@@ -29,17 +29,11 @@ obs::Histogram& allreduce_latency() {
 }
 
 // Per-rank rendezvous wait before the reduction proper: the direct
-// measurement of barrier skew across ranks (a rank that arrives late shows
+// measurement of arrival skew across ranks (a rank that arrives late shows
 // up as short waits on itself and long waits on everyone else).
 obs::Histogram& collective_wait() {
   static obs::Histogram& h =
       obs::MetricsRegistry::global().histogram("collective_wait_us");
-  return h;
-}
-
-obs::Histogram& barrier_wait() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("barrier_wait_us");
   return h;
 }
 
@@ -68,7 +62,6 @@ struct GroupState {
         check(check_in),
         rendezvous(size),
         publish(as_index(size), nullptr),
-        publish_const(as_index(size), nullptr),
         publish_len(as_index(size), 0),
         work_a(as_index(size)),
         work_b(as_index(size)),
@@ -87,7 +80,6 @@ struct GroupState {
   std::unique_ptr<check::ContractBoard> board;
   // Per-rank published buffer pointers for the collective in flight.
   std::vector<double*> publish;
-  std::vector<const double*> publish_const;
   std::vector<std::size_t> publish_len;
   // Double-buffered per-rank workspaces for recursive doubling.
   std::vector<std::vector<double>> work_a;
@@ -107,23 +99,20 @@ struct GroupState {
 class ThreadPendingOp final : public PendingOp {
  public:
   ThreadPendingOp(std::shared_ptr<AsyncQueue> queue, CommStats* stats,
-                  std::span<double> user, bool max_op, std::int64_t seq_in)
+                  std::span<double> user, std::int64_t seq_in)
       : queue_(std::move(queue)),
         stats_(stats),
         buf(user.begin(), user.end()),
         dst_(user.data()),
-        use_max(max_op),
         seq(seq_in) {}
 
   void wait() override;
   [[nodiscard]] bool test() override;
-  [[nodiscard]] std::size_t words() const override { return buf.size(); }
 
   std::shared_ptr<AsyncQueue> queue_;
   CommStats* stats_;  ///< overlap credit target; main-thread use only
   std::vector<double> buf;  ///< op-owned payload (reduced in place)
   double* dst_;             ///< user span, written at first wait
-  bool use_max;
   std::int64_t seq;
   // Completion state, guarded by queue_->mu.
   bool done = false;
@@ -251,44 +240,32 @@ void ThreadComm::execute_async(ThreadPendingOp& op) {
   const std::span<double> payload(op.buf.data(), op.buf.size());
   if (state_->algo == AllreduceAlgo::kRecursiveDoubling &&
       (size_ & (size_ - 1)) == 0) {
-    allreduce_recursive_doubling(payload, op.use_max, op.seq, /*timed=*/false);
+    allreduce_recursive_doubling(payload, /*use_max=*/false, op.seq,
+                                 /*timed=*/false);
   } else {
-    allreduce_central(payload, op.use_max, op.seq, /*timed=*/false);
+    allreduce_central(payload, /*use_max=*/false, op.seq, /*timed=*/false);
   }
 }
 
-CommHandle ThreadComm::post_iallreduce(std::span<double> inout, bool use_max,
-                                       const std::source_location& site) {
+CommHandle ThreadComm::iallreduce_sum(std::span<double> inout,
+                                      std::source_location site) {
   if (aux_mode()) {
     // Aux traffic never overlaps: degrade to the blocking path (which
     // emits the aux span names and skips stats).
-    if (use_max) {
-      allreduce_max(inout, site);
-    } else {
-      allreduce_sum(inout, site);
-    }
-    return CommHandle(std::make_shared<detail::CompletedOp>(inout.size()));
+    allreduce_sum(inout, site);
+    return CommHandle(std::make_shared<detail::CompletedOp>());
   }
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span("allreduce_post", static_cast<double>(inout.size()),
                        nullptr, seq);
-  contract_check(use_max ? check::CollectiveKind::kIallreduceMax
-                         : check::CollectiveKind::kIallreduceSum,
-                 inout.size(), 0, seq, site);
-  if (use_max) {
-    ++stats_.allreduce_max_calls;
-  } else {
-    ++stats_.allreduce_calls;
-  }
-  stats_.allreduce_words += inout.size();
-  stats_.max_payload_words =
-      std::max<std::uint64_t>(stats_.max_payload_words, inout.size());
+  contract_check(check::CollectiveKind::kIallreduceSum, inout.size(), seq,
+                 site);
+  stats_.count_allreduce(/*use_max=*/false, inout.size());
   if (async_ == nullptr) {
     async_ = std::make_shared<AsyncQueue>();
     async_->worker = std::thread([this] { async_worker(); });
   }
-  auto op = std::make_shared<ThreadPendingOp>(async_, &stats_, inout, use_max,
-                                              seq);
+  auto op = std::make_shared<ThreadPendingOp>(async_, &stats_, inout, seq);
   {
     std::lock_guard<std::mutex> lk(async_->mu);
     async_->pending.push_back(op);
@@ -297,24 +274,13 @@ CommHandle ThreadComm::post_iallreduce(std::span<double> inout, bool use_max,
   return CommHandle(std::move(op));
 }
 
-CommHandle ThreadComm::iallreduce_sum(std::span<double> inout,
-                                      std::source_location site) {
-  return post_iallreduce(inout, /*use_max=*/false, site);
-}
-
-CommHandle ThreadComm::iallreduce_max(std::span<double> inout,
-                                      std::source_location site) {
-  return post_iallreduce(inout, /*use_max=*/true, site);
-}
-
 void ThreadComm::contract_check(check::CollectiveKind kind, std::size_t words,
-                                std::uint64_t extra, std::int64_t seq,
+                                std::int64_t seq,
                                 const std::source_location& site) {
   if (state_->board == nullptr) {
     return;
   }
-  const check::Fingerprint fp =
-      tracker_.next(kind, words, extra, aux_mode(), site);
+  const check::Fingerprint fp = tracker_.next(kind, words, aux_mode(), site);
   state_->board->verify(rank_, fp, seq);
 }
 
@@ -322,61 +288,34 @@ std::int64_t ThreadComm::next_span_seq() {
   return aux_mode() ? -1 : collective_seq_++;
 }
 
-void ThreadComm::barrier(std::source_location site) {
-  quiesce();
-  const std::int64_t seq = next_span_seq();
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "barrier_wait", 0.0,
-                       aux_mode() ? nullptr : &barrier_wait(), seq);
-  contract_check(check::CollectiveKind::kBarrier, 0, 0, seq, site);
-  if (!aux_mode()) {
-    ++stats_.barrier_calls;
-  }
-  rendezvous("barrier");
-}
-
 void ThreadComm::allreduce_sum(std::span<double> inout,
                                std::source_location site) {
-  quiesce();
-  const std::int64_t seq = next_span_seq();
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
-                       static_cast<double>(inout.size()),
-                       aux_mode() ? nullptr : &allreduce_latency(), seq);
-  contract_check(check::CollectiveKind::kAllreduceSum, inout.size(), 0, seq,
-                 site);
-  if (!aux_mode()) {
-    ++stats_.allreduce_calls;
-    stats_.allreduce_words += inout.size();
-    stats_.max_payload_words = std::max<std::uint64_t>(
-        stats_.max_payload_words, inout.size());
-  }
-  if (state_->algo == AllreduceAlgo::kRecursiveDoubling &&
-      (size_ & (size_ - 1)) == 0) {
-    allreduce_recursive_doubling(inout, /*use_max=*/false, seq);
-  } else {
-    allreduce_central(inout, /*use_max=*/false, seq);
-  }
+  allreduce(inout, /*use_max=*/false, site);
 }
 
 void ThreadComm::allreduce_max(std::span<double> inout,
                                std::source_location site) {
+  allreduce(inout, /*use_max=*/true, site);
+}
+
+void ThreadComm::allreduce(std::span<double> inout, bool use_max,
+                           const std::source_location& site) {
   quiesce();
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
                        static_cast<double>(inout.size()),
                        aux_mode() ? nullptr : &allreduce_latency(), seq);
-  contract_check(check::CollectiveKind::kAllreduceMax, inout.size(), 0, seq,
-                 site);
+  contract_check(use_max ? check::CollectiveKind::kAllreduceMax
+                         : check::CollectiveKind::kAllreduceSum,
+                 inout.size(), seq, site);
   if (!aux_mode()) {
-    ++stats_.allreduce_max_calls;
-    stats_.allreduce_words += inout.size();
-    stats_.max_payload_words = std::max<std::uint64_t>(
-        stats_.max_payload_words, inout.size());
+    stats_.count_allreduce(use_max, inout.size());
   }
   if (state_->algo == AllreduceAlgo::kRecursiveDoubling &&
       (size_ & (size_ - 1)) == 0) {
-    allreduce_recursive_doubling(inout, /*use_max=*/true, seq);
+    allreduce_recursive_doubling(inout, use_max, seq);
   } else {
-    allreduce_central(inout, /*use_max=*/true, seq);
+    allreduce_central(inout, use_max, seq);
   }
 }
 
@@ -471,66 +410,6 @@ void ThreadComm::allreduce_recursive_doubling(std::span<double> inout,
   std::copy((*cur)[as_index(rank_)].begin(), (*cur)[as_index(rank_)].end(),
             inout.begin());
   rendezvous("allreduce:release");
-}
-
-void ThreadComm::broadcast(std::span<double> buffer, int root,
-                           std::source_location site) {
-  quiesce();
-  RCF_CHECK_MSG(root >= 0 && root < size_, "broadcast: bad root");
-  const std::int64_t seq = next_span_seq();
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "broadcast",
-                       static_cast<double>(buffer.size()), nullptr, seq);
-  contract_check(check::CollectiveKind::kBroadcast, buffer.size(),
-                 static_cast<std::uint64_t>(root), seq, site);
-  if (!aux_mode()) {
-    ++stats_.broadcast_calls;
-    stats_.broadcast_words += buffer.size();
-    stats_.max_payload_words = std::max<std::uint64_t>(
-        stats_.max_payload_words, buffer.size());
-  }
-  GroupState& st = *state_;
-  if (rank_ == root) {
-    st.publish[as_index(root)] = buffer.data();
-    st.publish_len[as_index(root)] = buffer.size();
-  }
-  rendezvous("broadcast:publish");
-  if (rank_ != root) {
-    RCF_CHECK_MSG(st.publish_len[as_index(root)] == buffer.size(),
-                  "broadcast: payload size mismatch");
-    std::copy(st.publish[as_index(root)],
-              st.publish[as_index(root)] + buffer.size(), buffer.begin());
-  }
-  rendezvous("broadcast:release");
-}
-
-void ThreadComm::allgather(std::span<const double> input,
-                           std::span<double> output,
-                           std::source_location site) {
-  quiesce();
-  RCF_CHECK_MSG(output.size() == input.size() * as_index(size_),
-                "allgather: output size must be size() * input size");
-  const std::int64_t seq = next_span_seq();
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allgather",
-                       static_cast<double>(input.size()), nullptr, seq);
-  contract_check(check::CollectiveKind::kAllgather, input.size(), 0, seq,
-                 site);
-  if (!aux_mode()) {
-    ++stats_.allgather_calls;
-    stats_.allgather_words += input.size();
-    stats_.max_payload_words = std::max<std::uint64_t>(
-        stats_.max_payload_words, input.size());
-  }
-  GroupState& st = *state_;
-  st.publish_const[as_index(rank_)] = input.data();
-  st.publish_len[as_index(rank_)] = input.size();
-  rendezvous("allgather:publish");
-  const std::size_t n = input.size();
-  for (int r = 0; r < size_; ++r) {
-    RCF_CHECK_MSG(st.publish_len[as_index(r)] == n, "allgather: ragged inputs");
-    std::copy(st.publish_const[as_index(r)], st.publish_const[as_index(r)] + n,
-              output.begin() + static_cast<std::ptrdiff_t>(as_index(r) * n));
-  }
-  rendezvous("allgather:release");
 }
 
 ThreadGroup::ThreadGroup(int size, AllreduceAlgo algo,

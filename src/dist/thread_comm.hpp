@@ -65,14 +65,6 @@ class ThreadComm final : public Communicator {
   void allreduce_max(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void broadcast(
-      std::span<double> buffer, int root,
-      std::source_location site = std::source_location::current()) override;
-  void allgather(
-      std::span<const double> input, std::span<double> output,
-      std::source_location site = std::source_location::current()) override;
-  void barrier(
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking allreduce: the post snapshots the payload, fingerprints and
   // counts it on the calling thread, then hands the reduction to this
   // endpoint's background progress thread (lazily started on first post;
@@ -84,22 +76,18 @@ class ThreadComm final : public Communicator {
   CommHandle iallreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  CommHandle iallreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   [[nodiscard]] const CommStats& stats() const override { return stats_; }
-  [[nodiscard]] std::string backend_name() const override { return "thread"; }
 
  private:
   friend class detail::ThreadPendingOp;
 
+  /// Shared body of the blocking allreduces.
+  void allreduce(std::span<double> inout, bool use_max,
+                 const std::source_location& site);
   void allreduce_central(std::span<double> inout, bool use_max,
                          std::int64_t seq, bool timed = true);
   void allreduce_recursive_doubling(std::span<double> inout, bool use_max,
                                     std::int64_t seq, bool timed = true);
-  /// Shared body of the iallreduce posts.
-  CommHandle post_iallreduce(std::span<double> inout, bool use_max,
-                             const std::source_location& site);
   /// Blocks until this endpoint's async queue is empty.  Every blocking
   /// collective calls this first: the SPMD programs are identical across
   /// ranks, so each rank quiesces at the same point of the global
@@ -118,8 +106,7 @@ class ThreadComm final : public Communicator {
   /// about to execute; `seq` is its span sequence number (next_span_seq).
   /// No-op (one null test) when checking is off.
   void contract_check(check::CollectiveKind kind, std::size_t words,
-                      std::uint64_t extra, std::int64_t seq,
-                      const std::source_location& site);
+                      std::int64_t seq, const std::source_location& site);
   /// Sequence number stamped on this collective's spans for the cross-rank
   /// timeline merge: the engine-space per-endpoint collective count (the
   /// same counting scheme check::SequenceTracker fingerprints), -1 in aux

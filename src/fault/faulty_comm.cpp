@@ -84,7 +84,7 @@ void FaultyComm::before_collective(std::span<double> payload) {
       }
       case FaultKind::kNanPoison: {
         if (payload.empty()) {
-          break;  // stays armed for the next payload-carrying collective.
+          break;  // stays armed for the next non-empty payload.
         }
         ++a.fired;
         note_fault("nan_poison", call);
@@ -184,7 +184,6 @@ class FaultWaitOp final : public dist::detail::PendingOp {
     inner_->wait();
   }
   [[nodiscard]] bool test() override { return inner_->test(); }
-  [[nodiscard]] std::size_t words() const override { return inner_->words(); }
 
  private:
   FaultyComm* owner_;
@@ -192,17 +191,14 @@ class FaultWaitOp final : public dist::detail::PendingOp {
   std::uint64_t call_;
 };
 
-dist::CommHandle FaultyComm::post_iallreduce(std::span<double> inout,
-                                             bool use_max,
-                                             const std::source_location& site) {
+dist::CommHandle FaultyComm::iallreduce_sum(std::span<double> inout,
+                                            std::source_location site) {
   if (aux_mode()) {
     AuxScope fwd(inner_);
-    return use_max ? inner_.iallreduce_max(inout, site)
-                   : inner_.iallreduce_sum(inout, site);
+    return inner_.iallreduce_sum(inout, site);
   }
   before_collective(inout);
-  dist::CommHandle handle = use_max ? inner_.iallreduce_max(inout, site)
-                                    : inner_.iallreduce_sum(inout, site);
+  dist::CommHandle handle = inner_.iallreduce_sum(inout, site);
   const std::uint64_t call = calls_++;
   if (!has_wait_specs_ || !handle.valid()) {
     return handle;
@@ -211,84 +207,29 @@ dist::CommHandle FaultyComm::post_iallreduce(std::span<double> inout,
       std::make_shared<FaultWaitOp>(this, handle.op(), call));
 }
 
-dist::CommHandle FaultyComm::iallreduce_sum(std::span<double> inout,
-                                            std::source_location site) {
-  return post_iallreduce(inout, /*use_max=*/false, site);
-}
-
-dist::CommHandle FaultyComm::iallreduce_max(std::span<double> inout,
-                                            std::source_location site) {
-  return post_iallreduce(inout, /*use_max=*/true, site);
-}
-
 void FaultyComm::allreduce_sum(std::span<double> inout,
                                std::source_location site) {
-  std::optional<AuxScope> fwd;
-  if (aux_mode()) {
-    fwd.emplace(inner_);
-  } else {
-    before_collective(inout);
-  }
-  inner_.allreduce_sum(inout, site);
-  if (!aux_mode()) {
-    ++calls_;
-  }
+  allreduce(inout, /*use_max=*/false, site);
 }
 
 void FaultyComm::allreduce_max(std::span<double> inout,
                                std::source_location site) {
+  allreduce(inout, /*use_max=*/true, site);
+}
+
+void FaultyComm::allreduce(std::span<double> inout, bool use_max,
+                           const std::source_location& site) {
   std::optional<AuxScope> fwd;
   if (aux_mode()) {
     fwd.emplace(inner_);
   } else {
     before_collective(inout);
   }
-  inner_.allreduce_max(inout, site);
-  if (!aux_mode()) {
-    ++calls_;
-  }
-}
-
-void FaultyComm::broadcast(std::span<double> buffer, int root,
-                           std::source_location site) {
-  std::optional<AuxScope> fwd;
-  if (aux_mode()) {
-    fwd.emplace(inner_);
+  if (use_max) {
+    inner_.allreduce_max(inout, site);
   } else {
-    // Only the root's buffer is input data; corrupting a non-root buffer
-    // would be overwritten by the broadcast itself.
-    before_collective(inner_.rank() == root ? buffer : std::span<double>{});
+    inner_.allreduce_sum(inout, site);
   }
-  inner_.broadcast(buffer, root, site);
-  if (!aux_mode()) {
-    ++calls_;
-  }
-}
-
-void FaultyComm::allgather(std::span<const double> input,
-                           std::span<double> output,
-                           std::source_location site) {
-  std::optional<AuxScope> fwd;
-  if (aux_mode()) {
-    fwd.emplace(inner_);
-  } else {
-    // Input is immutable; only delay / transient / abort kinds can fire.
-    before_collective({});
-  }
-  inner_.allgather(input, output, site);
-  if (!aux_mode()) {
-    ++calls_;
-  }
-}
-
-void FaultyComm::barrier(std::source_location site) {
-  std::optional<AuxScope> fwd;
-  if (aux_mode()) {
-    fwd.emplace(inner_);
-  } else {
-    before_collective({});
-  }
-  inner_.barrier(site);
   if (!aux_mode()) {
     ++calls_;
   }

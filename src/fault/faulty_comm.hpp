@@ -45,14 +45,6 @@ class FaultyComm final : public dist::Communicator {
   void allreduce_max(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void broadcast(
-      std::span<double> buffer, int root,
-      std::source_location site = std::source_location::current()) override;
-  void allgather(
-      std::span<const double> input, std::span<double> output,
-      std::source_location site = std::source_location::current()) override;
-  void barrier(
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking posts: stage=post faults (the default) fire before the
   // inner post exactly like the blocking path -- a transient thrown here
   // never reaches the inner communicator, so a retried post stays clean
@@ -62,14 +54,8 @@ class FaultyComm final : public dist::Communicator {
   dist::CommHandle iallreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  dist::CommHandle iallreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   /// Inner stats with this decorator's injection count folded in.
   [[nodiscard]] const dist::CommStats& stats() const override;
-  [[nodiscard]] std::string backend_name() const override {
-    return inner_.backend_name() + "+fault";
-  }
 
   /// Faults fired so far on this endpoint (delays, corruptions, throws).
   [[nodiscard]] std::uint64_t faults_injected() const { return injected_; }
@@ -89,17 +75,17 @@ class FaultyComm final : public dist::Communicator {
   friend class FaultWaitOp;
 
   /// Applies the stage=post faults due at the current call index.
-  /// `payload` is the mutable input buffer for corruption kinds (empty for
-  /// collectives without an in-place payload).  Throws for transient/abort
-  /// kinds; otherwise returns after any delays/corruption.
+  /// `payload` is the mutable input buffer the corruption kinds write.
+  /// Throws for transient/abort kinds; otherwise returns after any
+  /// delays/corruption.
   void before_collective(std::span<double> payload);
   /// Applies the stage=wait faults matching `call` (re-evaluated on every
   /// wait attempt, so a retried wait counts down a spec's `count` budget
   /// the same way retried posts do).  Throws for transient/abort kinds.
   void before_wait(std::uint64_t call);
-  /// Shared body of the iallreduce posts.
-  dist::CommHandle post_iallreduce(std::span<double> inout, bool use_max,
-                                   const std::source_location& site);
+  /// Shared body of the blocking allreduces.
+  void allreduce(std::span<double> inout, bool use_max,
+                 const std::source_location& site);
 
   dist::Communicator& inner_;
   std::vector<Armed> armed_;

@@ -52,21 +52,6 @@ CollectiveCost allreduce_cost(CollectiveModel model, int p,
   return {};
 }
 
-CollectiveCost broadcast_cost(CollectiveModel model, int p,
-                              std::uint64_t words) {
-  const double lg = ceil_log2(p);
-  const auto n = static_cast<double>(words);
-  switch (model) {
-    case CollectiveModel::kPaperLogP:
-    case CollectiveModel::kTree:
-      return {lg, n * lg};
-    case CollectiveModel::kRabenseifner:
-      // scatter + allgather
-      return {2.0 * lg, p > 1 ? 2.0 * n * (p - 1.0) / p : 0.0};
-  }
-  return {};
-}
-
 const char* phase_name(Phase phase) {
   switch (phase) {
     case Phase::kSampling:

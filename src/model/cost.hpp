@@ -35,14 +35,12 @@ struct CollectiveCost {
 };
 [[nodiscard]] CollectiveCost allreduce_cost(CollectiveModel model, int p,
                                             std::uint64_t words);
-[[nodiscard]] CollectiveCost broadcast_cost(CollectiveModel model, int p,
-                                            std::uint64_t words);
 
 /// Phases of the solver loop, for the breakdown printed by the benches.
 enum class Phase : int {
   kSampling = 0,  ///< index-set generation (stage A)
   kGram = 1,      ///< local H/R accumulation (stage B)
-  kComm = 2,      ///< allreduce / broadcast  (stage C)
+  kComm = 2,      ///< allreduce (stage C)
   kUpdate = 3,    ///< vector recurrences / prox (stage D)
   kOther = 4,
 };
@@ -61,11 +59,6 @@ class CostTracker {
   /// Charges one allreduce of `words` doubles over `p` ranks.
   void add_allreduce(int p, std::uint64_t words) {
     const auto c = allreduce_cost(model_, p, words);
-    messages_[static_cast<int>(Phase::kComm)] += c.messages;
-    words_[static_cast<int>(Phase::kComm)] += c.words;
-  }
-  void add_broadcast(int p, std::uint64_t words) {
-    const auto c = broadcast_cost(model_, p, words);
     messages_[static_cast<int>(Phase::kComm)] += c.messages;
     words_[static_cast<int>(Phase::kComm)] += c.words;
   }

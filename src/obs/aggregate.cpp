@@ -272,11 +272,6 @@ void record_solve_metrics(MetricsRegistry& registry,
     registry.counter("comm.allreduce_calls").add(s.allreduce_calls);
     registry.counter("comm.allreduce_max_calls").add(s.allreduce_max_calls);
     registry.counter("comm.allreduce_words").add(s.allreduce_words);
-    registry.counter("comm.broadcast_calls").add(s.broadcast_calls);
-    registry.counter("comm.broadcast_words").add(s.broadcast_words);
-    registry.counter("comm.allgather_calls").add(s.allgather_calls);
-    registry.counter("comm.allgather_words").add(s.allgather_words);
-    registry.counter("comm.barrier_calls").add(s.barrier_calls);
     registry.counter("comm.retries").add(s.retries);
     registry.counter("comm.faults_injected").add(s.faults_injected);
     registry.gauge("comm.max_payload_words")

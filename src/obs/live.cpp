@@ -72,9 +72,7 @@ void append_i64(std::string& out, std::int64_t v) {
 /// communication nor waiting (pool slices nested inside engine phases) are
 /// left out of the occupancy split so nested spans never double-count.
 bool is_comm_label(std::string_view label) {
-  return label == "allreduce" || label == "allreduce_post" ||
-         label == "broadcast" || label == "allgather" || label == "gather" ||
-         label == "reduce" || label == "barrier";
+  return label == "allreduce" || label == "allreduce_post";
 }
 
 bool is_wait_label(std::string_view label) {

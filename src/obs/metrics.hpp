@@ -4,7 +4,7 @@
 // The registry subsumes the per-communicator CommStats counters (the comm
 // backends publish their totals here when tracing is enabled; see
 // dist::publish_comm_stats) and extends them with latency distributions
-// the flat counters cannot express (allreduce/barrier-wait percentiles,
+// the flat counters cannot express (allreduce latency and wait percentiles,
 // for validating the alpha term of the cost model and exposing rank skew).
 //
 // Thread safety: counter/gauge updates and histogram observations are

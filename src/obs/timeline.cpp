@@ -32,20 +32,23 @@ bool is_arrival_wait(const std::string& name) {
 }  // namespace
 
 SpanCategory classify_span(const std::string& name) {
-  if (name == "allreduce" || name == "broadcast" || name == "allgather") {
+  if (name == "allreduce") {
     return SpanCategory::kComm;
   }
-  if (is_nested_wait(name) || name == "barrier_wait") {
+  if (is_nested_wait(name)) {
     return SpanCategory::kWait;
   }
   if (name == "aux_collective" || name == "aux_wait") {
     return SpanCategory::kAux;
   }
+  if (name == "check.contract" || name == "check.epoch") {
+    return SpanCategory::kChecker;
+  }
   return SpanCategory::kCompute;
 }
 
 bool is_aligned_collective(const std::string& name) {
-  return classify_span(name) == SpanCategory::kComm || name == "barrier_wait";
+  return classify_span(name) == SpanCategory::kComm;
 }
 
 std::int64_t CollectiveInstance::end_max_us() const {
@@ -107,9 +110,7 @@ Timeline Timeline::build(std::vector<TimelineSpan> spans) {
         break;
       case SpanCategory::kWait:
         rt.wait_s += secs;
-        if (is_nested_wait(s.name)) {
-          rt.comm_s -= secs;  // contained in the collective span
-        }
+        rt.comm_s -= secs;  // contained in the collective span
         break;
       case SpanCategory::kAux:
         if (s.name != "aux_wait") {  // aux_wait nests inside aux_collective
@@ -118,6 +119,8 @@ Timeline Timeline::build(std::vector<TimelineSpan> spans) {
         break;
       case SpanCategory::kCompute:
         rt.compute_s += secs;
+        break;
+      case SpanCategory::kChecker:
         break;
     }
   }
@@ -165,12 +168,7 @@ Timeline Timeline::build(std::vector<TimelineSpan> spans) {
     entry.present = true;
     entry.start_us = s.start_us;
     entry.end_us = s.end_us();
-    // barrier_wait has no nested wait span: the whole span is the wait and
-    // its start is the arrival.
     entry.arrival_us = s.start_us;
-    if (s.name == "barrier_wait") {
-      entry.wait_us = s.dur_us;
-    }
     inst.words = std::max(inst.words, s.words);
   }
 

@@ -13,7 +13,8 @@
 // The merge produces:
 //  * a per-rank compute / communication / wait / aux decomposition (wait
 //    spans nest inside their collective span, so "comm" here is the
-//    data-movement remainder after the nested waits are subtracted), and
+//    data-movement remainder after the nested waits are subtracted; the
+//    contract checker's wrapper spans count in no category), and
 //  * one CollectiveInstance per aligned collective with per-rank arrival
 //    times and straggler attribution (the rank that arrived last and made
 //    every other rank wait).
@@ -46,24 +47,30 @@ struct TimelineSpan {
 /// How a span contributes to the per-rank decomposition.
 enum class SpanCategory {
   kCompute,  ///< anything not recognized below
-  kComm,     ///< allreduce / broadcast / allgather (data movement)
-  kWait,     ///< allreduce/reduce/contract/barrier_wait (pure idling)
+  kComm,     ///< allreduce (data movement, net of its nested waits)
+  kWait,     ///< allreduce_wait / reduce_wait / contract_wait (idling)
   kAux,      ///< aux_collective / aux_wait (aggregation overhead)
+  /// check.contract / check.epoch: contract-checker wrappers.  Their time
+  /// is already counted through the spans around or inside them (a
+  /// collective's span, its contract_wait, the epoch's aux_collective), so
+  /// they add to no category.
+  kChecker,
 };
 [[nodiscard]] SpanCategory classify_span(const std::string& name);
 
 /// True for the collective spans the merge aligns across ranks (the kComm
-/// spans plus barrier_wait, which is a top-level collective of its own).
+/// spans).
 [[nodiscard]] bool is_aligned_collective(const std::string& name);
 
 /// Per-rank time decomposition.  Wait spans nest inside collective spans,
-/// so comm_s already has wait_s subtracted (clamped at zero); barrier_wait
-/// is all wait.  busy_s() + idle wait = span-covered time.
+/// so comm_s already has wait_s subtracted (clamped at zero).  On a
+/// blocking run without nested compute spans the four parts sum to at most
+/// the rank's span window, last_us - first_us.
 struct RankTimes {
   int rank = 0;
   double compute_s = 0.0;
   double comm_s = 0.0;  ///< collective time net of nested waits
-  double wait_s = 0.0;  ///< rendezvous idling (publish + reduce + barrier)
+  double wait_s = 0.0;  ///< rendezvous idling (contract + publish + reduce)
   double aux_s = 0.0;
   std::uint64_t spans = 0;
   std::int64_t first_us = 0;  ///< earliest span start on this rank

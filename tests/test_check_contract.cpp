@@ -5,7 +5,6 @@
 // identical iterate.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,8 +49,8 @@ TEST(Fingerprint, IdenticalStreamsMatch) {
   SequenceTracker a, b;
   const auto site = std::source_location::current();
   for (int i = 0; i < 4; ++i) {
-    const auto fa = a.next(CollectiveKind::kAllreduceSum, 7, 0, false, site);
-    const auto fb = b.next(CollectiveKind::kAllreduceSum, 7, 0, false, site);
+    const auto fa = a.next(CollectiveKind::kAllreduceSum, 7, false, site);
+    const auto fb = b.next(CollectiveKind::kAllreduceSum, 7, false, site);
     EXPECT_TRUE(fa.matches(fb)) << i;
     EXPECT_EQ(fa.seq, static_cast<std::uint64_t>(i));
   }
@@ -60,12 +59,12 @@ TEST(Fingerprint, IdenticalStreamsMatch) {
 TEST(Fingerprint, DivergenceStaysInRollingHash) {
   SequenceTracker a, b;
   const auto site = std::source_location::current();
-  a.next(CollectiveKind::kAllreduceSum, 7, 0, false, site);
-  b.next(CollectiveKind::kBroadcast, 7, 0, false, site);
+  a.next(CollectiveKind::kAllreduceSum, 7, false, site);
+  b.next(CollectiveKind::kAllreduceMax, 7, false, site);
   // Same kind/words from here on, but the rolling hash remembers the
   // divergence forever.
-  const auto fa = a.next(CollectiveKind::kBarrier, 0, 0, false, site);
-  const auto fb = b.next(CollectiveKind::kBarrier, 0, 0, false, site);
+  const auto fa = a.next(CollectiveKind::kIallreduceSum, 7, false, site);
+  const auto fb = b.next(CollectiveKind::kIallreduceSum, 7, false, site);
   EXPECT_FALSE(fa.matches(fb));
   EXPECT_NE(fa.rolling, fb.rolling);
 }
@@ -74,19 +73,19 @@ TEST(Fingerprint, AuxSpaceIsIndependent) {
   SequenceTracker a, b;
   const auto site = std::source_location::current();
   // a interleaves aux traffic, b does not; the engine streams stay equal.
-  a.next(CollectiveKind::kAllreduceSum, 3, 0, true, site);
-  const auto fa = a.next(CollectiveKind::kAllreduceSum, 9, 0, false, site);
-  const auto fb = b.next(CollectiveKind::kAllreduceSum, 9, 0, false, site);
+  a.next(CollectiveKind::kAllreduceSum, 3, true, site);
+  const auto fa = a.next(CollectiveKind::kAllreduceSum, 9, false, site);
+  const auto fb = b.next(CollectiveKind::kAllreduceSum, 9, false, site);
   EXPECT_TRUE(fa.matches(fb));
   EXPECT_EQ(fa.space, 0);
-  const auto ga = a.next(CollectiveKind::kBarrier, 0, 0, true, site);
+  const auto ga = a.next(CollectiveKind::kAllreduceMax, 2, true, site);
   EXPECT_EQ(ga.space, 1);
   EXPECT_EQ(ga.seq, 1u) << "aux space counts its own calls";
 }
 
 TEST(Fingerprint, DescribeNamesKindSpaceAndSite) {
   SequenceTracker t;
-  const auto fp = t.next(CollectiveKind::kAllreduceSum, 132, 0, false,
+  const auto fp = t.next(CollectiveKind::kAllreduceSum, 132, false,
                          std::source_location::current());
   const std::string text = fp.describe();
   EXPECT_NE(text.find("allreduce_sum"), std::string::npos) << text;
@@ -119,33 +118,33 @@ TEST(CheckContract, PayloadMismatchReported) {
 }
 
 TEST(CheckContract, RankDivergentSequenceReported) {
-  dist::ThreadGroup group(2, dist::AllreduceAlgo::kCentral, checked_options());
-  try {
-    group.run([&](dist::ThreadComm& comm) {
-      std::vector<double> buf(8, 0.0);
-      if (comm.rank() == 0) {
-        comm.allreduce_sum(buf);
-      } else {
-        comm.broadcast(buf, 0);
-      }
-    });
-    FAIL() << "rank-divergent schedule was not reported";
-  } catch (const ContractViolation& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("allreduce_sum"), std::string::npos) << what;
-    EXPECT_NE(what.find("broadcast"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  // Rank 1 answers rank 0's blocking sum with a max, then with a posted
+  // sum: a blocking and a posted collective at the same sequence point
+  // are different schedules.
+  for (const bool posted : {false, true}) {
+    const std::string other = posted ? "iallreduce_sum" : "allreduce_max";
+    dist::ThreadGroup group(2, dist::AllreduceAlgo::kCentral,
+                            checked_options());
+    try {
+      group.run([&](dist::ThreadComm& comm) {
+        std::vector<double> buf(8, 0.0);
+        if (comm.rank() == 0) {
+          comm.allreduce_sum(buf);
+        } else if (posted) {
+          comm.iallreduce_sum(buf).wait();
+        } else {
+          comm.allreduce_max(buf);
+        }
+      });
+      FAIL() << "rank-divergent schedule was not reported: " << other;
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("issued allreduce_sum"), std::string::npos) << what;
+      EXPECT_NE(what.find("issued " + other), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
   }
-}
-
-TEST(CheckContract, BroadcastRootDivergenceReported) {
-  dist::ThreadGroup group(2, dist::AllreduceAlgo::kCentral, checked_options());
-  EXPECT_THROW(group.run([&](dist::ThreadComm& comm) {
-    std::vector<double> buf(4, 0.0);
-    comm.broadcast(buf, comm.rank());  // roots disagree
-  }),
-               ContractViolation);
 }
 
 TEST(CheckContract, DeadlockReportedAsTimeoutNamingMissingRank) {
@@ -154,7 +153,8 @@ TEST(CheckContract, DeadlockReportedAsTimeoutNamingMissingRank) {
   try {
     group.run([&](dist::ThreadComm& comm) {
       if (comm.rank() == 0) {
-        comm.barrier();  // rank 1 never shows up
+        std::vector<double> buf(1, 0.0);
+        comm.allreduce_sum(buf);  // rank 1 never shows up
       }
     });
     FAIL() << "collective deadlock was not reported";
@@ -189,7 +189,6 @@ TEST(CheckContract, MatchedAuxTrafficIsClean) {
     {
       dist::Communicator::AuxScope aux(comm);
       comm.allreduce_max(buf);
-      comm.barrier();
     }
     comm.allreduce_sum(buf);
     ASSERT_DOUBLE_EQ(buf[0], 16.0);
@@ -203,7 +202,8 @@ TEST(CheckContract, BodyExceptionDoesNotHangOtherRanks) {
     if (comm.rank() == 2) {
       throw InvalidArgument("rank 2 gives up");
     }
-    comm.barrier();  // survivors are released by the poison, not a hang
+    std::vector<double> buf(1, 0.0);
+    comm.allreduce_sum(buf);  // survivors are released by the poison
   }),
                InvalidArgument);
 }
@@ -247,26 +247,14 @@ class DivergentMaxComm final : public dist::Communicator {
       inout[0] += 1.0;  // fleet max above this rank's hash -> divergence
     }
   }
-  void broadcast(std::span<double>, int,
-                 std::source_location =
-                     std::source_location::current()) override {
-    ++stats_.broadcast_calls;
-  }
-  void allgather(std::span<const double> input, std::span<double> output,
-                 std::source_location =
-                     std::source_location::current()) override {
-    std::copy(input.begin(), input.end(), output.begin());
-    ++stats_.allgather_calls;
-  }
-  void barrier(std::source_location =
-                   std::source_location::current()) override {
-    ++stats_.barrier_calls;
+  dist::CommHandle iallreduce_sum(
+      std::span<double> inout,
+      std::source_location site = std::source_location::current()) override {
+    allreduce_sum(inout, site);
+    return {};
   }
   [[nodiscard]] const dist::CommStats& stats() const override {
     return stats_;
-  }
-  [[nodiscard]] std::string backend_name() const override {
-    return "divergent";
   }
 
  private:
@@ -279,15 +267,13 @@ TEST(CheckedComm, CleanScheduleIsQuiet) {
   opts.epoch = 2;
   CheckedComm comm(inner, opts);
   EXPECT_TRUE(comm.enabled());
-  EXPECT_EQ(comm.backend_name(), "seq+check");
   std::vector<double> buf(4, 1.0);
   for (int i = 0; i < 10; ++i) {
     comm.allreduce_sum(buf);
   }
-  comm.barrier();
   // The epoch exchange runs in aux mode: engine stats stay exact.
   EXPECT_EQ(comm.stats().allreduce_calls, 10u);
-  EXPECT_EQ(comm.stats().barrier_calls, 1u);
+  EXPECT_EQ(comm.stats().allreduce_max_calls, 0u);
 }
 
 TEST(CheckedComm, EpochExchangeReportsHashDivergence) {
@@ -317,9 +303,9 @@ TEST(CheckedComm, DisabledForwardsUntouched) {
   EXPECT_FALSE(comm.enabled());
   std::vector<double> buf(3, 2.0);
   comm.allreduce_sum(buf);
-  comm.broadcast(buf, 0);
+  comm.allreduce_max(buf);
   EXPECT_EQ(inner.stats().allreduce_calls, 1u);
-  EXPECT_EQ(inner.stats().broadcast_calls, 1u);
+  EXPECT_EQ(inner.stats().allreduce_max_calls, 1u);
   EXPECT_DOUBLE_EQ(buf[0], 2.0);
 }
 

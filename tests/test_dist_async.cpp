@@ -35,7 +35,6 @@ TEST(SeqCommAsync, PostWaitTest) {
   CommHandle h = comm.iallreduce_sum(buf);
   EXPECT_TRUE(h.valid());
   EXPECT_TRUE(h.test());
-  EXPECT_EQ(h.words(), 3u);
   h.wait();
   h.wait();  // idempotent
   EXPECT_DOUBLE_EQ(buf[0], 1.0);
@@ -44,17 +43,12 @@ TEST(SeqCommAsync, PostWaitTest) {
   // A 1-rank reduction is complete at post, so the whole payload counts as
   // overlapped once waited.
   EXPECT_EQ(comm.stats().overlapped_words, 3u);
-
-  CommHandle hmax = comm.iallreduce_max(buf);
-  comm.wait(hmax);
-  EXPECT_EQ(comm.stats().allreduce_max_calls, 1u);
 }
 
 TEST(SeqCommAsync, DefaultConstructedHandleIsInert) {
   CommHandle h;
   EXPECT_FALSE(h.valid());
   EXPECT_TRUE(h.test());
-  EXPECT_EQ(h.words(), 0u);
   h.wait();  // no-op
 }
 
@@ -99,20 +93,6 @@ TEST_P(ThreadCommAsync, OutOfOrderWaits) {
     ASSERT_DOUBLE_EQ(b[0], 60.0);
     ha.wait();
     ASSERT_DOUBLE_EQ(a[0], 6.0);
-  });
-}
-
-TEST_P(ThreadCommAsync, MaxAndSumInterleaved) {
-  ThreadGroup group(3, GetParam());
-  group.run([](ThreadComm& comm) {
-    std::vector<double> sum{1.0};
-    std::vector<double> mx{static_cast<double>(comm.rank())};
-    CommHandle hs = comm.iallreduce_sum(sum);
-    CommHandle hm = comm.iallreduce_max(mx);
-    hs.wait();
-    hm.wait();
-    ASSERT_DOUBLE_EQ(sum[0], 3.0);
-    ASSERT_DOUBLE_EQ(mx[0], 2.0);
   });
 }
 

@@ -1,9 +1,7 @@
 // Tests for the communicator substrate: sequential backend semantics and
-// the threaded SPMD backend's collectives (both reduction schedules).
+// the threaded SPMD backend's allreduces (both reduction schedules).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
@@ -22,23 +20,10 @@ TEST(SeqComm, Identities) {
   EXPECT_DOUBLE_EQ(buf[0], 1.0);
   comm.allreduce_max(buf);
   EXPECT_DOUBLE_EQ(buf[1], 2.0);
-  comm.broadcast(buf, 0);
-  std::vector<double> out(2);
-  comm.allgather(buf, out);
-  EXPECT_EQ(out, buf);
-  comm.barrier();
   EXPECT_EQ(comm.stats().allreduce_calls, 1u);
   EXPECT_EQ(comm.stats().allreduce_max_calls, 1u);
   EXPECT_EQ(comm.stats().allreduce_words, 4u);
   EXPECT_EQ(comm.stats().max_payload_words, 2u);
-  EXPECT_EQ(comm.stats().barrier_calls, 1u);
-  EXPECT_EQ(comm.backend_name(), "seq");
-}
-
-TEST(SeqComm, ScalarHelpers) {
-  SeqComm comm;
-  EXPECT_DOUBLE_EQ(comm.allreduce_sum_scalar(3.5), 3.5);
-  EXPECT_DOUBLE_EQ(comm.allreduce_max_scalar(-1.0), -1.0);
 }
 
 class ThreadCommTest : public ::testing::TestWithParam<AllreduceAlgo> {};
@@ -95,59 +80,17 @@ TEST_P(ThreadCommTest, AllreduceDeterministicAcrossRuns) {
   }
 }
 
-TEST_P(ThreadCommTest, Broadcast) {
-  ThreadGroup group(4, GetParam());
-  group.run([](ThreadComm& comm) {
-    std::vector<double> buf(4, comm.rank() == 2 ? 7.5 : 0.0);
-    comm.broadcast(buf, 2);
-    for (double v : buf) {
-      ASSERT_DOUBLE_EQ(v, 7.5);
-    }
-  });
-}
-
-TEST_P(ThreadCommTest, Allgather) {
-  ThreadGroup group(3, GetParam());
-  group.run([](ThreadComm& comm) {
-    const std::vector<double> mine(2, static_cast<double>(comm.rank()));
-    std::vector<double> all(6);
-    comm.allgather(mine, all);
-    for (int r = 0; r < 3; ++r) {
-      const auto i = static_cast<std::size_t>(r);
-      ASSERT_DOUBLE_EQ(all[2 * i], r);
-      ASSERT_DOUBLE_EQ(all[2 * i + 1], r);
-    }
-  });
-}
-
-TEST_P(ThreadCommTest, BarrierSynchronizes) {
-  constexpr int kRanks = 4;
-  ThreadGroup group(kRanks, GetParam());
-  std::atomic<int> before{0};
-  std::atomic<bool> violated{false};
-  group.run([&](ThreadComm& comm) {
-    before.fetch_add(1);
-    comm.barrier();
-    if (before.load() != kRanks) {
-      violated = true;  // someone passed the barrier too early
-    }
-  });
-  EXPECT_FALSE(violated.load());
-}
-
 TEST_P(ThreadCommTest, StatsAggregateAcrossRanks) {
   ThreadGroup group(4, GetParam());
   group.run([](ThreadComm& comm) {
     std::vector<double> buf(10, 1.0);
     comm.allreduce_sum(buf);
-    comm.barrier();
   });
   const auto stats = group.last_run_stats();
   EXPECT_EQ(stats.allreduce_calls, 4u);
   EXPECT_EQ(stats.allreduce_max_calls, 0u);
   EXPECT_EQ(stats.allreduce_words, 40u);
   EXPECT_EQ(stats.max_payload_words, 10u);
-  EXPECT_EQ(stats.barrier_calls, 4u);
 }
 
 TEST_P(ThreadCommTest, SequentialRunsReuseGroup) {

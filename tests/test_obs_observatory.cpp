@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/distributed.hpp"
 #include "core/problem.hpp"
 #include "data/synthetic.hpp"
@@ -57,13 +58,11 @@ std::vector<obs::TimelineSpan> synthetic_spans() {
 TEST(ObsTimeline, ClassifiesSpanNames) {
   EXPECT_EQ(obs::classify_span("gram.task"), obs::SpanCategory::kCompute);
   EXPECT_EQ(obs::classify_span("allreduce"), obs::SpanCategory::kComm);
-  EXPECT_EQ(obs::classify_span("broadcast"), obs::SpanCategory::kComm);
   EXPECT_EQ(obs::classify_span("allreduce_wait"), obs::SpanCategory::kWait);
   EXPECT_EQ(obs::classify_span("reduce_wait"), obs::SpanCategory::kWait);
   EXPECT_EQ(obs::classify_span("aux_collective"), obs::SpanCategory::kAux);
   EXPECT_EQ(obs::classify_span("aux_wait"), obs::SpanCategory::kAux);
   EXPECT_TRUE(obs::is_aligned_collective("allreduce"));
-  EXPECT_TRUE(obs::is_aligned_collective("barrier_wait"));
   EXPECT_FALSE(obs::is_aligned_collective("allreduce_wait"));
   EXPECT_FALSE(obs::is_aligned_collective("aux_collective"));
 }
@@ -146,6 +145,37 @@ TEST(ObsTimeline, ArrivalIsEarliestStampedWait) {
   const auto path = obs::critical_path(timeline);
   ASSERT_FALSE(path.top_stragglers.empty());
   EXPECT_EQ(path.top_stragglers[0].rank, 1);
+}
+
+// The contract checker's wrapper spans hold time already counted through
+// other spans:
+//
+//   [0,100)   allreduce seq=0
+//   [0,40)      check.contract          (the board's verify)
+//   [0,30)        contract_wait seq=0   (its publish rendezvous)
+//   [40,70)     allreduce_wait seq=0
+//   [100,130) check.epoch               (after the collective returns)
+//   [105,125)   aux_collective          (the epoch's hash exchange)
+//
+// Neither wrapper may add to any category: the parts must fit the 130us
+// window instead of reading 190us.
+TEST(ObsTimeline, CheckerSpansAreNotCountedTwice) {
+  const auto timeline = obs::Timeline::build({
+      {"allreduce", 0, 0, 0, 100, 8.0},
+      {"check.contract", 0, -1, 0, 40, 0.0},
+      {"contract_wait", 0, 0, 0, 30, 0.0},
+      {"allreduce_wait", 0, 0, 40, 30, 0.0},
+      {"check.epoch", 0, -1, 100, 30, 0.0},
+      {"aux_collective", 0, -1, 105, 20, 2.0},
+  });
+  ASSERT_EQ(timeline.rank_times().size(), 1u);
+  const auto& rt = timeline.rank_times()[0];
+  EXPECT_NEAR(rt.comm_s, 40e-6, 1e-12);
+  EXPECT_NEAR(rt.wait_s, 60e-6, 1e-12);
+  EXPECT_NEAR(rt.aux_s, 20e-6, 1e-12);
+  EXPECT_NEAR(rt.compute_s, 0.0, 1e-12);
+  EXPECT_NEAR(rt.total_s(), 120e-6, 1e-12);
+  EXPECT_LE(rt.total_s(), static_cast<double>(rt.last_us - rt.first_us) * 1e-6);
 }
 
 TEST(ObsTimeline, OrdinalFallbackAlignsUnstampedSpans) {
@@ -569,6 +599,25 @@ TEST(ObsReport, BuildsTimelineSectionsFromEvents) {
   EXPECT_NE(text.find("critical path"), std::string::npos);
   const std::string json = tools::render_json(report);
   EXPECT_NE(json.find("\"critical_path\""), std::string::npos);
+
+  // The JSON "ranks" rows are the timeline's per-rank decomposition.
+  const auto doc = parse_json(json);
+  ASSERT_TRUE(doc.has_value());
+  const JsonValue* rows = doc->find("ranks");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_TRUE(rows->is_array());
+  const auto timeline = obs::Timeline::build(synthetic_spans());
+  const auto& expected = timeline.rank_times();
+  ASSERT_EQ(rows->array.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const JsonValue& row = rows->array[i];
+    ASSERT_NE(row.find("wait_s"), nullptr) << i;
+    EXPECT_EQ(row.number_or("rank", -1.0), expected[i].rank);
+    EXPECT_NEAR(row.number_or("compute_s", -1.0), expected[i].compute_s, 1e-12);
+    EXPECT_NEAR(row.number_or("comm_s", -1.0), expected[i].comm_s, 1e-12);
+    EXPECT_NEAR(row.number_or("wait_s", -1.0), expected[i].wait_s, 1e-12);
+    EXPECT_NEAR(row.number_or("aux_s", -1.0), expected[i].aux_s, 1e-12);
+  }
 }
 
 }  // namespace

@@ -28,16 +28,6 @@ bool read_file(const std::string& path, std::string& out, std::string& error) {
   return true;
 }
 
-bool is_comm_span(std::string_view name) {
-  return name == "allreduce" || name == "allreduce_wait" ||
-         name == "reduce_wait" || name == "broadcast" ||
-         name == "allgather" || name == "barrier_wait";
-}
-
-bool is_aux_span(std::string_view name) {
-  return name == "aux_collective" || name == "aux_wait";
-}
-
 DurationStats duration_stats(std::vector<double>& durs_us) {
   DurationStats stats;
   stats.count = durs_us.size();
@@ -182,8 +172,7 @@ bool build_report(const std::vector<ReportEvent>& events,
   out = Report{};
   out.convergence = convergence;
 
-  // -- per-rank breakdown + per-phase critical path -------------------------
-  std::map<int, RankBreakdown> ranks;
+  // -- per-phase critical path ---------------------------------------------
   // phase name -> rank -> (count, us, words)
   struct PhaseAccum {
     std::uint64_t count = 0;
@@ -193,17 +182,6 @@ bool build_report(const std::vector<ReportEvent>& events,
   std::map<std::string, std::map<int, PhaseAccum>> phases;
   std::vector<double> skew_durs;
   for (const ReportEvent& ev : events) {
-    RankBreakdown& rb = ranks[ev.rank];
-    rb.rank = ev.rank;
-    ++rb.spans;
-    const double secs = static_cast<double>(ev.dur_us) * 1e-6;
-    if (is_aux_span(ev.name)) {
-      rb.aux_s += secs;
-    } else if (is_comm_span(ev.name)) {
-      rb.comm_s += secs;
-    } else {
-      rb.compute_s += secs;
-    }
     PhaseAccum& pa = phases[ev.name][ev.rank];
     ++pa.count;
     pa.us += static_cast<double>(ev.dur_us);
@@ -214,10 +192,6 @@ bool build_report(const std::vector<ReportEvent>& events,
     if (ev.name == "allreduce") {
       ++out.allreduce_spans;
     }
-  }
-  out.ranks.reserve(ranks.size());
-  for (const auto& [rank, rb] : ranks) {
-    out.ranks.push_back(rb);
   }
   for (const auto& [name, by_rank] : phases) {
     PhaseRow row;
@@ -388,19 +362,6 @@ bool build_report(const std::vector<ReportEvent>& events,
 
 namespace {
 
-AsciiTable rank_table(const Report& r) {
-  AsciiTable tbl({"rank", "comm (s)", "compute (s)", "aux (s)", "comm %",
-                  "spans"});
-  for (const auto& rb : r.ranks) {
-    const double total = rb.total_s();
-    tbl.add_row({std::to_string(rb.rank), fmt_f(rb.comm_s, 6),
-                 fmt_f(rb.compute_s, 6), fmt_f(rb.aux_s, 6),
-                 fmt_f(total > 0.0 ? 100.0 * rb.comm_s / total : 0.0, 1),
-                 fmt_count(rb.spans)});
-  }
-  return tbl;
-}
-
 AsciiTable phase_table(const Report& r) {
   AsciiTable tbl({"phase", "count", "critical (s)", "mean/rank (s)",
                   "total (s)", "payload words"});
@@ -570,9 +531,6 @@ class MarkdownTable {
 std::string render_text(const Report& r) {
   std::ostringstream out;
   out << "== rcf-report ==\n\n";
-  if (!r.ranks.empty()) {
-    out << "per-rank comm vs compute\n" << rank_table(r).str() << "\n";
-  }
   if (!r.phases.empty()) {
     out << "per-phase critical path (allreduce spans: "
         << r.allreduce_spans << ")\n"
@@ -622,18 +580,6 @@ std::string render_text(const Report& r) {
 std::string render_markdown(const Report& r) {
   std::ostringstream out;
   out << "# rcf-report\n\n";
-  if (!r.ranks.empty()) {
-    MarkdownTable tbl({"rank", "comm (s)", "compute (s)", "aux (s)",
-                       "comm %", "spans"});
-    for (const auto& rb : r.ranks) {
-      const double total = rb.total_s();
-      tbl.add_row({std::to_string(rb.rank), fmt_f(rb.comm_s, 6),
-                   fmt_f(rb.compute_s, 6), fmt_f(rb.aux_s, 6),
-                   fmt_f(total > 0.0 ? 100.0 * rb.comm_s / total : 0.0, 1),
-                   fmt_count(rb.spans)});
-    }
-    out << "## Per-rank comm vs compute\n\n" << tbl.str() << "\n";
-  }
   if (!r.phases.empty()) {
     MarkdownTable tbl({"phase", "count", "critical (s)", "mean/rank (s)",
                        "total (s)", "payload words"});
@@ -741,17 +687,19 @@ std::string render_markdown(const Report& r) {
 std::string render_json(const Report& r) {
   std::string out;
   out += "{\"ranks\":[";
-  for (std::size_t i = 0; i < r.ranks.size(); ++i) {
-    const auto& rb = r.ranks[i];
+  for (std::size_t i = 0; i < r.decomposition.size(); ++i) {
+    const auto& rt = r.decomposition[i];
     if (i > 0) out += ",";
-    out += "{\"rank\":" + std::to_string(rb.rank);
-    out += ",\"comm_s\":";
-    append_number(out, rb.comm_s);
+    out += "{\"rank\":" + std::to_string(rt.rank);
     out += ",\"compute_s\":";
-    append_number(out, rb.compute_s);
+    append_number(out, rt.compute_s);
+    out += ",\"comm_s\":";
+    append_number(out, rt.comm_s);
+    out += ",\"wait_s\":";
+    append_number(out, rt.wait_s);
     out += ",\"aux_s\":";
-    append_number(out, rb.aux_s);
-    out += ",\"spans\":" + std::to_string(rb.spans) + "}";
+    append_number(out, rt.aux_s);
+    out += ",\"spans\":" + std::to_string(rt.spans) + "}";
   }
   out += "],\"phases\":[";
   for (std::size_t i = 0; i < r.phases.size(); ++i) {
@@ -832,21 +780,6 @@ std::string render_json(const Report& r) {
     field("comm_err", m.comm_err);
     field("seconds_err", m.seconds_err);
     out += "}";
-  }
-  out += "],\"decomposition\":[";
-  for (std::size_t i = 0; i < r.decomposition.size(); ++i) {
-    const auto& rt = r.decomposition[i];
-    if (i > 0) out += ",";
-    out += "{\"rank\":" + std::to_string(rt.rank);
-    out += ",\"compute_s\":";
-    append_number(out, rt.compute_s);
-    out += ",\"comm_s\":";
-    append_number(out, rt.comm_s);
-    out += ",\"wait_s\":";
-    append_number(out, rt.wait_s);
-    out += ",\"aux_s\":";
-    append_number(out, rt.aux_s);
-    out += ",\"spans\":" + std::to_string(rt.spans) + "}";
   }
   out += "],\"critical_path\":{\"compute_s\":";
   append_number(out, r.critpath.compute_s);

@@ -6,12 +6,12 @@
 // can be pointed at artifacts from any run (including CI uploads).  It
 // reconstructs:
 //
-//  * per-rank communication vs compute breakdown (span time by category),
 //  * the per-phase critical path (slowest rank per span name),
-//  * the cross-rank merged timeline: compute / comm / wait decomposition
-//    per rank and the collective-by-collective critical path with
-//    straggler attribution (obs::Timeline + obs::critical_path, aligned on
-//    the collective sequence numbers the communicator stamps on spans),
+//  * the cross-rank merged timeline: compute / comm / wait / aux
+//    decomposition per rank and the collective-by-collective critical
+//    path with straggler attribution (obs::Timeline + obs::critical_path,
+//    aligned on the collective sequence numbers the communicator stamps
+//    on spans),
 //  * the rendezvous-skew distribution (allreduce_wait spans, exact
 //    quantiles from the raw durations),
 //  * hardware-counter roofline rows (perf.<label>.* counters emitted by
@@ -40,17 +40,6 @@ struct ReportEvent {
   std::int64_t dur_us = 0;
   double words = 0.0;
   std::int64_t seq = -1;  ///< collective sequence number (-1 = unstamped)
-};
-
-/// Per-rank time split: comm spans (allreduce / *_wait / broadcast /
-/// allgather / barrier) vs everything else.
-struct RankBreakdown {
-  int rank = 0;
-  double comm_s = 0.0;
-  double compute_s = 0.0;
-  double aux_s = 0.0;  ///< aux_collective / aux_wait (aggregation overhead)
-  std::uint64_t spans = 0;
-  [[nodiscard]] double total_s() const { return comm_s + compute_s + aux_s; }
 };
 
 /// Per-span-name totals; critical_s is the slowest single rank's total,
@@ -135,7 +124,6 @@ struct ResilienceRow {
 };
 
 struct Report {
-  std::vector<RankBreakdown> ranks;
   std::vector<PhaseRow> phases;        ///< sorted by critical_s, descending
   DurationStats skew;                  ///< allreduce_wait durations
   std::vector<HistRow> histograms;
@@ -146,8 +134,9 @@ struct Report {
   std::vector<ConvRow> convergence;
   std::uint64_t allreduce_spans = 0;   ///< total "allreduce" span count
   /// Cross-rank merged timeline decomposition (compute / comm / wait / aux
-  /// seconds per rank) and the collective-by-collective critical path with
-  /// straggler attribution; empty when no trace was loaded.
+  /// seconds per rank; the JSON "ranks" rows) and the collective-by-
+  /// collective critical path with straggler attribution; empty when no
+  /// trace was loaded.
   std::vector<obs::RankTimes> decomposition;
   obs::CriticalPath critpath;
 };
