@@ -259,24 +259,96 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
     return static_cast<std::size_t>(chunk_len(t)) * stride;
   };
 
-  // Stages A + B for chunk t into `dst`.  Sampling is keyed on
-  // (seed, stream_base + n) only -- identical index sets for every k, S
-  // and P with no communication to agree on them (paper §5.2) -- and each
-  // rank accumulates the outer products of its own samples.  A pure
-  // function of t: the poison fallback re-runs it, and the pipeline runs it
-  // for chunk t + 1 while chunk t's reduction is in flight.
+  // Stage A for block n: its index set `ids`, keyed on
+  // (seed, stream_base + n) only -- identical for every k, S and P with no
+  // communication to agree on it (paper §5.2) -- and the rank's own rows of
+  // it in `local`.
+  const auto sample_block = [&](int n, std::vector<std::uint32_t>& ids,
+                                std::vector<std::uint32_t>& local) {
+    Rng rng(opts.seed, run.stream_base + static_cast<std::uint64_t>(n));
+    ids = rng.sample_without_replacement(m, mbar);
+    local.clear();
+    for (const auto i : ids) {
+      if (i >= lo && i < hi) {
+        local.push_back(static_cast<std::uint32_t>(i - lo));
+      }
+    }
+  };
+  // Stage B: the outer products of the rank's own samples `local` into the
+  // accumulators (hb, rb).
+  const auto accumulate_block = [&](std::span<const std::uint32_t> local,
+                                    la::Matrix& hb, la::Vector& rb) {
+    hb.fill(0.0);
+    la::set_zero(rb.span());
+    sparse::accumulate_sampled_gram(local_xt, local_y, local,
+                                    1.0 / static_cast<double>(mbar), hb,
+                                    rb.span(), run.weights);
+    la::symmetrize_from_upper(hb);
+  };
+  // Packs block j of a chunk at `dst`: [H|R], or [H] alone under VR.
+  const auto pack_block = [&](const la::Matrix& hb, const la::Vector& rb,
+                              double* dst, int j) {
+    double* block = dst + static_cast<std::size_t>(j) * stride;
+    std::copy(hb.data(), hb.data() + d * d, block);
+    if (!opts.variance_reduction) {
+      std::copy(rb.data(), rb.data() + d, block + d * d);
+    }
+  };
+
+  // A chunk's blocks are independent (Alg. 5 stages A-B), so a sampled
+  // chunk of at least `width` blocks is one pool dispatch: task t builds
+  // blocks t, t + width, ... with the kernels inline, each block by one
+  // thread in the sequential term order.  Per-task accumulators, and each
+  // block's index set for the cost charge after the dispatch.
+  exec::Pool& pool = world.pool;
+  const int width = pool.width();
+  struct TaskScratch {
+    la::Matrix h;
+    la::Vector r;
+    std::vector<std::uint32_t> local_idx;
+  };
+  std::vector<TaskScratch> task_scratch;
+  std::vector<std::vector<std::uint32_t>> block_idx;
+
+  // Stages A + B for chunk t into `dst`.  A pure function of t: the poison
+  // fallback re-runs it, and the pipeline runs it for chunk t + 1 while
+  // chunk t's reduction is in flight.  Both paths charge the cost ledger
+  // per block in block order, so it is the same at every pool width.
   const auto build_chunk = [&](int t, double* dst) {
-    for (int j = 0; j < chunk_len(t); ++j) {
-      const int n = chunk_start(t) + j;
-      obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
-        Rng rng(opts.seed, run.stream_base + static_cast<std::uint64_t>(n));
-        idx = rng.sample_without_replacement(m, mbar);
-        local_idx.clear();
-        for (const auto i : idx) {
-          if (i >= lo && i < hi) {
-            local_idx.push_back(static_cast<std::uint32_t>(i - lo));
+    const int len = chunk_len(t);
+    if (width > 1 && mbar < m && len >= width) {
+      if (task_scratch.empty()) {
+        task_scratch.assign(static_cast<std::size_t>(width),
+                            {la::Matrix(d, d), la::Vector(d), {}});
+        block_idx.resize(static_cast<std::size_t>(k));
+      }
+      // Sampling runs inside the tasks, so the chunk's wall time is charged
+      // to the gram phase alone; both phases still count one per block.
+      obs::PhaseAgg chunk_agg;
+      obs::timed_phase(tracing, chunk_agg, "gram", 0.0, [&] {
+        pool.run("gram.chunk", [&](int task) {
+          const exec::PoolGuard inline_kernels(nullptr);
+          TaskScratch& scratch = task_scratch[static_cast<std::size_t>(task)];
+          for (int j = task; j < len; j += width) {
+            auto& ids = block_idx[static_cast<std::size_t>(j)];
+            sample_block(chunk_start(t) + j, ids, scratch.local_idx);
+            accumulate_block(scratch.local_idx, scratch.h, scratch.r);
+            pack_block(scratch.h, scratch.r, dst, j);
           }
-        }
+        });
+      });
+      ph_sampling.count += static_cast<std::uint64_t>(len);
+      ph_gram.count += static_cast<std::uint64_t>(len);
+      ph_gram.us += chunk_agg.us;
+      for (int j = 0; j < len; ++j) {
+        counters.raw_gram_flops += static_cast<double>(charge_sampled_gram(
+            cost, xt, block_idx[static_cast<std::size_t>(j)], cost_part));
+      }
+      return;
+    }
+    for (int j = 0; j < len; ++j) {
+      obs::timed_phase(tracing, ph_sampling, "sampling", 0.0, [&] {
+        sample_block(chunk_start(t) + j, idx, local_idx);
       });
       counters.raw_gram_flops += static_cast<double>(
           charge_sampled_gram(cost, xt, idx, cost_part));
@@ -285,20 +357,10 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
         // run, so it is built once and only re-packed (bitwise identical
         // to rebuilding).
         if (!local_built) {
-          h_local.fill(0.0);
-          la::set_zero(r_local.span());
-          sparse::accumulate_sampled_gram(
-              local_xt, local_y, local_idx,
-              1.0 / static_cast<double>(idx.size()), h_local,
-              r_local.span(), run.weights);
-          la::symmetrize_from_upper(h_local);
+          accumulate_block(local_idx, h_local, r_local);
           local_built = mbar == m;
         }
-        double* block = dst + static_cast<std::size_t>(j) * stride;
-        std::copy(h_local.data(), h_local.data() + d * d, block);
-        if (!opts.variance_reduction) {
-          std::copy(r_local.data(), r_local.data() + d, block + d * d);
-        }
+        pack_block(h_local, r_local, dst, j);
       });
     }
   };

@@ -150,7 +150,10 @@ SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
 /// (posted one chunk ahead under opts.pipeline); D runs the chunk's k*S
 /// redundant update sweeps.  A block packs [H|R], or [H] alone under
 /// variance reduction, whose update never reads R.  The rank keeps the
-/// samples of part comm.rank() of data_part.
+/// samples of part comm.rank() of data_part.  A sampled chunk of at least
+/// as many blocks as the rank's pool is wide runs A-B as one pool dispatch,
+/// each block built by one task; the iterate and the cost ledger are the
+/// same at every width.
 struct ChunkLoop {
   /// One run's inputs; none of them is a user option.
   struct Run {

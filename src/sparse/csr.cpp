@@ -82,10 +82,12 @@ double CsrMatrix::density() const {
          (static_cast<double>(rows_) * static_cast<double>(cols_));
 }
 
-// Parallelization note (spmv / spmv_t): output-partitioned on the ambient
-// exec pool -- y rows for spmv, y entries (= matrix columns) for spmv_t --
-// with the sequential loop body per element, so results are bit-identical
-// at any pool width (DESIGN.md "Execution layer").
+// Parallelization note: spmv is output-partitioned on the ambient exec pool
+// (nnz-balanced y rows, the sequential loop body per row), so its results
+// are bit-identical at any pool width (DESIGN.md "Execution layer").
+// spmv_t runs inline: partitioning its output means every task scans every
+// row and binary-searches its column slice, which lost to one thread on
+// every sparse shape measured, covtype's included.
 //
 // Backend note: the SIMD spmv body batches each row's gathered products
 // into four independent accumulator chains combined in the fixed hsum
@@ -167,54 +169,29 @@ void CsrMatrix::spmv_t(std::span<const double> x, std::span<double> y) const {
     throw DimensionMismatch("spmv_t: shape mismatch");
   }
   const bool use_simd = la::active_backend() == la::Backend::kSimd;
-  // Each task owns the y entries in [lo, hi) and scans the rows in order,
-  // accumulating only the entries whose column falls in its slice (located
-  // by binary search on the row's ascending column indices).
-  const auto col_block = [&](std::size_t lo, std::size_t hi) {
-    std::fill(y.begin() + static_cast<std::ptrdiff_t>(lo),
-              y.begin() + static_cast<std::ptrdiff_t>(hi), 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double xr = x[r];
-      if (xr == 0.0) {
-        continue;
-      }
-      const std::size_t row_begin = row_ptr_[r], row_end = row_ptr_[r + 1];
-      std::size_t i = row_begin;
-      if (lo > 0) {
-        i = static_cast<std::size_t>(
-            std::lower_bound(col_idx_.begin() + static_cast<std::ptrdiff_t>(row_begin),
-                             col_idx_.begin() + static_cast<std::ptrdiff_t>(row_end),
-                             static_cast<std::uint32_t>(lo)) -
-            col_idx_.begin());
-      }
-      if (use_simd) {
-        // Scatter with strictly ascending columns: the four statements hit
-        // distinct y entries, so this is pure unrolling -- each y element
-        // still receives exactly one term per row, in row order.
-        for (; i + 4 <= row_end && col_idx_[i + 3] < hi; i += 4) {
-          y[col_idx_[i]] += xr * values_[i];
-          y[col_idx_[i + 1]] += xr * values_[i + 1];
-          y[col_idx_[i + 2]] += xr * values_[i + 2];
-          y[col_idx_[i + 3]] += xr * values_[i + 3];
-        }
-      }
-      for (; i < row_end && col_idx_[i] < hi; ++i) {
+  std::fill(y.begin(), y.end(), 0.0);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const double xr = x[r];
+    if (xr == 0.0) {
+      continue;
+    }
+    const std::size_t row_end = row_ptr_[r + 1];
+    std::size_t i = row_ptr_[r];
+    if (use_simd) {
+      // Scatter with strictly ascending columns: the four statements hit
+      // distinct y entries, so this is pure unrolling -- each y element
+      // still receives exactly one term per row, in row order.
+      for (; i + 4 <= row_end; i += 4) {
         y[col_idx_[i]] += xr * values_[i];
+        y[col_idx_[i + 1]] += xr * values_[i + 1];
+        y[col_idx_[i + 2]] += xr * values_[i + 2];
+        y[col_idx_[i + 3]] += xr * values_[i + 3];
       }
     }
-  };
-  exec::Pool* pool = exec::usable_pool(2 * nnz());
-  if (pool == nullptr) {
-    col_block(0, cols_);
-    return;
-  }
-  const int width = pool->width();
-  pool->run("sparse.spmv_t", [&](int t) {
-    const exec::Range range = exec::block_range(cols_, width, t);
-    if (!range.empty()) {
-      col_block(range.begin, range.end);
+    for (; i < row_end; ++i) {
+      y[col_idx_[i]] += xr * values_[i];
     }
-  });
+  }
 }
 
 CsrMatrix CsrMatrix::select_rows(std::span<const std::uint32_t> rows) const {

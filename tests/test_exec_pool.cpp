@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/distributed.hpp"
@@ -20,6 +22,7 @@
 #include "data/synthetic.hpp"
 #include "exec/pool.hpp"
 #include "la/blas.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/gram.hpp"
 
@@ -303,6 +306,24 @@ TEST(ExecPoolKernels, SymmetrizeBitIdenticalAcrossWidths) {
 // the width-2 and width-7 runs proves the whole solve is width-invariant.
 // ---------------------------------------------------------------------------
 
+/// The cost ledger must be width-invariant too: the modeled time and every
+/// history record's counters, bitwise.
+void expect_same_ledger(const core::SolveResult& result,
+                        const core::SolveResult& ref, int threads) {
+  const std::string at = result.solver + " threads=" + std::to_string(threads);
+  EXPECT_EQ(result.sim_seconds, ref.sim_seconds) << at;
+  ASSERT_EQ(result.history.size(), ref.history.size()) << at;
+  for (std::size_t i = 0; i < ref.history.size(); ++i) {
+    const auto& got = result.history[i];
+    const auto& want = ref.history[i];
+    EXPECT_EQ(got.sim_seconds, want.sim_seconds) << at << " record " << i;
+    EXPECT_EQ(got.raw_gram_flops, want.raw_gram_flops) << at << " record " << i;
+    EXPECT_EQ(got.comm_rounds, want.comm_rounds) << at << " record " << i;
+    EXPECT_EQ(got.comm_payload_words, want.comm_payload_words)
+        << at << " record " << i;
+  }
+}
+
 data::Dataset solver_dataset() {
   data::SyntheticOptions gen;
   gen.num_samples = 1600;
@@ -332,7 +353,30 @@ TEST(ExecPoolSolver, SequentialEngineBitIdenticalAcrossWidths) {
     const auto result = run(threads);
     EXPECT_EQ(result.w.raw(), ref.w.raw()) << "threads=" << threads;
     EXPECT_EQ(result.objective, ref.objective) << "threads=" << threads;
+    expect_same_ledger(result, ref, threads);
   }
+}
+
+TEST(ExecPoolSolver, OneDispatchPerChunk) {
+  // A sampled chunk of k >= width blocks is built by one pool dispatch, not
+  // one per block: 16 more iterations at k = 4 are 4 more dispatches.
+  const auto dataset = solver_dataset();
+  const core::LassoProblem problem(dataset, 0.005);
+  core::SolverOptions opts;
+  opts.sampling_rate = 0.25;
+  opts.k = 4;
+  opts.threads = 2;
+  opts.track_history = false;
+  obs::Counter& dispatches =
+      obs::MetricsRegistry::global().counter("exec.dispatches");
+  const auto dispatches_of = [&](int iters) {
+    core::SolverOptions o = opts;
+    o.max_iters = iters;
+    const std::uint64_t before = dispatches.value();
+    EXPECT_TRUE(core::solve_rc_sfista(problem, o).ok());
+    return dispatches.value() - before;
+  };
+  EXPECT_EQ(dispatches_of(32) - dispatches_of(16), 4u);
 }
 
 TEST(ExecPoolSolver, FourRanksBitIdenticalAcrossPoolWidths) {
@@ -362,20 +406,32 @@ TEST(ExecPoolSolver, FourRanksBitIdenticalAcrossPoolWidths) {
 }
 
 TEST(ExecPoolSolver, ProxNewtonBitIdenticalAcrossWidths) {
+  // Both inner solvers.  RC-SFISTA at k = 4 over 11 inner iterations: full
+  // chunks take the per-chunk dispatch at widths 2-4, the short last chunk
+  // of 3 the row-range Gram at width 4, and width 7 takes the row-range
+  // Gram throughout.
   const auto dataset = solver_dataset();
   const core::LassoProblem problem(dataset, 0.005);
   core::PnOptions opts;
   opts.max_outer = 4;
-  opts.inner_iters = 10;
+  opts.inner_iters = 11;
   opts.hessian_sampling_rate = 0.25;
-  const auto run = [&](int threads) {
-    core::PnOptions o = opts;
-    o.threads = threads;
-    return core::solve_proximal_newton(problem, o);
-  };
-  const auto ref = run(1);
-  for (const int threads : {2, 7}) {
-    EXPECT_EQ(run(threads).w.raw(), ref.w.raw()) << "threads=" << threads;
+  for (const auto inner :
+       {core::PnInnerSolver::kFista, core::PnInnerSolver::kRcSfista}) {
+    const auto run = [&](int threads) {
+      core::PnOptions o = opts;
+      o.inner = inner;
+      o.k = inner == core::PnInnerSolver::kRcSfista ? 4 : 1;
+      o.threads = threads;
+      return core::solve_proximal_newton(problem, o);
+    };
+    const auto ref = run(1);
+    for (const int threads : {2, 3, 4, 7}) {
+      const auto result = run(threads);
+      EXPECT_EQ(result.w.raw(), ref.w.raw())
+          << result.solver << " threads=" << threads;
+      expect_same_ledger(result, ref, threads);
+    }
   }
 }
 

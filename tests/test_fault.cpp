@@ -461,6 +461,43 @@ TEST(FaultResilience, PnRetriesTransientChunkReduction) {
   EXPECT_EQ(result.comm_stats.faults_injected, 1u);
 }
 
+TEST(FaultResilience, PnPoisonRecomputesThroughChunkDispatch) {
+  // At width 4 and k = 4 each inner chunk is one pool dispatch, so the
+  // poison guard's recompute rebuilds the chunk through the pool: the
+  // iterate stays the fault-free one, and the ledger (recompute included)
+  // is the width-1 ledger of the same plan.
+  data::Dataset storage;
+  const auto problem = small_problem(storage);
+  core::PnOptions opts;
+  opts.max_outer = 3;
+  opts.inner_iters = 8;
+  opts.inner = core::PnInnerSolver::kRcSfista;
+  opts.k = 4;
+  opts.hessian_sampling_rate = 0.3;
+  opts.track_history = false;
+  const auto solve = [&](int threads) {
+    core::PnOptions o = opts;
+    o.threads = threads;
+    return core::solve_proximal_newton(problem, o);
+  };
+  core::SolveResult baseline;
+  {
+    fault::ScopedFaultPlan quiet{fault::FaultPlan{}};
+    baseline = solve(1);
+  }
+  ASSERT_TRUE(baseline.ok());
+
+  fault::ScopedFaultPlan scoped{std::string_view("nan:rank=0,call=2,words=3")};
+  const auto narrow = solve(1);
+  const auto wide = solve(4);
+  ASSERT_TRUE(narrow.ok()) << narrow.failure_reason;
+  ASSERT_TRUE(wide.ok()) << wide.failure_reason;
+  EXPECT_EQ(wide.comm_stats.faults_injected, 1u);
+  EXPECT_EQ(wide.w.raw(), baseline.w.raw());
+  EXPECT_EQ(wide.sim_seconds, narrow.sim_seconds);
+  EXPECT_NE(wide.sim_seconds, baseline.sim_seconds);  // the recompute's cost
+}
+
 TEST(FaultCheckpoint, PnResumeRejectsDimensionMismatch) {
   data::Dataset storage;
   const auto problem = small_problem(storage);

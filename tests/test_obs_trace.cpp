@@ -471,6 +471,39 @@ TEST(TraceIntegration, SequentialEnginePhasesMatchSchedule) {
   session.clear();
 }
 
+TEST(TraceIntegration, PooledChunkPhasesMatchSchedule) {
+  // The same schedule on a 2-wide pool builds each chunk of 8 blocks in one
+  // dispatch, sampling inside the tasks.  The phases still count one per
+  // block, the chunk's wall time is charged to gram once (not summed over
+  // threads), and each task is one span per chunk.
+  const TestProblem tp;
+  const core::LassoProblem& problem = tp.problem;
+  auto& session = fresh_session();
+  core::SolverOptions opts;
+  opts.max_iters = 40;
+  opts.sampling_rate = 0.2;
+  opts.k = 8;
+  opts.threads = 2;
+  opts.track_history = false;
+  const auto result = core::solve_rc_sfista(problem, opts);
+  session.stop();
+
+  const auto* sampling = obs::find_phase(result.phases, "sampling");
+  const auto* gram = obs::find_phase(result.phases, "gram");
+  ASSERT_NE(sampling, nullptr);
+  ASSERT_NE(gram, nullptr);
+  EXPECT_EQ(sampling->count, 40u);
+  EXPECT_EQ(gram->count, 40u);
+  EXPECT_GT(gram->seconds, 0.0);
+  EXPECT_EQ(session.count_spans("gram.chunk"), 10u);  // 5 chunks x 2 tasks
+  double phase_seconds = 0.0;
+  for (const auto& phase : result.phases) {
+    phase_seconds += phase.seconds;
+  }
+  EXPECT_LE(phase_seconds, result.wall_seconds);
+  session.clear();
+}
+
 TEST(TraceIntegration, SolverOptionsCanOptOut) {
   const TestProblem tp;
   const core::LassoProblem& problem = tp.problem;

@@ -4,7 +4,8 @@
 //
 //   rcf-verify                         # all suites on a default problem
 //   rcf-verify --suite=partition       # partition sweep only
-//   rcf-verify --suite=width           # pool-width replay (bitwise)
+//   rcf-verify --suite=width           # pool-width replay of the engine
+//                                      # and PN: iterates + ledger, bitwise
 //   rcf-verify --suite=ranks           # rank replay (tolerance + run-to-run)
 //   rcf-verify --suite=solve           # 4-rank solve under RCF_CHECK=1
 //   rcf-verify --m=2000 --d=64 --iters=48 --widths=1,2,4 --ranks=1,2,4
@@ -24,6 +25,7 @@
 #include "common/cli.hpp"
 #include "core/distributed.hpp"
 #include "core/problem.hpp"
+#include "core/prox_newton.hpp"
 #include "core/solvers.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
@@ -105,19 +107,44 @@ void verify_partitions() {
   }
 }
 
+rcf::core::PnOptions pn_options(const VerifyConfig& cfg, int threads) {
+  rcf::core::PnOptions opts;
+  opts.max_outer = 3;
+  opts.inner_iters = cfg.iters;
+  opts.inner = rcf::core::PnInnerSolver::kRcSfista;
+  opts.k = cfg.k;
+  opts.hessian_sampling_rate = 0.2;
+  opts.threads = threads;
+  opts.track_history = false;
+  return opts;
+}
+
+/// A replayed solve: its iterate followed by its modeled time, so the cost
+/// ledger is compared along with the arithmetic.
+std::vector<double> replayed(const rcf::core::SolveResult& result) {
+  std::vector<double> out = result.w.raw();
+  out.push_back(result.sim_seconds);
+  return out;
+}
+
 void verify_widths(const rcf::core::LassoProblem& problem,
                    const VerifyConfig& cfg) {
-  std::vector<rcf::check::ReplayRun> runs;
+  std::vector<rcf::check::ReplayRun> engine_runs;
+  std::vector<rcf::check::ReplayRun> pn_runs;
   for (const auto width : cfg.widths) {
-    runs.push_back({"width=" + std::to_string(width), [&problem, &cfg,
-                                                      width] {
-                      const auto result = rcf::core::solve_rc_sfista(
-                          problem,
-                          solver_options(cfg, static_cast<int>(width)));
-                      return result.w.raw();
-                    }});
+    const int threads = static_cast<int>(width);
+    const std::string tag = "width=" + std::to_string(width);
+    engine_runs.push_back({tag, [&problem, &cfg, threads] {
+                             return replayed(rcf::core::solve_rc_sfista(
+                                 problem, solver_options(cfg, threads)));
+                           }});
+    pn_runs.push_back({"pn " + tag, [&problem, &cfg, threads] {
+                         return replayed(rcf::core::solve_proximal_newton(
+                             problem, pn_options(cfg, threads)));
+                       }});
   }
-  rcf::check::enforce_replay(runs, /*tol=*/0.0);
+  rcf::check::enforce_replay(engine_runs, /*tol=*/0.0);
+  rcf::check::enforce_replay(pn_runs, /*tol=*/0.0);
 }
 
 void verify_ranks(const rcf::core::LassoProblem& problem,
@@ -251,7 +278,7 @@ int main(int argc, char** argv) {
          ok;
   }
   if (want("width")) {
-    ok = run_suite("width replay (bitwise across pool widths)",
+    ok = run_suite("width replay (engine + PN iterates and ledger, bitwise)",
                    [&] { verify_widths(problem, cfg); }) &&
          ok;
   }
