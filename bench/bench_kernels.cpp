@@ -9,6 +9,8 @@
 // perf_event_open is unavailable (containers, non-Linux).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -346,13 +348,10 @@ void BM_ThreadAllreduce(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const std::size_t words = 4096;
   dist::ThreadGroup group(ranks);
-  // Run traced so the collectives feed the "allreduce_latency_us" histogram
-  // and the row can surface its quantiles (the per-call span overhead is in
-  // the noise next to the rendezvous itself; see BM_TraceScopeEnabled).
+  // Run traced so the row can surface exact latency quantiles from the
+  // "allreduce" spans (the per-call span overhead is in the noise next to
+  // the rendezvous itself; see BM_TraceScopeEnabled).
   auto& session = obs::TraceSession::global();
-  auto& latency = obs::MetricsRegistry::global().histogram(
-      "allreduce_latency_us");
-  latency.reset();
   session.start();
   for (auto _ : state) {
     group.run([&](dist::ThreadComm& comm) {
@@ -362,10 +361,26 @@ void BM_ThreadAllreduce(benchmark::State& state) {
     });
   }
   session.stop();
+  std::vector<double> lat_us;
+  for (const auto& ev : session.snapshot()) {
+    if (std::string_view(ev.name) == "allreduce") {
+      lat_us.push_back(static_cast<double>(ev.dur_us));
+    }
+  }
   session.clear();
-  state.counters["lat_p50_us"] = latency.percentile(0.50);
-  state.counters["lat_p95_us"] = latency.percentile(0.95);
-  state.counters["lat_p99_us"] = latency.percentile(0.99);
+  if (lat_us.empty()) {
+    return;
+  }
+  // Nearest rank: the ceil(p * n)-th smallest span duration.
+  std::sort(lat_us.begin(), lat_us.end());
+  const double n = static_cast<double>(lat_us.size());
+  const auto at = [&](double p) {
+    const double rank = std::clamp(std::ceil(p * n), 1.0, n);
+    return lat_us[static_cast<std::size_t>(rank) - 1];
+  };
+  state.counters["lat_p50_us"] = at(0.50);
+  state.counters["lat_p95_us"] = at(0.95);
+  state.counters["lat_p99_us"] = at(0.99);
 }
 BENCHMARK(BM_ThreadAllreduce)->Arg(2)->Arg(4);
 

@@ -32,7 +32,7 @@ void ContractBoard::verify(int rank, const Fingerprint& fp,
     // instead.  Aux traffic is not aligned, so it gets none.
     std::optional<obs::TraceScope> wait;
     if (seq >= 0) {
-      wait.emplace("contract_wait", 0.0, nullptr, seq);
+      wait.emplace("contract_wait", 0.0, seq);
     }
     barrier_.arrive_and_wait(rank, opts_.timeout_ms, to_string(fp.kind));
   }

@@ -217,10 +217,10 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
                          const auto& call) {
     ++agg.count;
     agg.words += static_cast<double>(words);
-    const std::int64_t t0 = tracing ? session.now_us() : 0;
+    const std::int64_t t0 = tracing ? obs::now_us() : 0;
     call();
     if (tracing) {
-      agg.us += session.now_us() - t0;
+      agg.us += obs::now_us() - t0;
     }
   };
   // Blocking allreduce, charged against the modeled P.

@@ -77,8 +77,7 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
     // (manual timing; the worker loop is too large to read inside a
     // lambda).
     ++ph_local.count;
-    const std::int64_t local_t0 =
-        tracing ? obs::TraceSession::global().now_us() : 0;
+    const std::int64_t local_t0 = tracing ? obs::now_us() : 0;
 
     for (int p = 0; p < opts.procs; ++p) {
       // Worker p starts from the round-stale shared residual.
@@ -134,10 +133,9 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
     }
 
     if (tracing) {
-      auto& session = obs::TraceSession::global();
-      const std::int64_t local_t1 = session.now_us();
-      ph_local.us += local_t1 - local_t0;
-      session.record("local_solve", local_t0, local_t1 - local_t0);
+      const std::int64_t dur = obs::now_us() - local_t0;
+      ph_local.us += dur;
+      obs::TraceSession::global().record("local_solve", local_t0, dur);
     }
 
     // One allreduce of the m-word residual update per round.

@@ -7,15 +7,6 @@ namespace rcf::dist {
 
 namespace {
 
-/// Latency histograms shared by all communicator endpoints (created on
-/// first touch, live for the process lifetime -- MetricsRegistry::reset
-/// zeroes them without invalidating these references).
-obs::Histogram& allreduce_latency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("allreduce_latency_us");
-  return h;
-}
-
 using detail::CompletedOp;
 
 /// SeqComm's nonblocking op: a 1-rank reduction is an identity, so the op
@@ -67,8 +58,7 @@ void SeqComm::allreduce_max(std::span<double> inout, std::source_location) {
 
 void SeqComm::allreduce(std::span<double> inout, bool use_max) {
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
-                       static_cast<double>(inout.size()),
-                       aux_mode() ? nullptr : &allreduce_latency());
+                       static_cast<double>(inout.size()));
   if (!aux_mode()) {
     stats_.count_allreduce(use_max, inout.size());
   }

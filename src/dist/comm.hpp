@@ -154,11 +154,11 @@ class Communicator {
 
   /// While an AuxScope is alive, collectives through this communicator are
   /// *auxiliary*: they still synchronize and combine data, but skip the
-  /// CommStats accounting, emit their spans under "aux_collective" /
-  /// "aux_wait" instead of "allreduce" / "allreduce_wait", and do not feed
-  /// the shared latency histograms.  Used by obs::aggregate so end-of-solve
-  /// metric aggregation does not perturb the very counters and span counts
-  /// it reports (the "allreduce" span count must keep matching the solver
+  /// CommStats accounting and emit their spans under "aux_collective" /
+  /// "aux_wait" instead of "allreduce" / "allreduce_wait".  Used by
+  /// obs::aggregate so end-of-solve metric aggregation does not perturb the
+  /// very counters, span counts and span-derived latency quantiles it
+  /// reports (the "allreduce" span count must keep matching the solver
   /// schedule; see tests/test_obs_trace.cpp).
   class AuxScope {
    public:

@@ -13,41 +13,11 @@
 #include "check/rendezvous.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace rcf::dist {
 
 namespace {
-
-// Shared latency histograms (same registry entries as SeqComm's; the
-// references stay valid across MetricsRegistry::reset).
-obs::Histogram& allreduce_latency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("allreduce_latency_us");
-  return h;
-}
-
-// Per-rank rendezvous wait before the reduction proper: the direct
-// measurement of arrival skew across ranks (a rank that arrives late shows
-// up as short waits on itself and long waits on everyone else).
-obs::Histogram& collective_wait() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("collective_wait_us");
-  return h;
-}
-
-// Post-publish wait for the reduction itself (rank 0's serial combine in
-// the central schedule, the pairwise exchange stages in recursive
-// doubling).  Splitting this from the publish wait separates "a rank
-// arrived late" (collective_wait_us, straggler skew) from "the reduction
-// serialized us" (reduce_wait_us, algorithm cost) -- the two components an
-// async-collective backend would overlap differently.
-obs::Histogram& reduce_wait() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("reduce_wait_us");
-  return h;
-}
 
 std::size_t as_index(int value) { return static_cast<std::size_t>(value); }
 
@@ -137,7 +107,7 @@ void ThreadPendingOp::wait() {
   if (!done) {
     // The pipeline's exposed communication time: the reduction was not
     // finished when the consumer asked for it.
-    obs::TraceScope span("allreduce_wait", 0.0, &collective_wait(), seq);
+    obs::TraceScope span("allreduce_wait", 0.0, seq);
     queue_->cv.wait(lk, [this] { return done; });
   }
   if (!consumed) {
@@ -236,7 +206,7 @@ void ThreadComm::execute_async(ThreadPendingOp& op) {
   // too; the inner publish/reduce waits are untimed (timed=false) because
   // progress-thread idle time is overlap, not caller blocking.
   obs::TraceScope span("allreduce", static_cast<double>(op.buf.size()),
-                       &allreduce_latency(), op.seq);
+                       op.seq);
   const std::span<double> payload(op.buf.data(), op.buf.size());
   if (state_->algo == AllreduceAlgo::kRecursiveDoubling &&
       (size_ & (size_ - 1)) == 0) {
@@ -257,7 +227,7 @@ CommHandle ThreadComm::iallreduce_sum(std::span<double> inout,
   }
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span("allreduce_post", static_cast<double>(inout.size()),
-                       nullptr, seq);
+                       seq);
   contract_check(check::CollectiveKind::kIallreduceSum, inout.size(), seq,
                  site);
   stats_.count_allreduce(/*use_max=*/false, inout.size());
@@ -303,8 +273,7 @@ void ThreadComm::allreduce(std::span<double> inout, bool use_max,
   quiesce();
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
-                       static_cast<double>(inout.size()),
-                       aux_mode() ? nullptr : &allreduce_latency(), seq);
+                       static_cast<double>(inout.size()), seq);
   contract_check(use_max ? check::CollectiveKind::kAllreduceMax
                          : check::CollectiveKind::kAllreduceSum,
                  inout.size(), seq, site);
@@ -327,11 +296,10 @@ void ThreadComm::allreduce_central(std::span<double> inout, bool use_max,
   {
     // Time waiting for the slowest rank to publish: the skew signal.
     // Untimed on the async progress thread -- its idle time is overlap,
-    // not caller blocking, and must not pollute the skew histograms.
+    // not caller blocking, and must not count as rendezvous skew.
     std::optional<obs::TraceScope> wait;
     if (timed) {
-      wait.emplace(aux_mode() ? "aux_wait" : "allreduce_wait", 0.0,
-                   aux_mode() ? nullptr : &collective_wait(), seq);
+      wait.emplace(aux_mode() ? "aux_wait" : "allreduce_wait", 0.0, seq);
     }
     rendezvous("allreduce:publish");
   }
@@ -355,10 +323,11 @@ void ThreadComm::allreduce_central(std::span<double> inout, bool use_max,
   }
   {
     // Time blocked on the reduction itself (rank 0's serial combine).
+    // Split from the publish wait: "a rank arrived late" (allreduce_wait)
+    // versus "the reduction serialized us" (reduce_wait).
     std::optional<obs::TraceScope> wait;
     if (timed) {
-      wait.emplace(aux_mode() ? "aux_wait" : "reduce_wait", 0.0,
-                   aux_mode() ? nullptr : &reduce_wait(), seq);
+      wait.emplace(aux_mode() ? "aux_wait" : "reduce_wait", 0.0, seq);
     }
     rendezvous("allreduce:reduce");
   }
@@ -377,8 +346,7 @@ void ThreadComm::allreduce_recursive_doubling(std::span<double> inout,
   {
     std::optional<obs::TraceScope> wait;
     if (timed) {
-      wait.emplace(aux_mode() ? "aux_wait" : "allreduce_wait", 0.0,
-                   aux_mode() ? nullptr : &collective_wait(), seq);
+      wait.emplace(aux_mode() ? "aux_wait" : "allreduce_wait", 0.0, seq);
     }
     rendezvous("allreduce:publish");
   }
@@ -400,8 +368,7 @@ void ThreadComm::allreduce_recursive_doubling(std::span<double> inout,
       // Time blocked on the partner's pairwise stage.
       std::optional<obs::TraceScope> wait;
       if (timed) {
-        wait.emplace(aux_mode() ? "aux_wait" : "reduce_wait", 0.0,
-                     aux_mode() ? nullptr : &reduce_wait(), seq);
+        wait.emplace(aux_mode() ? "aux_wait" : "reduce_wait", 0.0, seq);
       }
       rendezvous("allreduce:exchange");
     }
@@ -438,6 +405,12 @@ void ThreadGroup::run(const std::function<void(ThreadComm&)>& body) {
       set_log_rank(r);
       ThreadComm comm(r, size_, state_.get());
       try {
+        // Start barrier: thread-start skew (several ms under load or a
+        // sanitizer) would otherwise land in the body's first collective
+        // and be charged to that collective's straggler.  The timed
+        // rendezvous still names a rank that never arrives.
+        state_->rendezvous.arrive_and_wait(r, state_->check.timeout_ms,
+                                           "run:start");
         body(comm);
       } catch (const std::exception& e) {
         state_->exceptions[as_index(r)] = std::current_exception();

@@ -1,9 +1,6 @@
 #include "obs/aggregate.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -15,11 +12,6 @@
 namespace rcf::obs {
 
 namespace {
-
-// Upper edge of Histogram bin i (mirrors metrics.cpp; bin 0 is [0, 1)).
-double bin_upper_edge(int i) {
-  return i == 0 ? 1.0 : std::ldexp(1.0, i);
-}
 
 // FNV-1a 64-bit over the registry's instrument-name layout.  Ranks must
 // agree on this hash before any value buffer is exchanged -- otherwise
@@ -33,8 +25,7 @@ std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
 }
 
 std::uint64_t layout_hash(const std::vector<std::string>& counters,
-                          const std::vector<std::string>& gauges,
-                          const std::vector<std::string>& histograms) {
+                          const std::vector<std::string>& gauges) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const auto& n : counters) {
     h = fnv1a(h, n);
@@ -42,11 +33,6 @@ std::uint64_t layout_hash(const std::vector<std::string>& counters,
   }
   h = fnv1a(h, "\x02");
   for (const auto& n : gauges) {
-    h = fnv1a(h, n);
-    h = fnv1a(h, "\x01");
-  }
-  h = fnv1a(h, "\x02");
-  for (const auto& n : histograms) {
     h = fnv1a(h, n);
     h = fnv1a(h, "\x01");
   }
@@ -127,28 +113,18 @@ std::string FleetMetrics::table() const {
   }
   std::ostringstream out;
   out << "cross-rank metrics (" << ranks << " ranks)\n" << tbl.str();
-  if (!histograms.empty()) {
-    AsciiTable htbl({"histogram", "count", "min", "p50", "p95", "p99", "max"});
-    for (const auto& h : histograms) {
-      htbl.add_row({h.name, fmt_count(h.count), fmt_g(h.min), fmt_g(h.p50),
-                    fmt_g(h.p95), fmt_g(h.p99), fmt_g(h.max)});
-    }
-    out << htbl.str();
-  }
   return out.str();
 }
 
 FleetMetrics aggregate(MetricsRegistry& local, dist::Communicator& comm) {
-  // Everything below runs as auxiliary communication: no CommStats, no
-  // "allreduce" spans, no latency-histogram feeds (the instruments being
-  // aggregated must not observe the aggregation itself).
+  // Everything below runs as auxiliary communication: no CommStats and no
+  // "allreduce" spans (the instruments being aggregated must not observe
+  // the aggregation itself).
   dist::Communicator::AuxScope aux(comm);
 
   const std::vector<std::string> counter_names = local.counter_names();
   const std::vector<std::string> gauge_names = local.gauge_names();
-  const std::vector<std::string> histogram_names = local.histogram_names();
-  check_agreement(comm,
-                  layout_hash(counter_names, gauge_names, histogram_names));
+  check_agreement(comm, layout_hash(counter_names, gauge_names));
 
   FleetMetrics fleet;
   fleet.ranks = comm.size();
@@ -167,62 +143,6 @@ FleetMetrics aggregate(MetricsRegistry& local, dist::Communicator& comm) {
     values[i] = local.gauge(gauge_names[i]).value();
   }
   fleet.gauges = reduce_values(comm, gauge_names, values, fleet.ranks);
-
-  // Histograms: bin counts and totals merge exactly under sum (integer
-  // counts are far below 2^53), maxima under max; quantiles are then
-  // recomputed from the merged bins so they reflect the whole fleet rather
-  // than any single rank.
-  const std::size_t stride = Histogram::kNumBins + 2;  // bins, count, sum
-  const std::size_t nh = histogram_names.size();
-  std::vector<double> hbuf(nh * stride);
-  // Extremes buffer: max in the first half, negated min in the second
-  // (same max/-min trick as reduce_values; empty histograms contribute
-  // -inf to the min half so they never win).
-  std::vector<double> hext(2 * nh);
-  for (std::size_t i = 0; i < nh; ++i) {
-    const Histogram& h = local.histogram(histogram_names[i]);
-    double* row = hbuf.data() + i * stride;
-    for (int b = 0; b < Histogram::kNumBins; ++b) {
-      row[b] = static_cast<double>(h.bin_count(b));
-    }
-    row[Histogram::kNumBins] = static_cast<double>(h.count());
-    row[Histogram::kNumBins + 1] = h.sum();
-    hext[i] = h.max();
-    hext[nh + i] = h.count() > 0
-                       ? -h.min()
-                       : -std::numeric_limits<double>::infinity();
-  }
-  if (!hbuf.empty()) {
-    comm.allreduce_sum({hbuf.data(), hbuf.size()});
-    comm.allreduce_max({hext.data(), hext.size()});
-  }
-  fleet.histograms.resize(nh);
-  for (std::size_t i = 0; i < nh; ++i) {
-    AggregatedHistogram& h = fleet.histograms[i];
-    const double* row = hbuf.data() + i * stride;
-    h.name = histogram_names[i];
-    h.count = static_cast<std::uint64_t>(row[Histogram::kNumBins]);
-    h.sum = row[Histogram::kNumBins + 1];
-    h.max = hext[i];
-    h.min = h.count > 0 && std::isfinite(hext[nh + i]) ? -hext[nh + i] : 0.0;
-    if (h.count > 0) {
-      auto quantile = [&row, &h](double p) {
-        const auto rank = static_cast<std::uint64_t>(
-            std::ceil(p * static_cast<double>(h.count)));
-        std::uint64_t seen = 0;
-        for (int b = 0; b < Histogram::kNumBins; ++b) {
-          seen += static_cast<std::uint64_t>(row[b]);
-          if (seen >= rank) {
-            return bin_upper_edge(b);
-          }
-        }
-        return bin_upper_edge(Histogram::kNumBins - 1);
-      };
-      h.p50 = quantile(0.5);
-      h.p95 = quantile(0.95);
-      h.p99 = quantile(0.99);
-    }
-  }
   return fleet;
 }
 
@@ -245,16 +165,6 @@ void publish(const FleetMetrics& fleet, MetricsRegistry& registry) {
     put(base + "sum", m.sum);
     put(base + "mean", m.mean);
     put(base + "imbalance", m.imbalance);
-  }
-  for (const auto& h : fleet.histograms) {
-    const std::string base = "agg." + h.name + ".";
-    put(base + "count", static_cast<double>(h.count));
-    put(base + "sum", h.sum);
-    put(base + "min", h.min);
-    put(base + "max", h.max);
-    put(base + "p50", h.p50);
-    put(base + "p95", h.p95);
-    put(base + "p99", h.p99);
   }
 }
 

@@ -6,13 +6,9 @@
 // combines those registries across ranks with a fixed, rank-independent
 // reduction order so the result is deterministic:
 //
-//  * Counters and gauges are reduced into {min, max, sum, mean} views
-//    plus a derived imbalance factor max/mean (the paper's per-phase
-//    load-balance signal; 1.0 means perfectly balanced).
-//  * Histograms are merged bin-by-bin (exact: bin counts are integers
-//    well below 2^53, so sum-allreduce over doubles is lossless) and the
-//    merged distribution's p50/p95/p99 are recomputed from the combined
-//    bins.
+// Counters and gauges are reduced into {min, max, sum, mean} views plus a
+// derived imbalance factor max/mean (the paper's per-phase load-balance
+// signal; 1.0 means perfectly balanced).
 //
 // Determinism contract (see DESIGN.md): instruments are enumerated in
 // sorted-name order and packed into flat buffers, so the reduction order
@@ -22,8 +18,8 @@
 // same fixed reduction order but of course carry run-to-run jitter.
 //
 // The collectives issued here run under Communicator::AuxScope, so
-// aggregation does not perturb the CommStats counters, "allreduce" span
-// counts, or latency histograms it is reporting on.
+// aggregation does not perturb the CommStats counters or "allreduce" span
+// counts it is reporting on.
 #pragma once
 
 #include <cstdint>
@@ -53,28 +49,15 @@ struct AggregatedMetric {
   double imbalance = 1.0;
 };
 
-/// Cross-rank merge of one latency histogram.
-struct AggregatedHistogram {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;  ///< smallest observation across ranks (0 when empty)
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
 /// Result of aggregate(): every instrument of the per-rank registries,
 /// reduced across the communicator's world.
 struct FleetMetrics {
   int ranks = 0;
   std::vector<AggregatedMetric> counters;   ///< sorted by name
   std::vector<AggregatedMetric> gauges;     ///< sorted by name
-  std::vector<AggregatedHistogram> histograms;  ///< sorted by name
 
   [[nodiscard]] bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty();
+    return counters.empty() && gauges.empty();
   }
 
   /// Looks up a counter or gauge by name (counters first); nullptr if
@@ -93,9 +76,8 @@ struct FleetMetrics {
 FleetMetrics aggregate(MetricsRegistry& local, dist::Communicator& comm);
 
 /// Publishes a fleet view into `registry` as gauges named
-/// "agg.<metric>.{min,max,sum,mean,imbalance}" (histograms as
-/// "agg.<name>.{count,sum,min,max,p50,p95,p99}"), so aggregated results
-/// ride the normal metrics JSON export.
+/// "agg.<metric>.{min,max,sum,mean,imbalance}", so aggregated results ride
+/// the normal metrics JSON export.
 void publish(const FleetMetrics& fleet, MetricsRegistry& registry);
 
 /// Records one rank's solve-local observations into `registry`:

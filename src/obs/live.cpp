@@ -430,7 +430,7 @@ namespace {
 
 /// One full sampling pass.  Caller holds im.mutex.
 void sample_locked(LiveMonitor::Impl& im) {
-  const std::int64_t t0 = live_now_us();
+  const std::int64_t t0 = now_us();
   im.events.clear();
   const std::size_t drained = telemetry_drain(im.events);
   // Rings are per-thread, so the merged batch is unordered across
@@ -446,7 +446,7 @@ void sample_locked(LiveMonitor::Impl& im) {
     rs.win_comm_us = 0.0;
     rs.win_wait_us = 0.0;
   }
-  const std::int64_t now = live_now_us();
+  const std::int64_t now = now_us();
   for (const TelemetryEvent& ev : im.events) {
     fold_event(im, ev, now);
   }
@@ -511,7 +511,7 @@ void sample_locked(LiveMonitor::Impl& im) {
         .add(1);
   }
 
-  const std::int64_t busy = live_now_us() - t0;
+  const std::int64_t busy = now_us() - t0;
   im.busy_total_us += busy;
   registry.counter("live.samples").add(1);
   registry.counter("live.events").add(drained);
@@ -561,7 +561,7 @@ bool LiveMonitor::start(LiveConfig config) {
   im.prev_metrics = MetricsRegistry::global().snapshot();
   im.sample_index = 0;
   im.prev_max_epoch = 0;
-  im.session_start_us = live_now_us();
+  im.session_start_us = now_us();
   im.prev_t_us = im.session_start_us;
   im.busy_total_us = 0;
   im.alerts.clear();

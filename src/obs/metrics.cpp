@@ -1,106 +1,12 @@
 #include "obs/metrics.hpp"
 
-#include <bit>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/json.hpp"
 
 namespace rcf::obs {
-
-namespace {
-
-/// Bin index for a non-negative value: 0 for [0,1), i for [2^(i-1), 2^i).
-int bin_index(double value) {
-  if (!(value >= 1.0)) {  // also catches NaN
-    return 0;
-  }
-  const auto v = static_cast<std::uint64_t>(value);
-  const int width = std::bit_width(v);  // v in [2^(width-1), 2^width)
-  return width < Histogram::kNumBins ? width : Histogram::kNumBins - 1;
-}
-
-/// Upper edge of bin i (the reported percentile value).
-double bin_upper_edge(int i) {
-  return i == 0 ? 1.0 : std::ldexp(1.0, i);  // 2^i
-}
-
-void atomic_max(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (value > cur &&
-         !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (value < cur &&
-         !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void Histogram::observe(double value) {
-  if (std::isnan(value)) {
-    return;
-  }
-  if (value < 0.0) {
-    value = 0.0;
-  }
-  bins_[static_cast<std::size_t>(bin_index(value))].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  atomic_max(max_, value);
-  atomic_min(min_, value);
-}
-
-double Histogram::min() const {
-  const double v = min_.load(std::memory_order_relaxed);
-  return std::isinf(v) ? 0.0 : v;
-}
-
-double Histogram::bin_edge(int i) { return bin_upper_edge(i); }
-
-double Histogram::percentile(double p) const {
-  const std::uint64_t total = count();
-  if (total == 0) {
-    return 0.0;
-  }
-  if (p < 0.0) {
-    p = 0.0;
-  }
-  if (p > 1.0) {
-    p = 1.0;
-  }
-  // Rank of the requested quantile, 1-based; cumulative scan over bins.
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(p * static_cast<double>(total)));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kNumBins; ++i) {
-    seen += bins_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
-    if (seen >= rank) {
-      return bin_upper_edge(i);
-    }
-  }
-  return bin_upper_edge(kNumBins - 1);
-}
-
-void Histogram::reset() {
-  for (auto& bin : bins_) {
-    bin.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* registry = new MetricsRegistry();
@@ -125,15 +31,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>();
-  }
-  return *slot;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -142,17 +39,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   for (const auto& [name, g] : gauges_) {
     snap.gauges[name] = g->value();
-  }
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.count = h->count();
-    hs.sum = h->sum();
-    hs.min = h->min();
-    hs.max = h->max();
-    for (int b = 0; b < Histogram::kNumBins; ++b) {
-      hs.bins[static_cast<std::size_t>(b)] = h->bin_count(b);
-    }
-    snap.histograms[name] = hs;
   }
   return snap;
 }
@@ -174,18 +60,6 @@ MetricsSnapshot delta_snapshot(const MetricsSnapshot& prev,
         it == prev.counters.end() ? value : clamped_delta(value, it->second);
   }
   delta.gauges = cur.gauges;
-  for (const auto& [name, hs] : cur.histograms) {
-    HistogramSnapshot d = hs;  // carries cur min/max/sum by default
-    const auto it = prev.histograms.find(name);
-    if (it != prev.histograms.end()) {
-      d.count = clamped_delta(hs.count, it->second.count);
-      d.sum = hs.sum >= it->second.sum ? hs.sum - it->second.sum : hs.sum;
-      for (std::size_t b = 0; b < d.bins.size(); ++b) {
-        d.bins[b] = clamped_delta(hs.bins[b], it->second.bins[b]);
-      }
-    }
-    delta.histograms[name] = d;
-  }
   return delta;
 }
 
@@ -209,22 +83,10 @@ std::vector<std::string> MetricsRegistry::gauge_names() const {
   return names;
 }
 
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
-  // Sized for the histogram header: 7 numeric fields at up to ~24 chars
-  // each plus the literal keys.
-  char buf[320];
+  char buf[32];
   out << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
@@ -240,36 +102,6 @@ std::string MetricsRegistry::to_json() const {
     out << (first ? "" : ",") << '"' << json_escape(name) << "\":";
     std::snprintf(buf, sizeof(buf), "%.17g", g->value());
     out << buf;
-    first = false;
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    out << (first ? "" : ",") << '"' << json_escape(name) << "\":";
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"count\":%llu,\"sum\":%.17g,\"min\":%.17g,\"max\":%.17g,"
-        "\"p50\":%.17g,\"p95\":%.17g,\"p99\":%.17g,\"buckets\":[",
-        static_cast<unsigned long long>(h->count()), h->sum(), h->min(),
-        h->max(), h->percentile(0.5), h->percentile(0.95),
-        h->percentile(0.99));
-    out << buf;
-    // Explicit [upper-edge, count] pairs for the non-empty bins, so
-    // offline tools can re-merge distributions exactly (bin 0 covers
-    // [0, 1); bin i covers [edge(i-1), edge(i))).
-    bool first_bin = true;
-    for (int b = 0; b < Histogram::kNumBins; ++b) {
-      const std::uint64_t n = h->bin_count(b);
-      if (n == 0) {
-        continue;
-      }
-      std::snprintf(buf, sizeof(buf), "%s[%.17g,%llu]", first_bin ? "" : ",",
-                    Histogram::bin_edge(b),
-                    static_cast<unsigned long long>(n));
-      out << buf;
-      first_bin = false;
-    }
-    out << "]}";
     first = false;
   }
   out << "}}\n";
@@ -292,9 +124,6 @@ void MetricsRegistry::reset() {
   }
   for (auto& [name, g] : gauges_) {
     g->reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->reset();
   }
 }
 

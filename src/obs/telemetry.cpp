@@ -94,10 +94,9 @@ TelemetryRing& local_ring() {
 
 }  // namespace
 
-std::int64_t live_now_us() {
-  // Process-stable epoch, independent of the (restartable) trace-session
-  // epoch: ages computed from stream timestamps stay valid across
-  // TraceSession::start() calls.
+std::int64_t now_us() {
+  // Process-stable epoch: TraceSession::start() does not reset it, so ages
+  // computed from stream timestamps stay valid across trace sessions.
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -110,7 +109,7 @@ void telemetry_publish_slow(TelemetryKind kind, const char* label, double a,
   TelemetryEvent ev;
   ev.kind = kind;
   ev.rank = thread_rank();
-  ev.t_us = live_now_us();
+  ev.t_us = now_us();
   ev.label = label;
   ev.a = a;
   ev.b = b;

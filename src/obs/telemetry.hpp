@@ -131,8 +131,9 @@ void set_gate_bit(std::uint32_t bit, bool on);
   return (obs_gate() & detail::kGateLive) != 0;
 }
 
-/// Microseconds since the live epoch (process-stable steady clock).
-[[nodiscard]] std::int64_t live_now_us();
+/// Microseconds since the process-stable epoch (steady clock): the one
+/// clock that stamps trace spans, phase timings and live telemetry events.
+[[nodiscard]] std::int64_t now_us();
 
 /// Out-of-line publish path: stamps rank + timestamp and pushes into the
 /// calling thread's ring.  Only call when live_enabled().

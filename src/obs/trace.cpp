@@ -140,7 +140,7 @@ struct TraceSession::ThreadBuffer {
   }
 };
 
-TraceSession::TraceSession() : epoch_(std::chrono::steady_clock::now()) {
+TraceSession::TraceSession() {
   TraceConfig env_config;
   if (const char* p = std::getenv("RCF_TRACE"); p != nullptr && *p != '\0') {
     env_config.trace_out = std::string(p) == "1" ? "rcf_trace.json" : p;
@@ -196,7 +196,6 @@ void TraceSession::start(TraceConfig config) {
     store_.clear();
     config_ = std::move(config);
   }
-  epoch_ = std::chrono::steady_clock::now();
   enabled_.store(true, std::memory_order_relaxed);
   detail::set_gate_bit(detail::kGateTrace, true);
 }
@@ -205,12 +204,6 @@ void TraceSession::stop() {
   detail::set_gate_bit(detail::kGateTrace, false);
   enabled_.store(false, std::memory_order_relaxed);
   flush_buffer(local_buffer());
-}
-
-std::int64_t TraceSession::now_us() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
 }
 
 void TraceSession::record(const char* name, std::int64_t start_us,
@@ -410,17 +403,9 @@ TraceScope::~TraceScope() {
   if (!active_ && !live_) {
     return;
   }
-  std::int64_t dur = 0;
+  const std::int64_t dur = now_us() - start_us_;
   if (active_) {
-    auto& session = TraceSession::global();
-    const std::int64_t end_us = session.now_us();
-    dur = end_us - start_us_;
-    session.record(name_, start_us_, dur, words_, seq_);
-    if (latency_ != nullptr) {
-      latency_->observe(static_cast<double>(dur));
-    }
-  } else {
-    dur = live_now_us() - live_start_us_;
+    TraceSession::global().record(name_, start_us_, dur, words_, seq_);
   }
   if (live_) {
     if (seq_ >= 0) {

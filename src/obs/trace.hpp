@@ -26,7 +26,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -38,14 +37,12 @@
 
 namespace rcf::obs {
 
-class Histogram;
-
 /// One completed span ("X" duration event in the Chrome trace format).
 struct TraceEvent {
   const char* name = "";    ///< static-storage span label ("allreduce", ...)
   int rank = 0;             ///< SPMD rank (pid in the Chrome trace)
   std::uint32_t tid = 0;    ///< per-thread serial (tid in the Chrome trace)
-  std::int64_t start_us = 0;  ///< microseconds since session epoch
+  std::int64_t start_us = 0;  ///< now_us() stamp (process-stable epoch)
   std::int64_t dur_us = 0;    ///< span duration in microseconds
   double words = 0.0;       ///< payload counter (0 = omitted from args)
   /// Engine-space collective sequence number stamped by the comm backends
@@ -78,7 +75,7 @@ using PhaseSummary = std::vector<PhaseStat>;
 /// splits the events by rank and writes one file per rank, so multi-rank
 /// runs never interleave or clobber a shared file.  Without the
 /// placeholder a multi-rank session still writes one merged file (all
-/// ranks share the session epoch) but warns once.
+/// ranks share one clock) but warns once.
 struct TraceConfig {
   std::string trace_out;    ///< Chrome trace-event JSON
   std::string jsonl_out;    ///< flat JSONL stream (one event per line)
@@ -101,7 +98,8 @@ class TraceSession {
   static TraceSession& global();
 
   /// Enables recording (clears previously collected events) and stores the
-  /// output configuration for write_outputs().
+  /// output configuration for write_outputs().  Span timestamps keep the
+  /// process-stable now_us() epoch, so they are not reset here.
   void start(TraceConfig config = {});
 
   /// Disables recording and flushes the calling thread's buffer.
@@ -110,9 +108,6 @@ class TraceSession {
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
-
-  /// Microseconds since the session epoch (start() resets the epoch).
-  [[nodiscard]] std::int64_t now_us() const;
 
   /// Records one completed span for the calling thread; rank/tid are
   /// filled in from the thread-local state.  No-op when disabled.
@@ -151,7 +146,6 @@ class TraceSession {
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint32_t> next_tid_{1};
   std::atomic<bool> warned_shared_path_{false};
-  std::chrono::steady_clock::time_point epoch_;
   std::mutex mutex_;  // guards store_ and config_
   std::vector<TraceEvent> store_;
   TraceConfig config_;
@@ -179,15 +173,16 @@ class ScopedSession {
   bool live_active_ = false;
 };
 
-/// RAII span: records [construction, destruction) into the global session.
-/// When `latency` is non-null the span duration (microseconds) is also
-/// observed into that histogram (used for collective-latency percentiles).
-/// `seq` stamps the span with a collective sequence number for the
-/// cross-rank timeline merge (-1 = not a collective).
+/// RAII span: records [construction, destruction) into the global session
+/// and/or publishes it on the live telemetry bus.  The span's exact
+/// duration is the one latency record: rcf-report derives per-name
+/// quantiles from the trace.  `seq` stamps the span with a collective
+/// sequence number for the cross-rank timeline merge (-1 = not a
+/// collective).
 class TraceScope {
  public:
   explicit TraceScope(const char* name, double words = 0.0,
-                      Histogram* latency = nullptr, std::int64_t seq = -1) {
+                      std::int64_t seq = -1) {
     // One relaxed load tests the trace AND live gates (the packed word in
     // telemetry.hpp), keeping the disabled fast path at a single load +
     // branch even with live telemetry compiled in.
@@ -197,15 +192,10 @@ class TraceScope {
     }
     name_ = name;
     words_ = words;
-    latency_ = latency;
     seq_ = seq;
     active_ = (gate & detail::kGateTrace) != 0;
     live_ = (gate & detail::kGateLive) != 0;
-    if (active_) {
-      start_us_ = TraceSession::global().now_us();
-    } else {
-      live_start_us_ = live_now_us();
-    }
+    start_us_ = now_us();
     if (live_ && seq_ >= 0) {
       // Collectives announce themselves on entry so the monitor can age
       // in-flight operations (a hung allreduce is visible while stuck).
@@ -222,10 +212,8 @@ class TraceScope {
   bool live_ = false;
   const char* name_ = "";
   double words_ = 0.0;
-  Histogram* latency_ = nullptr;
   std::int64_t seq_ = -1;
-  std::int64_t start_us_ = 0;       ///< session epoch (tracing)
-  std::int64_t live_start_us_ = 0;  ///< live epoch (live without tracing)
+  std::int64_t start_us_ = 0;
 };
 
 /// Accumulator for one phase of a solver loop (see PhaseStat).
@@ -259,18 +247,11 @@ inline void timed_phase(bool tracing, PhaseAgg& agg, const char* name,
     fn();
     return;
   }
-  std::int64_t dur = 0;
+  const std::int64_t t0 = now_us();
+  fn();
+  const std::int64_t dur = now_us() - t0;
   if (tracing) {
-    auto& session = TraceSession::global();
-    const std::int64_t t0 = session.now_us();
-    fn();
-    const std::int64_t t1 = session.now_us();
-    dur = t1 - t0;
-    session.record(name, t0, dur, words);
-  } else {
-    const std::int64_t t0 = live_now_us();
-    fn();
-    dur = live_now_us() - t0;
+    TraceSession::global().record(name, t0, dur, words);
   }
   agg.us += dur;
   if (live) {

@@ -6,7 +6,6 @@
 // repeated runs.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "rcf.hpp"
@@ -22,10 +21,6 @@ void fill_registry(obs::MetricsRegistry& reg, int rank) {
   reg.counter("comm.allreduce_calls").add(10);
   reg.gauge("phase.gram.seconds").set(0.25 * static_cast<double>(rank + 1));
   reg.gauge("phase.allreduce.words").set(4096.0);
-  auto& hist = reg.histogram("allreduce_latency_us");
-  for (int i = 0; i <= rank; ++i) {
-    hist.observe(std::ldexp(1.0, rank));  // 1, 2, 4, 8 us
-  }
 }
 
 bool same_metric(const obs::AggregatedMetric& a,
@@ -36,8 +31,7 @@ bool same_metric(const obs::AggregatedMetric& a,
 
 bool same_fleet(const obs::FleetMetrics& a, const obs::FleetMetrics& b) {
   if (a.ranks != b.ranks || a.counters.size() != b.counters.size() ||
-      a.gauges.size() != b.gauges.size() ||
-      a.histograms.size() != b.histograms.size()) {
+      a.gauges.size() != b.gauges.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.counters.size(); ++i) {
@@ -45,15 +39,6 @@ bool same_fleet(const obs::FleetMetrics& a, const obs::FleetMetrics& b) {
   }
   for (std::size_t i = 0; i < a.gauges.size(); ++i) {
     if (!same_metric(a.gauges[i], b.gauges[i])) return false;
-  }
-  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
-    const auto& x = a.histograms[i];
-    const auto& y = b.histograms[i];
-    if (x.name != y.name || x.count != y.count || x.sum != y.sum ||
-        x.max != y.max || x.p50 != y.p50 || x.p95 != y.p95 ||
-        x.p99 != y.p99) {
-      return false;
-    }
   }
   return true;
 }
@@ -86,12 +71,6 @@ TEST(ObsAggregate, SeqCommSingleRankIsIdentity) {
   EXPECT_EQ(gram->sum, 3.0);
   EXPECT_EQ(gram->mean, 3.0);
   EXPECT_EQ(gram->imbalance, 1.0);
-
-  ASSERT_EQ(fleet.histograms.size(), 1u);
-  EXPECT_EQ(fleet.histograms[0].count, 1u);
-  EXPECT_EQ(fleet.histograms[0].max, 1.0);
-  EXPECT_EQ(fleet.histograms[0].p50,
-            local.histogram("allreduce_latency_us").percentile(0.5));
 }
 
 TEST(ObsAggregate, SumsEqualPerRankSumsBitExactly) {
@@ -152,26 +131,6 @@ TEST(ObsAggregate, DeterministicAcrossRepeatedRuns) {
   EXPECT_TRUE(same_fleet(first[0], second[0]));
 }
 
-TEST(ObsAggregate, HistogramMergeMatchesPooledObservations) {
-  const auto views = aggregate_fleet(4);
-  // fill_registry pushes (r+1) observations of 2^r: 10 total, max 8.
-  obs::Histogram pooled;
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i <= r; ++i) {
-      pooled.observe(std::ldexp(1.0, r));
-    }
-  }
-  ASSERT_EQ(views[0].histograms.size(), 1u);
-  const auto& merged = views[0].histograms[0];
-  EXPECT_EQ(merged.name, "allreduce_latency_us");
-  EXPECT_EQ(merged.count, pooled.count());
-  EXPECT_EQ(merged.sum, pooled.sum());
-  EXPECT_EQ(merged.max, pooled.max());
-  EXPECT_EQ(merged.p50, pooled.percentile(0.50));
-  EXPECT_EQ(merged.p95, pooled.percentile(0.95));
-  EXPECT_EQ(merged.p99, pooled.percentile(0.99));
-}
-
 TEST(ObsAggregate, PublishRoundTripsThroughMetricsJson) {
   obs::MetricsRegistry local;
   fill_registry(local, 2);
@@ -182,7 +141,6 @@ TEST(ObsAggregate, PublishRoundTripsThroughMetricsJson) {
   obs::publish(fleet, out);
   EXPECT_EQ(out.gauge("agg.phase.gram.count.sum").value(), 9.0);
   EXPECT_EQ(out.gauge("agg.phase.gram.count.imbalance").value(), 1.0);
-  EXPECT_EQ(out.gauge("agg.allreduce_latency_us.count").value(), 3.0);
 
   // The JSON export of the published registry must parse (dogfoods the
   // shared escaping helper on the dotted agg.* names).

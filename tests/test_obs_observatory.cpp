@@ -535,33 +535,6 @@ TEST(ObsTracePath, WritesOneFilePerRank) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram export: count / min / max / explicit bucket boundaries.
-// ---------------------------------------------------------------------------
-
-TEST(ObsMetrics, HistogramExportsMinAndBuckets) {
-  obs::MetricsRegistry registry;
-  auto& hist = registry.histogram("t_hist_us");
-  hist.observe(3.0);
-  hist.observe(100.0);
-
-  EXPECT_EQ(hist.count(), 2u);
-  EXPECT_DOUBLE_EQ(hist.min(), 3.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 100.0);
-  EXPECT_DOUBLE_EQ(obs::Histogram::bin_edge(0), 1.0);
-  EXPECT_DOUBLE_EQ(obs::Histogram::bin_edge(3), 8.0);
-
-  const std::string json = registry.to_json();
-  EXPECT_NE(json.find("\"min\""), std::string::npos);
-  EXPECT_NE(json.find("\"max\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-
-  // An empty histogram must report min = 0, not the +inf sentinel.
-  auto& empty = registry.histogram("t_empty_us");
-  EXPECT_DOUBLE_EQ(empty.min(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // rcf-report: malformed metrics must fail loudly, and the analyzer must
 // reconstruct the timeline sections from loaded events.
 // ---------------------------------------------------------------------------
@@ -574,8 +547,18 @@ TEST(ObsReport, RejectsMalformedMetricsJson) {
 }
 
 TEST(ObsReport, BuildsTimelineSectionsFromEvents) {
+  // Twenty rank-0 spans after the collective, durations 10, 20, ..., 200 us
+  // in scrambled order: nearest rank gives p50 = the 10th smallest (100),
+  // p95 = the 19th (190), p99 = the 20th (200), max 200, mean 105.
+  std::vector<obs::TimelineSpan> spans = synthetic_spans();
+  std::int64_t t = 1400;
+  for (int i = 0; i < 20; ++i) {
+    const std::int64_t dur = 10 * ((i * 7) % 20 + 1);
+    spans.push_back({"sparse.spmv", 0, -1, t, dur, 0.0});
+    t += dur;
+  }
   std::vector<tools::ReportEvent> events;
-  for (const auto& span : synthetic_spans()) {
+  for (const auto& span : spans) {
     tools::ReportEvent ev;
     ev.name = span.name;
     ev.rank = span.rank;
@@ -600,13 +583,44 @@ TEST(ObsReport, BuildsTimelineSectionsFromEvents) {
   const std::string json = tools::render_json(report);
   EXPECT_NE(json.find("\"critical_path\""), std::string::npos);
 
-  // The JSON "ranks" rows are the timeline's per-rank decomposition.
+  const auto spmv = std::find_if(
+      report.phases.begin(), report.phases.end(),
+      [](const tools::PhaseRow& p) { return p.name == "sparse.spmv"; });
+  ASSERT_NE(spmv, report.phases.end());
+  EXPECT_EQ(spmv->count, 20u);
+  EXPECT_EQ(spmv->mean_us, 105.0);
+  EXPECT_EQ(spmv->p50_us, 100.0);
+  EXPECT_EQ(spmv->p95_us, 190.0);
+  EXPECT_EQ(spmv->p99_us, 200.0);
+  EXPECT_EQ(spmv->max_us, 200.0);
+
   const auto doc = parse_json(json);
   ASSERT_TRUE(doc.has_value());
+  // Latency lives in the phase rows; the old side channels are gone.
+  EXPECT_EQ(doc->find("skew"), nullptr);
+  EXPECT_EQ(doc->find("histograms"), nullptr);
+  const JsonValue* phases = doc->find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_TRUE(phases->is_array());
+  const JsonValue* spmv_row = nullptr;
+  for (const JsonValue& row : phases->array) {
+    if (row.string_or("name", "") == "sparse.spmv") {
+      spmv_row = &row;
+    }
+  }
+  ASSERT_NE(spmv_row, nullptr);
+  EXPECT_EQ(spmv_row->number_or("count", -1.0), 20.0);
+  EXPECT_EQ(spmv_row->number_or("mean_us", -1.0), 105.0);
+  EXPECT_EQ(spmv_row->number_or("p50_us", -1.0), 100.0);
+  EXPECT_EQ(spmv_row->number_or("p95_us", -1.0), 190.0);
+  EXPECT_EQ(spmv_row->number_or("p99_us", -1.0), 200.0);
+  EXPECT_EQ(spmv_row->number_or("max_us", -1.0), 200.0);
+
+  // The JSON "ranks" rows are the timeline's per-rank decomposition.
   const JsonValue* rows = doc->find("ranks");
   ASSERT_NE(rows, nullptr);
   ASSERT_TRUE(rows->is_array());
-  const auto timeline = obs::Timeline::build(synthetic_spans());
+  const auto timeline = obs::Timeline::build(spans);
   const auto& expected = timeline.rank_times();
   ASSERT_EQ(rows->array.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -28,30 +28,25 @@ bool read_file(const std::string& path, std::string& out, std::string& error) {
   return true;
 }
 
-DurationStats duration_stats(std::vector<double>& durs_us) {
-  DurationStats stats;
-  stats.count = durs_us.size();
-  if (durs_us.empty()) {
-    return stats;
-  }
+/// Fills `row`'s latency columns from its (non-empty) span durations:
+/// the mean, the nearest-rank p50 / p95 / p99 (the ceil(p * n)-th smallest
+/// duration) and the max.
+void set_latency(PhaseRow& row, std::vector<double>& durs_us) {
   std::sort(durs_us.begin(), durs_us.end());
+  const double n = static_cast<double>(durs_us.size());
   double total = 0.0;
   for (const double v : durs_us) {
     total += v;
   }
-  stats.mean_us = total / static_cast<double>(durs_us.size());
-  const auto at = [&durs_us](double p) {
-    const auto n = durs_us.size();
-    const auto idx = static_cast<std::size_t>(
-        std::min<double>(static_cast<double>(n) - 1.0,
-                         std::ceil(p * static_cast<double>(n)) - 1.0));
-    return durs_us[std::max<std::size_t>(idx, 0)];
+  row.mean_us = total / n;
+  const auto at = [&durs_us, n](double p) {
+    const double rank = std::clamp(std::ceil(p * n), 1.0, n);
+    return durs_us[static_cast<std::size_t>(rank) - 1];
   };
-  stats.p50_us = at(0.5);
-  stats.p95_us = at(0.95);
-  stats.p99_us = at(0.99);
-  stats.max_us = durs_us.back();
-  return stats;
+  row.p50_us = at(0.5);
+  row.p95_us = at(0.95);
+  row.p99_us = at(0.99);
+  row.max_us = durs_us.back();
 }
 
 void append_number(std::string& out, double v) {
@@ -180,15 +175,13 @@ bool build_report(const std::vector<ReportEvent>& events,
     double words = 0.0;
   };
   std::map<std::string, std::map<int, PhaseAccum>> phases;
-  std::vector<double> skew_durs;
+  std::map<std::string, std::vector<double>> durs_us;
   for (const ReportEvent& ev : events) {
     PhaseAccum& pa = phases[ev.name][ev.rank];
     ++pa.count;
     pa.us += static_cast<double>(ev.dur_us);
     pa.words += ev.words;
-    if (ev.name == "allreduce_wait") {
-      skew_durs.push_back(static_cast<double>(ev.dur_us));
-    }
+    durs_us[ev.name].push_back(static_cast<double>(ev.dur_us));
     if (ev.name == "allreduce") {
       ++out.allreduce_spans;
     }
@@ -208,6 +201,7 @@ bool build_report(const std::vector<ReportEvent>& events,
     row.critical_s = critical_us * 1e-6;
     row.mean_rank_s =
         total_us * 1e-6 / static_cast<double>(by_rank.size());
+    set_latency(row, durs_us[name]);
     out.phases.push_back(std::move(row));
   }
   std::sort(out.phases.begin(), out.phases.end(),
@@ -215,7 +209,6 @@ bool build_report(const std::vector<ReportEvent>& events,
               return a.critical_s > b.critical_s ||
                      (a.critical_s == b.critical_s && a.name < b.name);
             });
-  out.skew = duration_stats(skew_durs);
 
   // -- cross-rank merged timeline + critical path ---------------------------
   if (!events.empty()) {
@@ -236,26 +229,12 @@ bool build_report(const std::vector<ReportEvent>& events,
     out.critpath = obs::critical_path(timeline);
   }
 
-  // -- metrics file: histograms, agg.* gauges, model.* gauges ---------------
+  // -- metrics file: resilience and perf.* counters, agg.* and model.* gauges
   if (!metrics_json.empty()) {
     const auto doc = parse_json(metrics_json);
     if (!doc || !doc->is_object()) {
       error = "metrics file is not a JSON object";
       return false;
-    }
-    if (const JsonValue* hists = doc->find("histograms");
-        hists != nullptr && hists->is_object()) {
-      for (const auto& [name, h] : hists->members) {
-        HistRow row;
-        row.name = name;
-        row.count = static_cast<std::uint64_t>(h.number_or("count", 0.0));
-        row.sum = h.number_or("sum", 0.0);
-        row.max = h.number_or("max", 0.0);
-        row.p50 = h.number_or("p50", 0.0);
-        row.p95 = h.number_or("p95", 0.0);
-        row.p99 = h.number_or("p99", 0.0);
-        out.histograms.push_back(std::move(row));
-      }
     }
     if (const JsonValue* counters = doc->find("counters");
         counters != nullptr && counters->is_object()) {
@@ -362,22 +341,31 @@ bool build_report(const std::vector<ReportEvent>& events,
 
 namespace {
 
-AsciiTable phase_table(const Report& r) {
-  AsciiTable tbl({"phase", "count", "critical (s)", "mean/rank (s)",
-                  "total (s)", "payload words"});
-  for (const auto& p : r.phases) {
-    tbl.add_row({p.name, fmt_count(p.count), fmt_f(p.critical_s, 6),
-                 fmt_f(p.mean_rank_s, 6), fmt_f(p.total_s, 6),
-                 fmt_g(p.words, 4)});
-  }
-  return tbl;
+// The per-phase table: critical-path totals, then the span-duration
+// distribution (text and markdown render the same cells).
+const std::vector<std::string> kPhaseHeader = {
+    "phase",     "count",    "critical (s)", "mean/rank (s)",
+    "total (s)", "payload words", "mean (us)", "p50 (us)",
+    "p95 (us)",  "p99 (us)", "max (us)"};
+
+std::vector<std::string> phase_cells(const PhaseRow& p) {
+  return {p.name,
+          fmt_count(p.count),
+          fmt_f(p.critical_s, 6),
+          fmt_f(p.mean_rank_s, 6),
+          fmt_f(p.total_s, 6),
+          fmt_g(p.words, 4),
+          fmt_f(p.mean_us, 1),
+          fmt_f(p.p50_us, 0),
+          fmt_f(p.p95_us, 0),
+          fmt_f(p.p99_us, 0),
+          fmt_f(p.max_us, 0)};
 }
 
-AsciiTable hist_table(const Report& r) {
-  AsciiTable tbl({"histogram", "count", "p50", "p95", "p99", "max", "sum"});
-  for (const auto& h : r.histograms) {
-    tbl.add_row({h.name, fmt_count(h.count), fmt_g(h.p50), fmt_g(h.p95),
-                 fmt_g(h.p99), fmt_g(h.max), fmt_g(h.sum)});
+AsciiTable phase_table(const Report& r) {
+  AsciiTable tbl(kPhaseHeader);
+  for (const auto& p : r.phases) {
+    tbl.add_row(phase_cells(p));
   }
   return tbl;
 }
@@ -482,17 +470,6 @@ AsciiTable conv_table(const Report& r) {
   return tbl;
 }
 
-std::string skew_line(const Report& r) {
-  std::ostringstream out;
-  out << "rendezvous skew (allreduce_wait, us): count="
-      << r.skew.count << " mean=" << fmt_f(r.skew.mean_us, 1)
-      << " p50=" << fmt_f(r.skew.p50_us, 1)
-      << " p95=" << fmt_f(r.skew.p95_us, 1)
-      << " p99=" << fmt_f(r.skew.p99_us, 1)
-      << " max=" << fmt_f(r.skew.max_us, 1) << "\n";
-  return out.str();
-}
-
 // Markdown pipe-table from the same cells AsciiTable carries; AsciiTable
 // has no cell access, so rebuild rows here via a tiny emitter.
 class MarkdownTable {
@@ -548,12 +525,6 @@ std::string render_text(const Report& r) {
           << straggler_report_table(r).str() << "\n";
     }
   }
-  if (r.skew.count > 0) {
-    out << skew_line(r) << "\n";
-  }
-  if (!r.histograms.empty()) {
-    out << "latency histograms\n" << hist_table(r).str() << "\n";
-  }
   if (!r.model.empty()) {
     out << "cost model: predicted vs measured "
            "(Tc = alpha_eff*L + beta*W vs traced allreduce-phase wall)\n"
@@ -581,12 +552,9 @@ std::string render_markdown(const Report& r) {
   std::ostringstream out;
   out << "# rcf-report\n\n";
   if (!r.phases.empty()) {
-    MarkdownTable tbl({"phase", "count", "critical (s)", "mean/rank (s)",
-                       "total (s)", "payload words"});
+    MarkdownTable tbl(kPhaseHeader);
     for (const auto& p : r.phases) {
-      tbl.add_row({p.name, fmt_count(p.count), fmt_f(p.critical_s, 6),
-                   fmt_f(p.mean_rank_s, 6), fmt_f(p.total_s, 6),
-                   fmt_g(p.words, 4)});
+      tbl.add_row(phase_cells(p));
     }
     out << "## Per-phase critical path\n\n" << tbl.str() << "\n";
   }
@@ -620,17 +588,6 @@ std::string render_markdown(const Report& r) {
       }
       out << "### Top straggler collectives\n\n" << stbl.str() << "\n";
     }
-  }
-  if (r.skew.count > 0) {
-    out << "## Rendezvous skew\n\n" << skew_line(r) << "\n";
-  }
-  if (!r.histograms.empty()) {
-    MarkdownTable tbl({"histogram", "count", "p50", "p95", "p99", "max"});
-    for (const auto& h : r.histograms) {
-      tbl.add_row({h.name, fmt_count(h.count), fmt_g(h.p50), fmt_g(h.p95),
-                   fmt_g(h.p99), fmt_g(h.max)});
-    }
-    out << "## Latency histograms\n\n" << tbl.str() << "\n";
   }
   if (!r.model.empty()) {
     MarkdownTable tbl({"config", "rounds p/m", "L pred", "L meas", "L err",
@@ -716,40 +673,20 @@ std::string render_json(const Report& r) {
     append_number(out, p.total_s);
     out += ",\"words\":";
     append_number(out, p.words);
+    out += ",\"mean_us\":";
+    append_number(out, p.mean_us);
+    out += ",\"p50_us\":";
+    append_number(out, p.p50_us);
+    out += ",\"p95_us\":";
+    append_number(out, p.p95_us);
+    out += ",\"p99_us\":";
+    append_number(out, p.p99_us);
+    out += ",\"max_us\":";
+    append_number(out, p.max_us);
     out += "}";
   }
   out += "],\"allreduce_spans\":" + std::to_string(r.allreduce_spans);
-  out += ",\"skew\":{\"count\":" + std::to_string(r.skew.count);
-  out += ",\"mean_us\":";
-  append_number(out, r.skew.mean_us);
-  out += ",\"p50_us\":";
-  append_number(out, r.skew.p50_us);
-  out += ",\"p95_us\":";
-  append_number(out, r.skew.p95_us);
-  out += ",\"p99_us\":";
-  append_number(out, r.skew.p99_us);
-  out += ",\"max_us\":";
-  append_number(out, r.skew.max_us);
-  out += "},\"histograms\":[";
-  for (std::size_t i = 0; i < r.histograms.size(); ++i) {
-    const auto& h = r.histograms[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":\"";
-    json_escape_to(h.name, out);
-    out += "\",\"count\":" + std::to_string(h.count);
-    out += ",\"sum\":";
-    append_number(out, h.sum);
-    out += ",\"max\":";
-    append_number(out, h.max);
-    out += ",\"p50\":";
-    append_number(out, h.p50);
-    out += ",\"p95\":";
-    append_number(out, h.p95);
-    out += ",\"p99\":";
-    append_number(out, h.p99);
-    out += "}";
-  }
-  out += "],\"model\":[";
+  out += ",\"model\":[";
   for (std::size_t i = 0; i < r.model.size(); ++i) {
     const auto& m = r.model[i];
     if (i > 0) out += ",";

@@ -6,18 +6,18 @@
 // can be pointed at artifacts from any run (including CI uploads).  It
 // reconstructs:
 //
-//  * the per-phase critical path (slowest rank per span name),
+//  * the per-phase critical path (slowest rank per span name) with each
+//    span name's exact latency distribution: count, mean, and the
+//    nearest-rank p50 / p95 / p99 and max of the raw span durations (the
+//    allreduce_wait row is the rendezvous-skew distribution),
 //  * the cross-rank merged timeline: compute / comm / wait / aux
 //    decomposition per rank and the collective-by-collective critical
 //    path with straggler attribution (obs::Timeline + obs::critical_path,
 //    aligned on the collective sequence numbers the communicator stamps
 //    on spans),
-//  * the rendezvous-skew distribution (allreduce_wait spans, exact
-//    quantiles from the raw durations),
 //  * hardware-counter roofline rows (perf.<label>.* counters emitted by
 //    obs::PerfScope under RCF_PERFCTR / bench_kernels --counters),
-//  * latency-histogram quantiles and aggregated agg.* views from the
-//    metrics JSON,
+//  * aggregated agg.* views from the metrics JSON,
 //  * the predicted-vs-measured cost-model table (model.* gauges emitted by
 //    obs::CostLedger),
 //  * the convergence trace (--conv-out JSONL).
@@ -43,7 +43,10 @@ struct ReportEvent {
 };
 
 /// Per-span-name totals; critical_s is the slowest single rank's total,
-/// i.e. the phase's contribution to the critical path of the solve.
+/// i.e. the phase's contribution to the critical path of the solve.  The
+/// *_us fields are the exact distribution of the name's span durations
+/// over every rank; each quantile is the nearest-rank (ceil(p * count)-th
+/// smallest) duration, so it is a measured span, never an interpolation.
 struct PhaseRow {
   std::string name;
   std::uint64_t count = 0;
@@ -51,27 +54,11 @@ struct PhaseRow {
   double critical_s = 0.0;
   double mean_rank_s = 0.0;
   double words = 0.0;
-};
-
-/// Exact quantiles of a set of span durations (microseconds).
-struct DurationStats {
-  std::uint64_t count = 0;
   double mean_us = 0.0;
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
   double max_us = 0.0;
-};
-
-/// One histogram row read from the metrics JSON.
-struct HistRow {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
 };
 
 /// One predicted-vs-measured row reconstructed from model.<label>.* gauges.
@@ -125,8 +112,6 @@ struct ResilienceRow {
 
 struct Report {
   std::vector<PhaseRow> phases;        ///< sorted by critical_s, descending
-  DurationStats skew;                  ///< allreduce_wait durations
-  std::vector<HistRow> histograms;
   std::vector<ModelRow> model;
   std::vector<AggRow> aggregated;      ///< agg.* gauges
   std::vector<ResilienceRow> resilience;  ///< nonzero retry/fault counters
