@@ -133,6 +133,31 @@ BENCHMARK(BM_SampleAtSolverShapes)
     ->Args({54, 12})
     ->Args({29051, 14525});
 
+// The split-tree draw every solve makes, at the same covtype shapes: rank
+// 0's share of the P-part partition of [0, n) (P = 1 is the whole set),
+// into a reused buffer as the engine draws it.
+void BM_SplitTreeShare(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto count = static_cast<std::uint64_t>(state.range(1));
+  const auto parts = static_cast<std::uint64_t>(state.range(2));
+  const SplitTreeSampler sampler(n, count);
+  const std::uint64_t hi = n / parts + (n % parts != 0 ? 1 : 0);
+  std::vector<std::uint32_t> share;
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    sampler.sample(42, stream++, 0, hi, share);
+    benchmark::DoNotOptimize(share.data());
+  }
+}
+BENCHMARK(BM_SplitTreeShare)
+    ->ArgNames({"n", "count", "P"})
+    ->Args({29051, 5810, 1})
+    ->Args({29051, 5810, 2})
+    ->Args({29051, 5810, 4})
+    ->Args({29051, 581, 1})
+    ->Args({29051, 581, 2})
+    ->Args({29051, 581, 4});
+
 void BM_SpMV(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto mat = make_matrix(rows, 256, 0.2);

@@ -82,6 +82,7 @@ void prox_newton(const Problem& problem, const PnOptions& opts, Frame& frame) {
       1, static_cast<std::size_t>(
              std::floor(opts.hessian_sampling_rate * static_cast<double>(m))));
   const double lambda = problem.lambda();
+  const SplitTreeSampler hessian_sampler(m, mbar);
   model::CostTracker& cost = frame.out.cost;
   std::uint64_t comm_rounds = 0;
 
@@ -147,8 +148,8 @@ void prox_newton(const Problem& problem, const PnOptions& opts, Frame& frame) {
     // Line 3 of Alg. 1: the sampled-Hessian index set for this outer
     // iteration (same stream on all ranks; paper §5.5 seeds all processors
     // identically).
-    Rng hrng(opts.seed, static_cast<std::uint64_t>(outer) << 20);
-    const auto hidx = hrng.sample_without_replacement(m, mbar);
+    const auto hidx = hessian_sampler.sample(
+        opts.seed, static_cast<std::uint64_t>(outer) << 20);
     const sparse::CsrMatrix xs = xt.select_rows(hidx);
     SampledHessianOp hop{&xs, curvature.span(), hidx, {}};
 
