@@ -5,6 +5,7 @@
 // code path that substitutes the paper's MPI implementation -- and verifies
 // the result against the sequential engine.
 #include <cstdio>
+#include <string>
 
 #include "rcf.hpp"
 
@@ -30,6 +31,12 @@ int main(int argc, char** argv) {
                "-1");
   if (!cli.parse(argc, argv)) {
     return 0;
+  }
+  const std::string algo_name = cli.get_string("algo", "central");
+  if (algo_name != "central" && algo_name != "rd") {
+    std::fprintf(stderr, "distributed_lasso: --algo must be central or rd, "
+                         "got '%s'\n", algo_name.c_str());
+    return 2;
   }
   std::string live = cli.get_string("live", "");
   if (live == "1") {
@@ -62,9 +69,8 @@ int main(int argc, char** argv) {
   opts.track_history = false;
 
   const int ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const auto algo = cli.get_string("algo", "central") == "rd"
-                        ? dist::AllreduceAlgo::kRecursiveDoubling
-                        : dist::AllreduceAlgo::kCentral;
+  const auto algo = algo_name == "rd" ? dist::AllreduceAlgo::kRecursiveDoubling
+                                      : dist::AllreduceAlgo::kCentral;
   dist::ThreadGroup group(ranks, algo);
 
   const auto distributed =

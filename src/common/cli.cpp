@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace rcf {
 
@@ -41,7 +40,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
   for (const auto& [key, value] : values_) {
     (void)value;
     if (!declared_.empty() && declared_.find(key) == declared_.end()) {
-      RCF_LOG_WARN << program_ << ": unknown flag --" << key;
+      throw InvalidArgument(program_ + ": unknown flag --" + key +
+                            " (see --help)");
     }
   }
   return true;

@@ -1,7 +1,8 @@
 // Tiny command-line flag parser used by the benches and examples.
 //
 // Supports `--key=value`, `--key value`, and boolean `--flag` forms; typed
-// accessors with defaults; and generated --help text.
+// accessors with defaults; and generated --help text.  A parser that
+// declares its flags rejects every other flag.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +18,13 @@ class CliParser {
   /// `description` is printed at the top of --help output.
   CliParser(std::string program, std::string description);
 
-  /// Declares a flag (for --help); declaration is optional but undeclared
-  /// flags trigger a warning when strict mode is on.
+  /// Declares a flag (for --help).  Once any flag is declared, parse()
+  /// rejects undeclared ones; a parser that declares none accepts any flag.
   void add_flag(const std::string& name, const std::string& help,
                 const std::string& default_value = "");
 
   /// Parses argv.  Returns false (after printing help) if --help was given.
+  /// Throws InvalidArgument for a flag that was not declared, when any was.
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;

@@ -15,10 +15,11 @@
 // runs it on every rank of a ThreadGroup; proximal Newton runs its
 // RC-SFISTA inner solves on it with the VR anchor pinned at the outer
 // iterate (the Prox-SVRG estimator), for every loss.  Block n of a run
-// samples from Rng(seed, stream_base + n): base 0 for the engine and
-// outer << 20 for PN (base + 0 is the outer Hessian draw).
-// So runs with different k produce bitwise identical iterates -- the
-// identity behind Fig. 2(b) -- and any P agrees up to reduction order.
+// samples the SplitTreeSampler set of (seed, stream_base + n): base 0 for
+// the engine and outer << 20 for PN (base + 0 is the outer Hessian draw),
+// each rank drawing only its own rows of it.  So runs with different k
+// produce bitwise identical iterates -- the identity behind Fig. 2(b) --
+// and any P agrees up to reduction order.
 //
 // Every solver -- the engine, proximal Newton and ProxCoCoA -- is a body
 // run inside one solve frame (run_solve), which owns what surrounds the
@@ -63,9 +64,9 @@ SolveResult run_sfista_engine(const LassoProblem& problem,
 
 /// The engine's step size: 1 over the larger of the full-Gram Lipschitz
 /// constant and a probed spectral norm of sampled Gram draws (individual
-/// H_S can exceed L substantially when mbar is small relative to d).
-/// Computed once per solve, outside the ranks, so every P runs the same
-/// trajectory.
+/// H_S can exceed L substantially when mbar is small relative to d), drawn
+/// on streams no iteration uses.  Computed once per solve, outside the
+/// ranks, so every P runs the same trajectory.
 double auto_step_size(const LassoProblem& problem, const SolverOptions& opts,
                       std::size_t mbar);
 
@@ -144,16 +145,17 @@ SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
                       std::string solver, dist::ThreadGroup* group,
                       const Body& body);
 
-/// Paper Alg. 5 stages A-D (Fig. 1) on one rank of a RankWorld: A draws
-/// block n's index set, the same on every rank; B accumulates the rank's
-/// share of its sampled Gram; C sums a chunk of k blocks with one allreduce
-/// (posted one chunk ahead under opts.pipeline); D runs the chunk's k*S
-/// redundant update sweeps.  A block packs [H|R], or [H] alone under
-/// variance reduction, whose update never reads R.  The rank keeps the
-/// samples of part comm.rank() of data_part.  A sampled chunk of at least
-/// as many blocks as the rank's pool is wide runs A-B as one pool dispatch,
-/// each block built by one task; the iterate and the cost ledger are the
-/// same at every width.
+/// Paper Alg. 5 stages A-D (Fig. 1) on one rank of a RankWorld: A draws the
+/// rank's rows of block n's index set (part comm.rank() of data_part); B
+/// accumulates the rank's share of its sampled Gram; C sums a chunk of k
+/// blocks with one allreduce (posted one chunk ahead under opts.pipeline);
+/// D runs the chunk's k*S redundant update sweeps.  A block packs [H|R], or
+/// [H] alone under variance reduction, whose update never reads R, and a
+/// tail of one Gram flop count per part of cost_part, from which every rank
+/// charges the block's critical path after the reduction.  A sampled chunk
+/// of at least as many blocks as the rank's pool is wide runs A-B as one
+/// pool dispatch, each block built by one task; the iterate and the cost
+/// ledger are the same at every width.
 struct ChunkLoop {
   /// One run's inputs; none of them is a user option.
   struct Run {

@@ -23,22 +23,4 @@ int Partition::owner(std::size_t i) const {
   return static_cast<int>(it - offsets_.begin()) - 1;
 }
 
-std::vector<std::span<const std::uint32_t>> Partition::split_sorted(
-    std::span<const std::uint32_t> sorted_indices) const {
-  std::vector<std::span<const std::uint32_t>> out;
-  out.reserve(static_cast<std::size_t>(parts()));
-  std::size_t pos = 0;
-  for (int p = 0; p < parts(); ++p) {
-    const std::size_t first = pos;
-    while (pos < sorted_indices.size() && sorted_indices[pos] < end(p)) {
-      RCF_DCHECK(sorted_indices[pos] >= begin(p));
-      ++pos;
-    }
-    out.push_back(sorted_indices.subspan(first, pos - first));
-  }
-  RCF_CHECK_MSG(pos == sorted_indices.size(),
-                "split_sorted: indices out of range or unsorted");
-  return out;
-}
-
 }  // namespace rcf::data

@@ -36,11 +36,6 @@ class Partition {
   /// Which part owns global index i.
   [[nodiscard]] int owner(std::size_t i) const;
 
-  /// Splits a sorted global index list into per-part sub-spans.  The spans
-  /// view `sorted_indices`; entry p covers the indices owned by part p.
-  [[nodiscard]] std::vector<std::span<const std::uint32_t>> split_sorted(
-      std::span<const std::uint32_t> sorted_indices) const;
-
   [[nodiscard]] std::span<const std::size_t> offsets() const {
     return offsets_;
   }

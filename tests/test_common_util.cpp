@@ -68,6 +68,28 @@ TEST(Cli, BadIntThrows) {
   EXPECT_THROW((void)cli.get_double("a", 0.0), InvalidArgument);
 }
 
+TEST(Cli, RejectsUndeclaredFlag) {
+  // A parser that declares its flags rejects any other (a misspelled flag
+  // must not silently run the defaults); --help stays accepted.
+  CliParser cli("t", "test");
+  cli.add_flag("algo", "allreduce algorithm", "central");
+  const char* typo[] = {"t", "--collective=rd"};
+  EXPECT_THROW((void)cli.parse(2, typo), InvalidArgument);
+  CliParser ok("t", "test");
+  ok.add_flag("algo", "allreduce algorithm", "central");
+  const char* declared[] = {"t", "--algo=rd"};
+  ASSERT_TRUE(ok.parse(2, declared));
+  EXPECT_EQ(ok.get_string("algo", "central"), "rd");
+  CliParser help("t", "test");
+  help.add_flag("algo", "allreduce algorithm", "central");
+  const char* asks_help[] = {"t", "--help"};
+  EXPECT_FALSE(help.parse(2, asks_help));
+  // A parser that declares nothing stays lenient.
+  CliParser open("t", "test");
+  ASSERT_TRUE(open.parse(2, typo));
+  EXPECT_EQ(open.get_string("collective", ""), "rd");
+}
+
 TEST(Cli, NegativeNumberAsValue) {
   CliParser cli("t", "test");
   const char* argv[] = {"t", "--a=-3"};

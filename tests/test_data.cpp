@@ -198,25 +198,6 @@ TEST(Partition, Owner) {
   EXPECT_THROW((void)p.owner(10), InvalidArgument);
 }
 
-TEST(Partition, SplitSorted) {
-  const Partition p(10, 3);  // blocks [0,4) [4,7) [7,10)
-  const std::vector<std::uint32_t> idx = {0, 3, 4, 8, 9};
-  const auto splits = p.split_sorted(idx);
-  ASSERT_EQ(splits.size(), 3u);
-  EXPECT_EQ(splits[0].size(), 2u);
-  EXPECT_EQ(splits[1].size(), 1u);
-  EXPECT_EQ(splits[2].size(), 2u);
-  EXPECT_EQ(splits[1][0], 4u);
-}
-
-TEST(Partition, SplitSortedEmptyParts) {
-  const Partition p(10, 5);
-  const std::vector<std::uint32_t> idx = {9};
-  const auto splits = p.split_sorted(idx);
-  EXPECT_TRUE(splits[0].empty());
-  EXPECT_EQ(splits[4].size(), 1u);
-}
-
 TEST(Partition, RejectsBadInput) {
   EXPECT_THROW(Partition(10, 0), InvalidArgument);
 }

@@ -385,9 +385,11 @@ TEST(PipelinedSolve, StalenessRequiresPipeline) {
 
 TEST(PipelinedSolve, OverlapIsCreditedUnderStaleness) {
   // With staleness 2 the wait for chunk t's reduction happens two full
-  // chunks of compute later; a small payload reduction is certain to have
-  // completed by then, so overlapped words must accumulate.
-  const auto dataset = async_dataset(2000, 8);
+  // chunks of compute later, so overlapped words must accumulate.  Each
+  // rank's chunk builds four Grams of ~2,000 samples over 96 features --
+  // milliseconds of compute, which dwarfs a progress thread's wake-up even
+  // on an oversubscribed host.
+  const auto dataset = async_dataset(8000, 96);
   const core::LassoProblem problem(dataset, 0.01);
   core::SolverOptions opts;
   opts.max_iters = 32;
