@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -44,25 +45,31 @@ void CheckedComm::epoch_exchange(const Fingerprint& last) {
   // advanced the rolling hash by the time the epoch handle is waited, and
   // every rank must compare the same prefix.
   const std::uint64_t h = last.rolling & kHashMask;
-  // One max-allreduce of {h, -h} yields both the fleet max and (negated)
-  // the fleet min; they agree iff every rank's rolling hash agrees.
-  double buf[2] = {static_cast<double>(h), -static_cast<double>(h)};
+  // Each rank's hash in its own slot, zeros elsewhere: every slot of the
+  // sum has one nonzero term, so the sum is exact on any schedule.
+  std::vector<double> hashes(static_cast<std::size_t>(inner_.size()), 0.0);
+  hashes[static_cast<std::size_t>(inner_.rank())] = static_cast<double>(h);
   {
     dist::Communicator::AuxScope aux(inner_);
-    inner_.allreduce_max(std::span<double>(buf, 2));
+    inner_.allreduce_sum(hashes);
   }
   exchanges_.add(1);
-  const auto fleet_max = static_cast<std::uint64_t>(buf[0]);
-  const auto fleet_min = static_cast<std::uint64_t>(-buf[1]);
-  if (fleet_max != fleet_min) {
+  std::string differing;
+  for (std::size_t r = 0; r < hashes.size(); ++r) {
+    const auto other = static_cast<std::uint64_t>(hashes[r]);
+    if (other != h) {
+      differing += (differing.empty() ? "rank " : ", rank ") +
+                   std::to_string(r) + " has " + to_hex(other);
+    }
+  }
+  if (!differing.empty()) {
     obs::MetricsRegistry::global().counter("check.contract_violations").add(1);
     throw ContractViolation(
         "collective contract violation: rolling hash diverged across ranks "
         "by engine collective #" +
         std::to_string(engine_calls_) + " (rank " +
         std::to_string(inner_.rank()) + " has " + to_hex(h) +
-        ", fleet min " + to_hex(fleet_min) + ", fleet max " +
-        to_hex(fleet_max) + "); last collective on this rank was " +
+        "; differing: " + differing + "); last collective on this rank was " +
         last.describe());
   }
 }
@@ -113,29 +120,14 @@ dist::CommHandle CheckedComm::iallreduce_sum(std::span<double> inout,
 
 void CheckedComm::allreduce_sum(std::span<double> inout,
                                 std::source_location site) {
-  allreduce(inout, /*use_max=*/false, site);
-}
-
-void CheckedComm::allreduce_max(std::span<double> inout,
-                                std::source_location site) {
-  allreduce(inout, /*use_max=*/true, site);
-}
-
-void CheckedComm::allreduce(std::span<double> inout, bool use_max,
-                            const std::source_location& site) {
   Fingerprint fp;
-  const bool due = opts_.enabled &&
-                   track(use_max ? CollectiveKind::kAllreduceMax
-                                 : CollectiveKind::kAllreduceSum,
-                         inout.size(), site, &fp);
+  const bool due =
+      opts_.enabled &&
+      track(CollectiveKind::kAllreduceSum, inout.size(), site, &fp);
   {
     std::optional<dist::Communicator::AuxScope> fwd;
     if (aux_mode()) fwd.emplace(inner_);
-    if (use_max) {
-      inner_.allreduce_max(inout, site);
-    } else {
-      inner_.allreduce_sum(inout, site);
-    }
+    inner_.allreduce_sum(inout, site);
   }
   if (due) epoch_exchange(fp);
 }

@@ -4,17 +4,20 @@
 // fingerprint stream the threaded backend's contract board checks per
 // call -- but because a generic backend has no shared memory to compare
 // fingerprints through, divergence is detected by *epoch exchange*: every
-// `CheckOptions::epoch` engine-space collectives, the decorator allreduces
-// the rolling sequence hash (as {h, -h}, so one max-allreduce yields both
-// the fleet max and min) under AuxScope and throws ContractViolation on
-// the first epoch where any rank's hash differs.  AuxScope traffic --
-// including the exchange itself -- lives in its own sequence space, so
-// PR 3's metric aggregation can never alias engine collectives.
+// `CheckOptions::epoch` engine-space collectives, the decorator sums a
+// size()-word buffer under AuxScope in which each rank has put its rolling
+// sequence hash in its own slot and zeros elsewhere.  Every slot of the
+// sum has one nonzero term, so it is exact on any reduction schedule and
+// every rank receives every rank's hash; a rank whose hash differs from
+// any other throws ContractViolation naming each rank whose hash differs.
+// AuxScope traffic -- the exchange itself -- lives in its own sequence
+// space, so it can never alias engine collectives.
 //
 // On the threaded SPMD path this is belt and braces on top of the
 // per-call board; on a future network backend (MPI) it is the only
 // cross-rank check, which is why it piggybacks exclusively on collectives
-// the schedule already performs plus one tiny aux allreduce per epoch.
+// the schedule already performs plus one size()-word aux allreduce per
+// epoch.
 #pragma once
 
 #include "check/contract.hpp"
@@ -42,9 +45,6 @@ class CheckedComm final : public dist::Communicator {
   void allreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void allreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking posts are fingerprinted *at post time* (the post is the
   // schedule event: kIallreduceSum enters the engine sequence space the
   // moment it is issued, so a rank posting while another blocks is caught
@@ -67,12 +67,10 @@ class CheckedComm final : public dist::Communicator {
   /// exchange is due after it completes.
   bool track(CollectiveKind kind, std::uint64_t words,
              const std::source_location& site, Fingerprint* fp);
-  /// Shared body of the blocking allreduces.
-  void allreduce(std::span<double> inout, bool use_max,
-                 const std::source_location& site);
   /// Cross-checks the engine-space rolling hash (through `last`) across
-  /// ranks; throws ContractViolation naming this rank, the fleet hashes,
-  /// and the last collective's call site on divergence.
+  /// ranks; throws ContractViolation naming this rank and its hash, every
+  /// rank whose hash differs and its hash, and the last collective's call
+  /// site on divergence.
   void epoch_exchange(const Fingerprint& last);
 
   dist::Communicator& inner_;

@@ -29,8 +29,6 @@ const char* to_string(CollectiveKind kind) {
   switch (kind) {
     case CollectiveKind::kAllreduceSum:
       return "allreduce_sum";
-    case CollectiveKind::kAllreduceMax:
-      return "allreduce_max";
     case CollectiveKind::kIallreduceSum:
       return "iallreduce_sum";
   }

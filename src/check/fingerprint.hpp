@@ -11,11 +11,11 @@
 // the *first* bad collective, not a later symptom.
 //
 // Sequence spaces: engine collectives (space 0) and AuxScope collectives
-// (space 1, the obs::aggregate traffic layered on top of solves in PR 3)
-// are tracked with independent sequence counters and rolling hashes, so
-// auxiliary aggregation can never alias or perturb the engine schedule
-// it is reporting on -- a rank issuing an aux collective while another
-// issues an engine collective is itself a contract violation.
+// (space 1, the contract checker's own epoch exchanges) are tracked with
+// independent sequence counters and rolling hashes, so auxiliary traffic
+// can never alias or perturb the engine schedule it is checking -- a rank
+// issuing an aux collective while another issues an engine collective is
+// itself a contract violation.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,6 @@ namespace rcf::check {
 
 enum class CollectiveKind : std::uint8_t {
   kAllreduceSum,
-  kAllreduceMax,
   // A nonblocking post fingerprints as a distinct kind: a rank posting an
   // iallreduce while another issues the blocking form is a schedule
   // divergence (the overlap structure differs), not an equivalence.

@@ -8,6 +8,62 @@
 
 namespace rcf {
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const char* expects,
+                            const std::string& text) {
+  throw InvalidArgument("flag --" + name + " expects " + expects + ", got '" +
+                        text + "'");
+}
+
+// std::stoll / std::stod stop at the first character they cannot read, so
+// a value counts only when they consumed all of it.
+std::int64_t parse_int(const std::string& name, const std::string& text) {
+  std::size_t used = 0;
+  long long value = 0;
+  try {
+    value = std::stoll(text, &used);
+  } catch (const std::exception&) {
+    bad_value(name, "an integer", text);
+  }
+  if (used != text.size()) {
+    bad_value(name, "an integer", text);
+  }
+  return value;
+}
+
+double parse_double(const std::string& name, const std::string& text) {
+  std::size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::exception&) {
+    bad_value(name, "a number", text);
+  }
+  if (used != text.size()) {
+    bad_value(name, "a number", text);
+  }
+  return value;
+}
+
+/// Splits a comma-separated list, skipping empty items, and parses each
+/// item whole.
+template <typename T, typename Parse>
+std::vector<T> parse_list(const std::string& name, const std::string& text,
+                          Parse parse) {
+  std::vector<T> out;
+  std::stringstream ss(text);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) {
+      out.push_back(parse(name, item));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
@@ -60,28 +116,12 @@ std::string CliParser::get_string(const std::string& name,
 std::int64_t CliParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw InvalidArgument("flag --" + name + " expects an integer, got '" +
-                          it->second + "'");
-  }
+  return it == values_.end() ? fallback : parse_int(name, it->second);
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw InvalidArgument("flag --" + name + " expects a number, got '" +
-                          it->second + "'");
-  }
+  return it == values_.end() ? fallback : parse_double(name, it->second);
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {
@@ -90,41 +130,29 @@ bool CliParser::get_bool(const std::string& name, bool fallback) const {
     return fallback;
   }
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") {
+    return true;
+  }
+  if (v == "false" || v == "0" || v == "no" || v == "off") {
+    return false;
+  }
+  bad_value(name, "true/false/1/0/yes/no/on/off", v);
 }
 
 std::vector<std::int64_t> CliParser::get_int_list(
     const std::string& name, const std::vector<std::int64_t>& fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  std::vector<std::int64_t> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(std::stoll(item));
-    }
-  }
-  return out;
+  return it == values_.end()
+             ? fallback
+             : parse_list<std::int64_t>(name, it->second, parse_int);
 }
 
 std::vector<double> CliParser::get_double_list(
     const std::string& name, const std::vector<double>& fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  std::vector<double> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(std::stod(item));
-    }
-  }
-  return out;
+  return it == values_.end()
+             ? fallback
+             : parse_list<double>(name, it->second, parse_double);
 }
 
 void CliParser::print_help() const {

@@ -2,7 +2,10 @@
 //
 // Supports `--key=value`, `--key value`, and boolean `--flag` forms; typed
 // accessors with defaults; and generated --help text.  A parser that
-// declares its flags rejects every other flag.
+// declares its flags rejects every other flag.  Typed accessors read the
+// whole value: a number with trailing characters, a list item that is not
+// a number, or a boolean other than true/false/1/0/yes/no/on/off throws
+// InvalidArgument naming the flag.
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,6 @@
 #include "fault/plan.hpp"
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "prox/operators.hpp"
@@ -636,7 +635,6 @@ SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
   WallTimer wall;
   // Alerts raised before the solve began are not attributed to it.
   const std::uint64_t health_base = obs::LiveMonitor::global().alert_count();
-  const bool tracing = opts.trace && obs::TraceSession::global().enabled();
 
   SolveResult result;
   result.solver = std::move(solver);
@@ -664,15 +662,6 @@ SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
     Frame frame(world, opts, world.comm.rank() == 0 ? result : scratch);
     frame.out.cost = model::CostTracker(opts.collective);
     body(frame);
-    if (tracing) {
-      // Cross-rank aggregation: every rank records its phase totals and comm
-      // endpoint stats into a rank-local registry, then all ranks reduce
-      // them in aux mode, so the comm.* counters just recorded stay exact.
-      obs::MetricsRegistry local;
-      const dist::CommStats rank_stats = world.comm.stats();
-      obs::record_solve_metrics(local, frame.out.phases, &rank_stats);
-      frame.out.fleet = obs::aggregate(local, world.comm);
-    }
   };
 
   try {
@@ -697,9 +686,6 @@ SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,
   }
   result.rel_error = relative_error(result.objective, opts.f_star);
   result.sim_seconds = result.cost.seconds(opts.machine);
-  if (!result.fleet.empty()) {
-    obs::publish(result.fleet, obs::MetricsRegistry::global());
-  }
   result.wall_seconds = wall.seconds();
   // Backend endpoint counters (none on the 1-rank world) plus the decorator
   // counters they miss; after a failure, ranks that threw before reaching

@@ -25,8 +25,8 @@
 // run inside one solve frame (run_solve), which owns what surrounds the
 // loop: the shared-option checks, each rank's RankWorld and cost tracker,
 // the iteration recorder (history, convergence ring, progress telemetry,
-// tol stop), structured failures, the result tail, fleet metrics and the
-// health annotation.
+// tol stop), structured failures, the result tail and the health
+// annotation.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +138,7 @@ using Body = std::function<void(Frame&)>;
 /// The solve frame: validates the shared options, runs `body` on every rank
 /// of `group` (or inline on a 1-rank world when null), catches structured
 /// failures, and fills the result tail -- rel_error, sim_seconds, wall
-/// time, comm counters, fleet metrics and health alerts.  The result fails
+/// time, comm counters and health alerts.  The result fails
 /// on a structured failure or a non-finite final objective.  Throws
 /// InvalidArgument for inconsistent options.
 SolveResult run_solve(const CommonOptions& opts, const dist::RetryPolicy& retry,

@@ -73,70 +73,61 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
     std::copy(w.begin(), w.end(), w_stage.begin());
     double max_rank_flops = 0.0;
 
-    // All P workers' sweeps, timed as one "local_solve" span per round
-    // (manual timing; the worker loop is too large to read inside a
-    // lambda).
-    ++ph_local.count;
-    const std::int64_t local_t0 = tracing ? obs::now_us() : 0;
+    // All P workers' sweeps, timed as one "local_solve" phase per round.
+    obs::timed_phase(tracing, ph_local, "local_solve", 0.0, [&] {
+      for (int p = 0; p < opts.procs; ++p) {
+        // Worker p starts from the round-stale shared residual.
+        la::copy(res.span(), res_local.span());
+        double rank_flops = 0.0;
 
-    for (int p = 0; p < opts.procs; ++p) {
-      // Worker p starts from the round-stale shared residual.
-      la::copy(res.span(), res_local.span());
-      double rank_flops = 0.0;
-
-      // Local coordinate order reshuffled per (round, worker).
-      std::vector<std::uint32_t> order;
-      order.reserve(fpart.size(p));
-      for (std::size_t j = fpart.begin(p); j < fpart.end(p); ++j) {
-        order.push_back(static_cast<std::uint32_t>(j));
-      }
-      Rng rng(opts.seed,
-              (static_cast<std::uint64_t>(round) << 16) +
-                  static_cast<std::uint64_t>(p));
-      std::shuffle(order.begin(), order.end(), rng);
-
-      for (int epoch = 0; epoch < opts.local_epochs; ++epoch) {
-        for (const std::uint32_t j : order) {
-          const double q = col_sq_norm[j];
-          if (q == 0.0) {
-            continue;
-          }
-          const auto col = features.row(j);
-          // Local subproblem coordinate step with the sigma'-scaled
-          // quadratic term:
-          //   min_u (sigma' q / 2m)(u - w_j)^2 + (1/m) x_j^T res (u - w_j)
-          //         + lambda |u|
-          double b = 0.0;
-          for (std::size_t i = 0; i < col.nnz(); ++i) {
-            b += col.vals[i] * res_local[col.cols[i]];
-          }
-          b /= md;
-          const double a = sigma_prime * q / md;
-          const double u =
-              prox::soft_threshold(w_stage[j] - b / a, lambda / a);
-          const double delta = u - w_stage[j];
-          if (delta != 0.0) {
-            w_stage[j] = u;
-            for (std::size_t i = 0; i < col.nnz(); ++i) {
-              res_local[col.cols[i]] += delta * col.vals[i];
-            }
-          }
-          rank_flops += 4.0 * static_cast<double>(col.nnz()) + 6.0;
+        // Local coordinate order reshuffled per (round, worker).
+        std::vector<std::uint32_t> order;
+        order.reserve(fpart.size(p));
+        for (std::size_t j = fpart.begin(p); j < fpart.end(p); ++j) {
+          order.push_back(static_cast<std::uint32_t>(j));
         }
-      }
+        Rng rng(opts.seed,
+                (static_cast<std::uint64_t>(round) << 16) +
+                    static_cast<std::uint64_t>(p));
+        std::shuffle(order.begin(), order.end(), rng);
 
-      // Worker p's staged residual delta, scaled by the aggregation rule.
-      for (std::size_t i = 0; i < m; ++i) {
-        res_accum[i] += apply_scale * (res_local[i] - res[i]);
-      }
-      max_rank_flops = std::max(max_rank_flops, rank_flops);
-    }
+        for (int epoch = 0; epoch < opts.local_epochs; ++epoch) {
+          for (const std::uint32_t j : order) {
+            const double q = col_sq_norm[j];
+            if (q == 0.0) {
+              continue;
+            }
+            const auto col = features.row(j);
+            // Local subproblem coordinate step with the sigma'-scaled
+            // quadratic term:
+            //   min_u (sigma' q / 2m)(u - w_j)^2 + (1/m) x_j^T res (u - w_j)
+            //         + lambda |u|
+            double b = 0.0;
+            for (std::size_t i = 0; i < col.nnz(); ++i) {
+              b += col.vals[i] * res_local[col.cols[i]];
+            }
+            b /= md;
+            const double a = sigma_prime * q / md;
+            const double u =
+                prox::soft_threshold(w_stage[j] - b / a, lambda / a);
+            const double delta = u - w_stage[j];
+            if (delta != 0.0) {
+              w_stage[j] = u;
+              for (std::size_t i = 0; i < col.nnz(); ++i) {
+                res_local[col.cols[i]] += delta * col.vals[i];
+              }
+            }
+            rank_flops += 4.0 * static_cast<double>(col.nnz()) + 6.0;
+          }
+        }
 
-    if (tracing) {
-      const std::int64_t dur = obs::now_us() - local_t0;
-      ph_local.us += dur;
-      obs::TraceSession::global().record("local_solve", local_t0, dur);
-    }
+        // Worker p's staged residual delta, scaled by the aggregation rule.
+        for (std::size_t i = 0; i < m; ++i) {
+          res_accum[i] += apply_scale * (res_local[i] - res[i]);
+        }
+        max_rank_flops = std::max(max_rank_flops, rank_flops);
+      }
+    });
 
     // One allreduce of the m-word residual update per round.
     obs::timed_phase(tracing, ph_allreduce, "allreduce",

@@ -11,7 +11,6 @@
 #include "la/backend.hpp"
 #include "la/vector.hpp"
 #include "model/cost.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/convergence.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -102,10 +101,6 @@ struct SolveResult {
   /// with comm_stats on real backends and shrink ~k-fold with overlap
   /// depth k (see obs::find_phase and tests/test_obs_trace.cpp).
   obs::PhaseSummary phases;
-  /// Cross-rank aggregated metrics (empty unless tracing was enabled; see
-  /// obs::aggregate).  On ThreadComm runs every rank contributes its local
-  /// registry; on SeqComm runs this is the 1-rank view.
-  obs::FleetMetrics fleet;
   /// Per-iteration convergence telemetry (bounded ring; always recorded,
   /// unlike `history`, which honours track_history).
   obs::ConvergenceRing conv;

@@ -36,8 +36,6 @@ void publish_comm_stats(const CommStats& stats, const std::string& backend) {
   auto& registry = obs::MetricsRegistry::global();
   const std::string prefix = "comm." + backend + ".";
   registry.counter(prefix + "allreduce_calls").add(stats.allreduce_calls);
-  registry.counter(prefix + "allreduce_max_calls")
-      .add(stats.allreduce_max_calls);
   registry.counter(prefix + "allreduce_words").add(stats.allreduce_words);
   registry.counter(prefix + "retries").add(stats.retries);
   registry.counter(prefix + "faults_injected").add(stats.faults_injected);
@@ -49,18 +47,10 @@ void publish_comm_stats(const CommStats& stats, const std::string& backend) {
 }
 
 void SeqComm::allreduce_sum(std::span<double> inout, std::source_location) {
-  allreduce(inout, /*use_max=*/false);
-}
-
-void SeqComm::allreduce_max(std::span<double> inout, std::source_location) {
-  allreduce(inout, /*use_max=*/true);
-}
-
-void SeqComm::allreduce(std::span<double> inout, bool use_max) {
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
                        static_cast<double>(inout.size()));
   if (!aux_mode()) {
-    stats_.count_allreduce(use_max, inout.size());
+    stats_.count_allreduce(inout.size());
   }
 }
 
@@ -71,7 +61,7 @@ CommHandle SeqComm::iallreduce_sum(std::span<double> inout,
   if (aux_mode()) {
     return CommHandle(std::make_shared<CompletedOp>());
   }
-  stats_.count_allreduce(/*use_max=*/false, inout.size());
+  stats_.count_allreduce(inout.size());
   return CommHandle(std::make_shared<SeqOp>(&stats_, inout.size()));
 }
 

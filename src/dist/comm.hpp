@@ -10,12 +10,11 @@
 //                  the genuine SPMD code path: partitioned data, partial
 //                  Gram sums, allreduce agreement.
 //
-// Every collective the solvers run is an allreduce, so the interface has
-// three: blocking sum, blocking max (end-of-solve metric aggregation and
-// the contract checker's epoch exchange) and posted sum.  Timing for large
-// P comes from the alpha-beta-gamma cost model in src/model (see DESIGN.md
-// "Substitutions"); the communicator reports operation statistics so the
-// model can be validated against the actual number of collective calls.
+// Every collective the solvers run is a sum-allreduce, so the interface has
+// two: blocking and posted.  Timing for large P comes from the
+// alpha-beta-gamma cost model in src/model (see DESIGN.md "Substitutions");
+// the communicator reports operation statistics so the model can be
+// validated against the actual number of collective calls.
 #pragma once
 
 #include <cstdint>
@@ -97,15 +96,11 @@ class CommHandle {
 };
 
 /// Counts of collective operations performed through a communicator.
-/// `allreduce_words` is the total payload (in doubles) summed over calls
-/// (sum- and max-allreduce together); `allreduce_calls` counts only
-/// sum-allreduces, with max-allreduces split into `allreduce_max_calls`
-/// (the cost model charges the two identically, but the engine schedule
-/// only predicts the sum-allreduce count, so validation needs them
-/// separate).  `max_payload_words` is the high-water single-call payload.
+/// `allreduce_calls` counts engine-space allreduces, blocking and posted
+/// (aux-mode traffic is not counted); `allreduce_words` is their total
+/// payload in doubles.
 struct CommStats {
-  std::uint64_t allreduce_calls = 0;      ///< sum-allreduce count
-  std::uint64_t allreduce_max_calls = 0;  ///< max-allreduce count
+  std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_words = 0;
   /// Largest payload (doubles) of any single collective call.
   std::uint64_t max_payload_words = 0;
@@ -122,15 +117,14 @@ struct CommStats {
   std::uint64_t overlapped_words = 0;
 
   /// Counts one engine-space allreduce (posted or blocking) of `words`.
-  void count_allreduce(bool use_max, std::uint64_t words) {
-    ++(use_max ? allreduce_max_calls : allreduce_calls);
+  void count_allreduce(std::uint64_t words) {
+    ++allreduce_calls;
     allreduce_words += words;
     max_payload_words = max_payload_words > words ? max_payload_words : words;
   }
 
   CommStats& operator+=(const CommStats& o) {
     allreduce_calls += o.allreduce_calls;
-    allreduce_max_calls += o.allreduce_max_calls;
     allreduce_words += o.allreduce_words;
     retries += o.retries;
     faults_injected += o.faults_injected;
@@ -147,7 +141,7 @@ struct CommStats {
 /// traced run; callable from benches for SeqComm too).
 void publish_comm_stats(const CommStats& stats, const std::string& backend);
 
-/// Abstract SPMD communicator: the three allreduces the solvers run.
+/// Abstract SPMD communicator: the two allreduces the solvers run.
 class Communicator {
  public:
   virtual ~Communicator() = default;
@@ -155,11 +149,12 @@ class Communicator {
   /// While an AuxScope is alive, collectives through this communicator are
   /// *auxiliary*: they still synchronize and combine data, but skip the
   /// CommStats accounting and emit their spans under "aux_collective" /
-  /// "aux_wait" instead of "allreduce" / "allreduce_wait".  Used by
-  /// obs::aggregate so end-of-solve metric aggregation does not perturb the
-  /// very counters, span counts and span-derived latency quantiles it
-  /// reports (the "allreduce" span count must keep matching the solver
-  /// schedule; see tests/test_obs_trace.cpp).
+  /// "aux_wait" instead of "allreduce" / "allreduce_wait".  Used by the
+  /// contract checker's epoch exchange (check::CheckedComm), so checking
+  /// does not perturb the counters, span counts and span-derived latency
+  /// quantiles of the solve (the "allreduce" span count must keep matching
+  /// the solver schedule; see tests/test_obs_trace.cpp), and by the 1-rank
+  /// world of a solve that opted out of tracing (core::RankWorld).
   class AuxScope {
    public:
     explicit AuxScope(Communicator& comm) : comm_(comm), prev_(comm.aux_) {
@@ -192,11 +187,6 @@ class Communicator {
       std::span<double> inout,
       std::source_location site = std::source_location::current()) = 0;
 
-  /// In-place max-allreduce.
-  virtual void allreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) = 0;
-
   /// Nonblocking in-place sum-allreduce (MPI_Iallreduce analogue).  The
   /// returned handle completes the operation: `inout` must stay alive and
   /// untouched until wait() returns (backends snapshot the payload at post,
@@ -226,18 +216,12 @@ class SeqComm final : public Communicator {
   void allreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void allreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   CommHandle iallreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
   [[nodiscard]] const CommStats& stats() const override { return stats_; }
 
  private:
-  /// Shared body of the blocking allreduces.
-  void allreduce(std::span<double> inout, bool use_max);
-
   CommStats stats_;
 };
 

@@ -96,11 +96,6 @@ void RetryingComm::allreduce_sum(std::span<double> inout,
   with_retries([&] { inner_.allreduce_sum(inout, site); });
 }
 
-void RetryingComm::allreduce_max(std::span<double> inout,
-                                 std::source_location site) {
-  with_retries([&] { inner_.allreduce_max(inout, site); });
-}
-
 const CommStats& RetryingComm::stats() const {
   merged_ = inner_.stats();
   merged_.retries += retries_;

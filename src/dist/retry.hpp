@@ -49,9 +49,6 @@ class RetryingComm final : public Communicator {
   void allreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void allreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking posts are retried like any collective (a transient at post
   // fires before the inner post, so repeating it is safe); the returned
   // handle additionally retries *at wait*, absorbing transients injected

@@ -210,10 +210,9 @@ void ThreadComm::execute_async(ThreadPendingOp& op) {
   const std::span<double> payload(op.buf.data(), op.buf.size());
   if (state_->algo == AllreduceAlgo::kRecursiveDoubling &&
       (size_ & (size_ - 1)) == 0) {
-    allreduce_recursive_doubling(payload, /*use_max=*/false, op.seq,
-                                 /*timed=*/false);
+    allreduce_recursive_doubling(payload, op.seq, /*timed=*/false);
   } else {
-    allreduce_central(payload, /*use_max=*/false, op.seq, /*timed=*/false);
+    allreduce_central(payload, op.seq, /*timed=*/false);
   }
 }
 
@@ -230,7 +229,7 @@ CommHandle ThreadComm::iallreduce_sum(std::span<double> inout,
                        seq);
   contract_check(check::CollectiveKind::kIallreduceSum, inout.size(), seq,
                  site);
-  stats_.count_allreduce(/*use_max=*/false, inout.size());
+  stats_.count_allreduce(inout.size());
   if (async_ == nullptr) {
     async_ = std::make_shared<AsyncQueue>();
     async_->worker = std::thread([this] { async_worker(); });
@@ -260,36 +259,25 @@ std::int64_t ThreadComm::next_span_seq() {
 
 void ThreadComm::allreduce_sum(std::span<double> inout,
                                std::source_location site) {
-  allreduce(inout, /*use_max=*/false, site);
-}
-
-void ThreadComm::allreduce_max(std::span<double> inout,
-                               std::source_location site) {
-  allreduce(inout, /*use_max=*/true, site);
-}
-
-void ThreadComm::allreduce(std::span<double> inout, bool use_max,
-                           const std::source_location& site) {
   quiesce();
   const std::int64_t seq = next_span_seq();
   obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
                        static_cast<double>(inout.size()), seq);
-  contract_check(use_max ? check::CollectiveKind::kAllreduceMax
-                         : check::CollectiveKind::kAllreduceSum,
-                 inout.size(), seq, site);
+  contract_check(check::CollectiveKind::kAllreduceSum, inout.size(), seq,
+                 site);
   if (!aux_mode()) {
-    stats_.count_allreduce(use_max, inout.size());
+    stats_.count_allreduce(inout.size());
   }
   if (state_->algo == AllreduceAlgo::kRecursiveDoubling &&
       (size_ & (size_ - 1)) == 0) {
-    allreduce_recursive_doubling(inout, use_max, seq);
+    allreduce_recursive_doubling(inout, seq);
   } else {
-    allreduce_central(inout, use_max, seq);
+    allreduce_central(inout, seq);
   }
 }
 
-void ThreadComm::allreduce_central(std::span<double> inout, bool use_max,
-                                   std::int64_t seq, bool timed) {
+void ThreadComm::allreduce_central(std::span<double> inout, std::int64_t seq,
+                                   bool timed) {
   GroupState& st = *state_;
   st.publish[as_index(rank_)] = inout.data();
   st.publish_len[as_index(rank_)] = inout.size();
@@ -313,11 +301,7 @@ void ThreadComm::allreduce_central(std::span<double> inout, bool use_max,
     for (int r = 1; r < size_; ++r) {
       const double* src = st.publish[as_index(r)];
       for (std::size_t i = 0; i < n; ++i) {
-        if (use_max) {
-          st.scratch[i] = std::max(st.scratch[i], src[i]);
-        } else {
-          st.scratch[i] += src[i];
-        }
+        st.scratch[i] += src[i];
       }
     }
   }
@@ -336,8 +320,7 @@ void ThreadComm::allreduce_central(std::span<double> inout, bool use_max,
 }
 
 void ThreadComm::allreduce_recursive_doubling(std::span<double> inout,
-                                              bool use_max, std::int64_t seq,
-                                              bool timed) {
+                                              std::int64_t seq, bool timed) {
   GroupState& st = *state_;
   const std::size_t n = inout.size();
   auto* cur = &st.work_a;
@@ -362,7 +345,7 @@ void ThreadComm::allreduce_recursive_doubling(std::span<double> inout,
     const auto& lo = rank_ < partner ? mine : theirs;
     const auto& hi = rank_ < partner ? theirs : mine;
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = use_max ? std::max(lo[i], hi[i]) : lo[i] + hi[i];
+      out[i] = lo[i] + hi[i];
     }
     {
       // Time blocked on the partner's pairwise stage.

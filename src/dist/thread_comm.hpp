@@ -62,9 +62,6 @@ class ThreadComm final : public Communicator {
   void allreduce_sum(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
-  void allreduce_max(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
   // Nonblocking allreduce: the post snapshots the payload, fingerprints and
   // counts it on the calling thread, then hands the reduction to this
   // endpoint's background progress thread (lazily started on first post;
@@ -81,13 +78,10 @@ class ThreadComm final : public Communicator {
  private:
   friend class detail::ThreadPendingOp;
 
-  /// Shared body of the blocking allreduces.
-  void allreduce(std::span<double> inout, bool use_max,
-                 const std::source_location& site);
-  void allreduce_central(std::span<double> inout, bool use_max,
-                         std::int64_t seq, bool timed = true);
-  void allreduce_recursive_doubling(std::span<double> inout, bool use_max,
-                                    std::int64_t seq, bool timed = true);
+  void allreduce_central(std::span<double> inout, std::int64_t seq,
+                         bool timed = true);
+  void allreduce_recursive_doubling(std::span<double> inout, std::int64_t seq,
+                                    bool timed = true);
   /// Blocks until this endpoint's async queue is empty.  Every blocking
   /// collective calls this first: the SPMD programs are identical across
   /// ranks, so each rank quiesces at the same point of the global

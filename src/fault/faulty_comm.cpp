@@ -209,27 +209,13 @@ dist::CommHandle FaultyComm::iallreduce_sum(std::span<double> inout,
 
 void FaultyComm::allreduce_sum(std::span<double> inout,
                                std::source_location site) {
-  allreduce(inout, /*use_max=*/false, site);
-}
-
-void FaultyComm::allreduce_max(std::span<double> inout,
-                               std::source_location site) {
-  allreduce(inout, /*use_max=*/true, site);
-}
-
-void FaultyComm::allreduce(std::span<double> inout, bool use_max,
-                           const std::source_location& site) {
   std::optional<AuxScope> fwd;
   if (aux_mode()) {
     fwd.emplace(inner_);
   } else {
     before_collective(inout);
   }
-  if (use_max) {
-    inner_.allreduce_max(inout, site);
-  } else {
-    inner_.allreduce_sum(inout, site);
-  }
+  inner_.allreduce_sum(inout, site);
   if (!aux_mode()) {
     ++calls_;
   }

@@ -17,8 +17,8 @@
 //                       contract checker sees a clean schedule.
 //  * abort           -- throw fault::FaultAbort (hard rank death).
 //
-// Aux-mode traffic (obs::aggregate's end-of-solve reductions) is never
-// faulted: chaos targets the solver schedule, not the telemetry.  With no
+// Aux-mode traffic (the contract checker's epoch exchange) is never
+// faulted: chaos targets the solver schedule, not the checking.  With no
 // active plan every collective forwards with one branch of overhead.
 #pragma once
 
@@ -40,9 +40,6 @@ class FaultyComm final : public dist::Communicator {
   [[nodiscard]] int rank() const override { return inner_.rank(); }
   [[nodiscard]] int size() const override { return inner_.size(); }
   void allreduce_sum(
-      std::span<double> inout,
-      std::source_location site = std::source_location::current()) override;
-  void allreduce_max(
       std::span<double> inout,
       std::source_location site = std::source_location::current()) override;
   // Nonblocking posts: stage=post faults (the default) fire before the
@@ -83,9 +80,6 @@ class FaultyComm final : public dist::Communicator {
   /// wait attempt, so a retried wait counts down a spec's `count` budget
   /// the same way retried posts do).  Throws for transient/abort kinds.
   void before_wait(std::uint64_t call);
-  /// Shared body of the blocking allreduces.
-  void allreduce(std::span<double> inout, bool use_max,
-                 const std::source_location& site);
 
   dist::Communicator& inner_;
   std::vector<Armed> armed_;

@@ -73,16 +73,6 @@ std::vector<std::string> MetricsRegistry::counter_names() const {
   return names;
 }
 
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;

@@ -78,10 +78,8 @@ class MetricsRegistry {
   /// Point-in-time copy of every instrument (see MetricsSnapshot).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Registered instrument names in sorted (map) order -- the fixed
-  /// enumeration order the cross-rank aggregation packs buffers in.
+  /// Registered counter names in sorted (map) order.
   [[nodiscard]] std::vector<std::string> counter_names() const;
-  [[nodiscard]] std::vector<std::string> gauge_names() const;
 
   /// JSON document: {"counters":{...},"gauges":{...}}.
   [[nodiscard]] std::string to_json() const;

@@ -49,7 +49,7 @@ enum class SpanCategory {
   kCompute,  ///< anything not recognized below
   kComm,     ///< allreduce (data movement, net of its nested waits)
   kWait,     ///< allreduce_wait / reduce_wait / contract_wait (idling)
-  kAux,      ///< aux_collective / aux_wait (aggregation overhead)
+  kAux,      ///< aux_collective / aux_wait (the checker's epoch exchange)
   /// check.contract / check.epoch: contract-checker wrappers.  Their time
   /// is already counted through the spans around or inside them (a
   /// collective's span, its contract_wait, the epoch's aux_collective), so

@@ -36,7 +36,6 @@
 #include "model/cost.hpp"        // IWYU pragma: export
 #include "model/formulas.hpp"    // IWYU pragma: export
 #include "model/machine.hpp"     // IWYU pragma: export
-#include "obs/aggregate.hpp"     // IWYU pragma: export
 #include "obs/convergence.hpp"   // IWYU pragma: export
 #include "obs/cost_ledger.hpp"   // IWYU pragma: export
 #include "obs/critpath.hpp"      // IWYU pragma: export

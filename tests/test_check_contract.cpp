@@ -60,11 +60,11 @@ TEST(Fingerprint, DivergenceStaysInRollingHash) {
   SequenceTracker a, b;
   const auto site = std::source_location::current();
   a.next(CollectiveKind::kAllreduceSum, 7, false, site);
-  b.next(CollectiveKind::kAllreduceMax, 7, false, site);
+  b.next(CollectiveKind::kIallreduceSum, 7, false, site);
   // Same kind/words from here on, but the rolling hash remembers the
   // divergence forever.
-  const auto fa = a.next(CollectiveKind::kIallreduceSum, 7, false, site);
-  const auto fb = b.next(CollectiveKind::kIallreduceSum, 7, false, site);
+  const auto fa = a.next(CollectiveKind::kAllreduceSum, 7, false, site);
+  const auto fb = b.next(CollectiveKind::kAllreduceSum, 7, false, site);
   EXPECT_FALSE(fa.matches(fb));
   EXPECT_NE(fa.rolling, fb.rolling);
 }
@@ -78,7 +78,7 @@ TEST(Fingerprint, AuxSpaceIsIndependent) {
   const auto fb = b.next(CollectiveKind::kAllreduceSum, 9, false, site);
   EXPECT_TRUE(fa.matches(fb));
   EXPECT_EQ(fa.space, 0);
-  const auto ga = a.next(CollectiveKind::kAllreduceMax, 2, true, site);
+  const auto ga = a.next(CollectiveKind::kAllreduceSum, 2, true, site);
   EXPECT_EQ(ga.space, 1);
   EXPECT_EQ(ga.seq, 1u) << "aux space counts its own calls";
 }
@@ -118,22 +118,24 @@ TEST(CheckContract, PayloadMismatchReported) {
 }
 
 TEST(CheckContract, RankDivergentSequenceReported) {
-  // Rank 1 answers rank 0's blocking sum with a max, then with a posted
-  // sum: a blocking and a posted collective at the same sequence point
-  // are different schedules.
+  // Rank 1 answers rank 0's blocking sum with a sum issued from another
+  // call site, then with a posted sum: a blocking and a posted collective
+  // at the same sequence point are different schedules.
+  const auto site0 = std::source_location::current();
+  const auto site1 = std::source_location::current();
   for (const bool posted : {false, true}) {
-    const std::string other = posted ? "iallreduce_sum" : "allreduce_max";
+    const std::string other = posted ? "iallreduce_sum" : "allreduce_sum";
     dist::ThreadGroup group(2, dist::AllreduceAlgo::kCentral,
                             checked_options());
     try {
       group.run([&](dist::ThreadComm& comm) {
         std::vector<double> buf(8, 0.0);
         if (comm.rank() == 0) {
-          comm.allreduce_sum(buf);
+          comm.allreduce_sum(buf, site0);
         } else if (posted) {
-          comm.iallreduce_sum(buf).wait();
+          comm.iallreduce_sum(buf, site1).wait();
         } else {
-          comm.allreduce_max(buf);
+          comm.allreduce_sum(buf, site1);
         }
       });
       FAIL() << "rank-divergent schedule was not reported: " << other;
@@ -141,6 +143,12 @@ TEST(CheckContract, RankDivergentSequenceReported) {
       const std::string what = e.what();
       EXPECT_NE(what.find("issued allreduce_sum"), std::string::npos) << what;
       EXPECT_NE(what.find("issued " + other), std::string::npos) << what;
+      EXPECT_NE(what.find(":" + std::to_string(site0.line())),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(":" + std::to_string(site1.line())),
+                std::string::npos)
+          << what;
       EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
       EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
     }
@@ -188,7 +196,9 @@ TEST(CheckContract, MatchedAuxTrafficIsClean) {
     comm.allreduce_sum(buf);
     {
       dist::Communicator::AuxScope aux(comm);
-      comm.allreduce_max(buf);
+      std::vector<double> aux_buf(2, 1.0);
+      comm.allreduce_sum(aux_buf);
+      ASSERT_DOUBLE_EQ(aux_buf[0], 4.0);
     }
     comm.allreduce_sum(buf);
     ASSERT_DOUBLE_EQ(buf[0], 16.0);
@@ -226,25 +236,21 @@ TEST(CheckContract, GroupIsReusableAfterViolation) {
 // CheckedComm decorator (backend-agnostic epoch exchange)
 // ---------------------------------------------------------------------------
 
-/// Single-rank loopback communicator (SeqComm is final) whose aux-mode
-/// allreduce_max pretends some other rank reported a larger value:
-/// simulates a diverged fleet for the epoch exchange without needing a
+/// Rank 0 of a pretend 2-rank world, run on one thread: its aux-mode
+/// allreduce_sum fills slot 1 with a hash that differs from this rank's,
+/// simulating a diverged rank 1 for the epoch exchange without needing a
 /// second real rank.
-class DivergentMaxComm final : public dist::Communicator {
+class DivergentHashComm final : public dist::Communicator {
  public:
   [[nodiscard]] int rank() const override { return 0; }
-  [[nodiscard]] int size() const override { return 1; }
-  void allreduce_sum(std::span<double>,
+  [[nodiscard]] int size() const override { return 2; }
+  void allreduce_sum(std::span<double> inout,
                      std::source_location =
                          std::source_location::current()) override {
-    ++stats_.allreduce_calls;
-  }
-  void allreduce_max(std::span<double> inout,
-                     std::source_location =
-                         std::source_location::current()) override {
-    ++stats_.allreduce_max_calls;
-    if (aux_mode() && !inout.empty()) {
-      inout[0] += 1.0;  // fleet max above this rank's hash -> divergence
+    if (aux_mode()) {
+      inout[1] = inout[0] + 1.0;  // rank 1's hash differs from rank 0's
+    } else {
+      ++stats_.allreduce_calls;
     }
   }
   dist::CommHandle iallreduce_sum(
@@ -273,11 +279,10 @@ TEST(CheckedComm, CleanScheduleIsQuiet) {
   }
   // The epoch exchange runs in aux mode: engine stats stay exact.
   EXPECT_EQ(comm.stats().allreduce_calls, 10u);
-  EXPECT_EQ(comm.stats().allreduce_max_calls, 0u);
 }
 
 TEST(CheckedComm, EpochExchangeReportsHashDivergence) {
-  DivergentMaxComm inner;
+  DivergentHashComm inner;
   CheckOptions opts = checked_options();
   opts.epoch = 4;
   CheckedComm comm(inner, opts);
@@ -291,9 +296,51 @@ TEST(CheckedComm, EpochExchangeReportsHashDivergence) {
   } catch (const ContractViolation& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rolling hash diverged"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1 has"), std::string::npos) << what;
     EXPECT_NE(what.find("allreduce_sum"), std::string::npos) << what;
     EXPECT_NE(what.find("test_check_contract.cpp"), std::string::npos) << what;
   }
+}
+
+TEST(CheckedComm, EpochExchangeNamesTheDivergentRank) {
+  // Four real ranks with the per-call board off, so only the epoch
+  // exchange can see that rank 2 issued its sum from another call site.
+  constexpr int kRanks = 4;
+  CheckOptions opts = checked_options();
+  opts.epoch = 1;
+  std::vector<std::string> what(kRanks);
+  dist::ThreadGroup group(kRanks, dist::AllreduceAlgo::kCentral,
+                          CheckOptions{});
+  group.run([&](dist::ThreadComm& thread_comm) {
+    CheckedComm comm(thread_comm, opts);
+    std::vector<double> buf(4, 1.0);
+    try {
+      if (comm.rank() == 2) {
+        comm.allreduce_sum(buf);
+      } else {
+        comm.allreduce_sum(buf);
+      }
+    } catch (const ContractViolation& e) {
+      what[static_cast<std::size_t>(comm.rank())] = e.what();
+    }
+  });
+  // Rank 2 names its own hash; every other rank must name rank 2 with it.
+  const std::string key = "rank 2 has ";
+  const auto at = what[2].find(key);
+  ASSERT_NE(at, std::string::npos) << what[2];
+  const std::size_t begin = at + key.size();
+  const std::string hash =
+      what[2].substr(begin, what[2].find_first_of(";,)", begin) - begin);
+  ASSERT_EQ(hash.rfind("0x", 0), 0u) << what[2];
+  for (int r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_NE(what[static_cast<std::size_t>(r)].find(key + hash),
+              std::string::npos)
+        << what[static_cast<std::size_t>(r)];
+  }
+  // Ranks 0, 1 and 3 agree, so none of them names another agreeing rank.
+  EXPECT_EQ(what[0].find("rank 1 has"), std::string::npos) << what[0];
+  EXPECT_EQ(what[0].find("rank 3 has"), std::string::npos) << what[0];
 }
 
 TEST(CheckedComm, DisabledForwardsUntouched) {
@@ -303,9 +350,7 @@ TEST(CheckedComm, DisabledForwardsUntouched) {
   EXPECT_FALSE(comm.enabled());
   std::vector<double> buf(3, 2.0);
   comm.allreduce_sum(buf);
-  comm.allreduce_max(buf);
   EXPECT_EQ(inner.stats().allreduce_calls, 1u);
-  EXPECT_EQ(inner.stats().allreduce_max_calls, 1u);
   EXPECT_DOUBLE_EQ(buf[0], 2.0);
 }
 

@@ -1,6 +1,8 @@
 // Tests for CLI parsing, tables, logging plumbing, and error types.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -66,6 +68,46 @@ TEST(Cli, BadIntThrows) {
   ASSERT_TRUE(cli.parse(2, argv));
   EXPECT_THROW((void)cli.get_int("a", 0), InvalidArgument);
   EXPECT_THROW((void)cli.get_double("a", 0.0), InvalidArgument);
+
+  // A value is read whole: trailing characters, a bad list item and an
+  // unknown boolean spelling all throw InvalidArgument naming the flag,
+  // as does a boolean flag that swallowed the positional after it.
+  CliParser bad("t", "test");
+  const char* bad_argv[] = {"t",        "--k=4x",     "--b=0.2.5",
+                            "--ks=1,x", "--bs=0.5,y", "--vr=ture",
+                            "--once",   "stream.jsonl"};
+  ASSERT_TRUE(bad.parse(8, bad_argv));
+  const auto throws_naming = [](const char* flag, const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "--" << flag << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  throws_naming("k", [&] { (void)bad.get_int("k", 0); });
+  throws_naming("b", [&] { (void)bad.get_double("b", 0.0); });
+  throws_naming("ks", [&] { (void)bad.get_int_list("ks", {}); });
+  throws_naming("bs", [&] { (void)bad.get_double_list("bs", {}); });
+  throws_naming("vr", [&] { (void)bad.get_bool("vr", true); });
+  throws_naming("once", [&] { (void)bad.get_bool("once", false); });
+
+  // Every accepted boolean spelling still reads.
+  CliParser good("t", "test");
+  const char* good_argv[] = {"t",      "--t1=true", "--t2=1",  "--t3=yes",
+                             "--t4=on", "--f1=false", "--f2=0", "--f3=no",
+                             "--f4=off", "--k=-4",    "--b=2.5e-3"};
+  ASSERT_TRUE(good.parse(11, good_argv));
+  for (const char* flag : {"t1", "t2", "t3", "t4"}) {
+    EXPECT_TRUE(good.get_bool(flag, false)) << flag;
+  }
+  for (const char* flag : {"f1", "f2", "f3", "f4"}) {
+    EXPECT_FALSE(good.get_bool(flag, true)) << flag;
+  }
+  EXPECT_EQ(good.get_int("k", 0), -4);
+  EXPECT_DOUBLE_EQ(good.get_double("b", 0.0), 2.5e-3);
 }
 
 TEST(Cli, RejectsUndeclaredFlag) {

@@ -18,11 +18,9 @@ TEST(SeqComm, Identities) {
   std::vector<double> buf{1.0, 2.0};
   comm.allreduce_sum(buf);
   EXPECT_DOUBLE_EQ(buf[0], 1.0);
-  comm.allreduce_max(buf);
   EXPECT_DOUBLE_EQ(buf[1], 2.0);
   EXPECT_EQ(comm.stats().allreduce_calls, 1u);
-  EXPECT_EQ(comm.stats().allreduce_max_calls, 1u);
-  EXPECT_EQ(comm.stats().allreduce_words, 4u);
+  EXPECT_EQ(comm.stats().allreduce_words, 2u);
   EXPECT_EQ(comm.stats().max_payload_words, 2u);
 }
 
@@ -43,17 +41,6 @@ TEST_P(ThreadCommTest, AllreduceSum) {
       }
     });
   }
-}
-
-TEST_P(ThreadCommTest, AllreduceMax) {
-  ThreadGroup group(4, GetParam());
-  group.run([](ThreadComm& comm) {
-    std::vector<double> buf{static_cast<double>(comm.rank()),
-                            -static_cast<double>(comm.rank())};
-    comm.allreduce_max(buf);
-    ASSERT_DOUBLE_EQ(buf[0], 3.0);
-    ASSERT_DOUBLE_EQ(buf[1], 0.0);
-  });
 }
 
 TEST_P(ThreadCommTest, AllreduceDeterministicAcrossRuns) {
@@ -88,7 +75,6 @@ TEST_P(ThreadCommTest, StatsAggregateAcrossRanks) {
   });
   const auto stats = group.last_run_stats();
   EXPECT_EQ(stats.allreduce_calls, 4u);
-  EXPECT_EQ(stats.allreduce_max_calls, 0u);
   EXPECT_EQ(stats.allreduce_words, 40u);
   EXPECT_EQ(stats.max_payload_words, 10u);
 }

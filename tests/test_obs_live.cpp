@@ -29,6 +29,7 @@
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 
 namespace rcf {
@@ -503,6 +504,13 @@ TEST(LiveMonitor, CleanSolveStreamsSnapshotsWithZeroAlerts) {
       }
     }
     EXPECT_TRUE(saw_progress) << "no snapshot observed solver progress";
+    if (std::string_view(solve.name) == "prox-cocoa") {
+      // The live monitor alone times the worker sweeps.
+      const obs::PhaseStat* local = obs::find_phase(result.phases,
+                                                    "local_solve");
+      ASSERT_NE(local, nullptr);
+      EXPECT_GT(local->seconds, 0.0);
+    }
   }
 }
 

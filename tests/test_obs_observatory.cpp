@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -594,11 +595,29 @@ TEST(ObsReport, BuildsTimelineSectionsFromEvents) {
   EXPECT_EQ(spmv->p99_us, 200.0);
   EXPECT_EQ(spmv->max_us, 200.0);
 
+  // Imbalance is the slowest rank's total over the mean rank's: gram.task
+  // 1200 us vs 1000 us, allreduce 400 vs 200, allreduce_wait 300 vs 100;
+  // sparse.spmv ran on rank 0 alone.
+  const std::map<std::string, double> imbalance = {
+      {"gram.task", 1200.0 / 1100.0},
+      {"allreduce", 400.0 / 300.0},
+      {"allreduce_wait", 300.0 / 200.0},
+      {"sparse.spmv", 1.0}};
+  ASSERT_EQ(report.phases.size(), imbalance.size());
+  for (const auto& row : report.phases) {
+    EXPECT_DOUBLE_EQ(row.imbalance, imbalance.at(row.name)) << row.name;
+    EXPECT_DOUBLE_EQ(row.imbalance, row.critical_s / row.mean_rank_s)
+        << row.name;
+  }
+  EXPECT_NE(text.find("imbalance"), std::string::npos);
+
   const auto doc = parse_json(json);
   ASSERT_TRUE(doc.has_value());
-  // Latency lives in the phase rows; the old side channels are gone.
+  // Latency and load balance live in the phase rows; the old side
+  // channels are gone.
   EXPECT_EQ(doc->find("skew"), nullptr);
   EXPECT_EQ(doc->find("histograms"), nullptr);
+  EXPECT_EQ(doc->find("aggregated"), nullptr);
   const JsonValue* phases = doc->find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_TRUE(phases->is_array());
@@ -615,6 +634,12 @@ TEST(ObsReport, BuildsTimelineSectionsFromEvents) {
   EXPECT_EQ(spmv_row->number_or("p95_us", -1.0), 190.0);
   EXPECT_EQ(spmv_row->number_or("p99_us", -1.0), 200.0);
   EXPECT_EQ(spmv_row->number_or("max_us", -1.0), 200.0);
+  EXPECT_EQ(spmv_row->number_or("imbalance", -1.0), 1.0);
+  for (const JsonValue& row : phases->array) {
+    const std::string name = row.string_or("name", "");
+    EXPECT_DOUBLE_EQ(row.number_or("imbalance", -1.0), imbalance.at(name))
+        << name;
+  }
 
   // The JSON "ranks" rows are the timeline's per-rank decomposition.
   const JsonValue* rows = doc->find("ranks");

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/distributed.hpp"
 #include "core/problem.hpp"
 #include "core/solvers.hpp"
@@ -356,6 +357,18 @@ TEST(Metrics, RegistryJsonIsValid) {
   registry.reset();
 }
 
+TEST(Metrics, JsonEscapingSurvivesHostileNames) {
+  obs::MetricsRegistry reg;
+  reg.counter("weird \"name\"\n\twith\\escapes").add(7);
+  const auto doc = parse_json(reg.to_json());
+  ASSERT_TRUE(doc.has_value() && doc->is_object());
+  const auto* counters = doc->find("counters");
+  ASSERT_NE(counters, nullptr);
+  const auto* v = counters->find("weird \"name\"\n\twith\\escapes");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->number, 7.0);
+}
+
 // ---------------------------------------------------------------------------
 // Span counts agree with CommStats on a real 4-rank ThreadComm solve
 // ---------------------------------------------------------------------------
@@ -395,7 +408,9 @@ TEST(TraceIntegration, AllreduceSpansMatchCommStats) {
   for (const bool saw : saw_rank) {
     EXPECT_TRUE(saw);
   }
-  // The enabled session also published the aggregated comm counters.
+  // Convergence telemetry rides along on the distributed path too.
+  EXPECT_EQ(result.conv.size(), 40u);
+  // The enabled session also published the summed comm counters.
   EXPECT_EQ(
       obs::MetricsRegistry::global().counter("comm.thread.allreduce_calls")
           .value(),

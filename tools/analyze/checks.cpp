@@ -48,8 +48,7 @@ bool in_any(const std::string& s, std::initializer_list<const char*> set) {
 bool is_collective_name(const std::string& s) {
   return in_any(s, {"allreduce_sum", "allreduce_max", "allreduce_sum_scalar",
                     "allreduce_max_scalar", "iallreduce_sum",
-                    "iallreduce_max", "broadcast", "allgather", "barrier",
-                    "aggregate"});
+                    "iallreduce_max", "broadcast", "allgather", "barrier"});
 }
 
 std::string trim(std::string_view s) {

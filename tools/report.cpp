@@ -199,8 +199,10 @@ bool build_report(const std::vector<ReportEvent>& events,
     }
     row.total_s = total_us * 1e-6;
     row.critical_s = critical_us * 1e-6;
-    row.mean_rank_s =
-        total_us * 1e-6 / static_cast<double>(by_rank.size());
+    const double mean_rank_us =
+        total_us / static_cast<double>(by_rank.size());
+    row.mean_rank_s = mean_rank_us * 1e-6;
+    row.imbalance = mean_rank_us == 0.0 ? 1.0 : critical_us / mean_rank_us;
     set_latency(row, durs_us[name]);
     out.phases.push_back(std::move(row));
   }
@@ -229,7 +231,7 @@ bool build_report(const std::vector<ReportEvent>& events,
     out.critpath = obs::critical_path(timeline);
   }
 
-  // -- metrics file: resilience and perf.* counters, agg.* and model.* gauges
+  // -- metrics file: resilience and perf.* counters, model.* gauges
   if (!metrics_json.empty()) {
     const auto doc = parse_json(metrics_json);
     if (!doc || !doc->is_object()) {
@@ -286,18 +288,11 @@ bool build_report(const std::vector<ReportEvent>& events,
     }
     if (const JsonValue* gauges = doc->find("gauges");
         gauges != nullptr && gauges->is_object()) {
-      // agg.* gauges pass through verbatim; model.<label>.<quantity>.<kind>
-      // gauges are regrouped into predicted-vs-measured rows.
+      // model.<label>.<quantity>.<kind> gauges are regrouped into
+      // predicted-vs-measured rows.
       std::map<std::string, ModelRow> model_rows;
       for (const auto& [name, value] : gauges->members) {
-        if (!value.is_number()) {
-          continue;
-        }
-        if (name.rfind("agg.", 0) == 0) {
-          out.aggregated.push_back(AggRow{name, value.number});
-          continue;
-        }
-        if (name.rfind("model.", 0) != 0) {
+        if (!value.is_number() || name.rfind("model.", 0) != 0) {
           continue;
         }
         const std::string rest = name.substr(6);
@@ -344,15 +339,16 @@ namespace {
 // The per-phase table: critical-path totals, then the span-duration
 // distribution (text and markdown render the same cells).
 const std::vector<std::string> kPhaseHeader = {
-    "phase",     "count",    "critical (s)", "mean/rank (s)",
-    "total (s)", "payload words", "mean (us)", "p50 (us)",
-    "p95 (us)",  "p99 (us)", "max (us)"};
+    "phase",     "count",         "critical (s)", "mean/rank (s)",
+    "imbalance", "total (s)",     "payload words", "mean (us)",
+    "p50 (us)",  "p95 (us)",      "p99 (us)",     "max (us)"};
 
 std::vector<std::string> phase_cells(const PhaseRow& p) {
   return {p.name,
           fmt_count(p.count),
           fmt_f(p.critical_s, 6),
           fmt_f(p.mean_rank_s, 6),
+          fmt_f(p.imbalance, 3),
           fmt_f(p.total_s, 6),
           fmt_g(p.words, 4),
           fmt_f(p.mean_us, 1),
@@ -429,14 +425,6 @@ std::string critpath_summary(const Report& r) {
       << "s makespan=" << fmt_f(cp.makespan_s, 6)
       << "s coverage=" << fmt_f(100.0 * cp.coverage, 1) << "%\n";
   return out.str();
-}
-
-AsciiTable agg_table(const Report& r) {
-  AsciiTable tbl({"aggregated metric", "value"});
-  for (const auto& a : r.aggregated) {
-    tbl.add_row({a.name, fmt_g(a.value, 6)});
-  }
-  return tbl;
 }
 
 AsciiTable resilience_table(const Report& r) {
@@ -534,9 +522,6 @@ std::string render_text(const Report& r) {
     out << "hardware counters (perf.* kernel samples)\n"
         << roofline_table(r).str() << "\n";
   }
-  if (!r.aggregated.empty()) {
-    out << "cross-rank aggregated metrics\n" << agg_table(r).str() << "\n";
-  }
   if (!r.resilience.empty()) {
     out << "resilience (retries / injected faults / backoff)\n"
         << resilience_table(r).str() << "\n";
@@ -615,13 +600,6 @@ std::string render_markdown(const Report& r) {
     }
     out << "## Hardware counters\n\n" << tbl.str() << "\n";
   }
-  if (!r.aggregated.empty()) {
-    MarkdownTable tbl({"aggregated metric", "value"});
-    for (const auto& a : r.aggregated) {
-      tbl.add_row({a.name, fmt_g(a.value, 6)});
-    }
-    out << "## Cross-rank aggregated metrics\n\n" << tbl.str() << "\n";
-  }
   if (!r.resilience.empty()) {
     MarkdownTable tbl({"resilience counter", "value"});
     for (const auto& row : r.resilience) {
@@ -669,6 +647,8 @@ std::string render_json(const Report& r) {
     append_number(out, p.critical_s);
     out += ",\"mean_rank_s\":";
     append_number(out, p.mean_rank_s);
+    out += ",\"imbalance\":";
+    append_number(out, p.imbalance);
     out += ",\"total_s\":";
     append_number(out, p.total_s);
     out += ",\"words\":";
@@ -778,15 +758,7 @@ std::string render_json(const Report& r) {
     append_number(out, row.ipc());
     out += "}";
   }
-  out += "],\"aggregated\":{";
-  for (std::size_t i = 0; i < r.aggregated.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"";
-    json_escape_to(r.aggregated[i].name, out);
-    out += "\":";
-    append_number(out, r.aggregated[i].value);
-  }
-  out += "},\"resilience\":{";
+  out += "],\"resilience\":{";
   for (std::size_t i = 0; i < r.resilience.size(); ++i) {
     if (i > 0) out += ",";
     out += "\"";

@@ -6,7 +6,8 @@
 // can be pointed at artifacts from any run (including CI uploads).  It
 // reconstructs:
 //
-//  * the per-phase critical path (slowest rank per span name) with each
+//  * the per-phase critical path (slowest rank per span name) with its
+//    load imbalance (slowest-rank total over mean-rank total) and each
 //    span name's exact latency distribution: count, mean, and the
 //    nearest-rank p50 / p95 / p99 and max of the raw span durations (the
 //    allreduce_wait row is the rendezvous-skew distribution),
@@ -17,7 +18,6 @@
 //    on spans),
 //  * hardware-counter roofline rows (perf.<label>.* counters emitted by
 //    obs::PerfScope under RCF_PERFCTR / bench_kernels --counters),
-//  * aggregated agg.* views from the metrics JSON,
 //  * the predicted-vs-measured cost-model table (model.* gauges emitted by
 //    obs::CostLedger),
 //  * the convergence trace (--conv-out JSONL).
@@ -43,8 +43,11 @@ struct ReportEvent {
 };
 
 /// Per-span-name totals; critical_s is the slowest single rank's total,
-/// i.e. the phase's contribution to the critical path of the solve.  The
-/// *_us fields are the exact distribution of the name's span durations
+/// i.e. the phase's contribution to the critical path of the solve, and
+/// imbalance is critical_s / mean_rank_s (1 when the mean is 0; the mean
+/// is over the ranks that recorded the name), the phase's load-balance
+/// factor.  The *_us fields are the exact distribution of the name's span
+/// durations
 /// over every rank; each quantile is the nearest-rank (ceil(p * count)-th
 /// smallest) duration, so it is a measured span, never an interpolation.
 struct PhaseRow {
@@ -53,6 +56,7 @@ struct PhaseRow {
   double total_s = 0.0;
   double critical_s = 0.0;
   double mean_rank_s = 0.0;
+  double imbalance = 1.0;
   double words = 0.0;
   double mean_us = 0.0;
   double p50_us = 0.0;
@@ -95,12 +99,6 @@ struct ConvRow {
   double step = 0.0;
 };
 
-/// A gauge named agg.* from the metrics JSON (cross-rank aggregated view).
-struct AggRow {
-  std::string name;
-  double value = 0.0;
-};
-
 /// One resilience counter from the metrics JSON (comm.retries,
 /// comm.faults_injected, comm.backoff_us, fault.*): how much fault
 /// absorption the run performed.  All-zero rows are omitted, so the
@@ -113,7 +111,6 @@ struct ResilienceRow {
 struct Report {
   std::vector<PhaseRow> phases;        ///< sorted by critical_s, descending
   std::vector<ModelRow> model;
-  std::vector<AggRow> aggregated;      ///< agg.* gauges
   std::vector<ResilienceRow> resilience;  ///< nonzero retry/fault counters
   std::vector<RooflineRow> roofline;   ///< perf.<label>.* counter groups
   std::vector<ConvRow> convergence;
