@@ -103,8 +103,8 @@ void add_common_flags(CliParser& cli) {
                "convergence telemetry JSONL output path (appended per run)",
                "");
   cli.add_flag("live",
-               "live telemetry stream path (1 = rcf_live.jsonl, "
-               "unix:<path> = socket; env RCF_LIVE when flag absent)",
+               "live telemetry stream path (1 = rcf_live.jsonl; "
+               "env RCF_LIVE when flag absent)",
                "");
   cli.add_flag("threads",
                "intra-rank pool threads per rank (1 = sequential, 0 = "

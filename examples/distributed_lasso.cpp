@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   cli.add_flag("trace-jsonl", "flat JSONL trace output path", "");
   cli.add_flag("metrics-out", "metrics registry JSON output path", "");
   cli.add_flag("live",
-               "live telemetry stream path (1 = rcf_live.jsonl, "
-               "unix:<path> = socket; env RCF_LIVE when flag absent)",
+               "live telemetry stream path (1 = rcf_live.jsonl; "
+               "env RCF_LIVE when flag absent)",
                "");
   cli.add_flag("threads",
                "intra-rank pool threads (0 = auto: hardware/ranks; "

@@ -41,7 +41,6 @@ struct JsonValue {
   /// Object members in document order (duplicate keys are kept as-is).
   std::vector<std::pair<std::string, JsonValue>> members;
 
-  [[nodiscard]] bool is_null() const { return type == Type::kNull; }
   [[nodiscard]] bool is_number() const { return type == Type::kNumber; }
   [[nodiscard]] bool is_string() const { return type == Type::kString; }
   [[nodiscard]] bool is_array() const { return type == Type::kArray; }

@@ -65,18 +65,7 @@ void validate_options(const LassoProblem& problem, const SolverOptions& opts) {
   RCF_CHECK_MSG(opts.variance_reduction ||
                     opts.epoch_length == SolverOptions{}.epoch_length,
                 "options: epoch_length requires variance_reduction");
-  RCF_CHECK_MSG(opts.variance_reduction || !opts.vr_restart_momentum,
-                "options: vr_restart_momentum requires variance_reduction");
   RCF_CHECK_MSG(problem.dim() > 0, "options: empty problem");
-}
-
-/// F(w): the problem's lambda ||w||_1 objective (paper Eq. 14), or
-/// smooth_value + g(w) under an opts.regularizer override.
-double objective_at(const LassoProblem& problem, const SolverOptions& opts,
-                    std::span<const double> w) {
-  return opts.regularizer != nullptr
-             ? problem.smooth_value(w) + opts.regularizer->value(w)
-             : problem.objective(w);
 }
 
 /// Fills SolveResult::alerts from two sources that never overlap in kind:
@@ -238,13 +227,6 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
                                       static_cast<double>(procs));
     reduce(own_anchor_grad.span(), d);
     last_anchor_iter = iter_base;
-    if (opts.vr_restart_momentum) {
-      // Literal Alg. 3: restart the inner loop from the snapshot (w_0 =
-      // w_hat, fresh momentum, v = w).
-      la::copy(w.span(), v.span());
-      dw_prev.fill(0.0);
-      momentum_base = update_counter;
-    }
   };
 
   const auto chunk_start = [&](int t) { return 1 + t * k; };
@@ -407,12 +389,7 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
                      grad.span());
           }
           la::waxpby(1.0, v.span(), -run.gamma, grad.span(), theta.span());
-          if (opts.regularizer != nullptr) {
-            la::copy(theta.span(), u.span());
-            opts.regularizer->apply(u.span(), run.gamma);
-          } else {
-            prox::soft_threshold(theta.span(), lambda_gamma, u.span());
-          }
+          prox::soft_threshold(theta.span(), lambda_gamma, u.span());
 
           // Recurrence: dw = w_new - w; dv = (1+mu_{u+1}) dw - mu_u dw_prev.
           ++update_counter;
@@ -734,7 +711,7 @@ SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
     frame.begin(w0.span());
     const auto after = [&](int n, const la::Vector& w, const la::Vector& grad) {
       const double objective = frame.wants_objective()
-                                   ? objective_at(problem, opts, w.span())
+                                   ? problem.objective(w.span())
                                    : std::numeric_limits<double>::quiet_NaN();
       return frame.record(n, w.span(), objective, grad.span(), loop.counters);
     };
@@ -750,7 +727,7 @@ SolveResult solve(const LassoProblem& problem, const SolverOptions& opts,
     obs::append_phase(phases, "allreduce_wait", loop.ph_wait);
     obs::append_phase(phases, "update", loop.ph_update);
     if (frame.is_root()) {
-      frame.out.objective = objective_at(problem, opts, w.span());
+      frame.out.objective = problem.objective(w.span());
     }
     frame.out.w = std::move(w);
   });

@@ -10,10 +10,6 @@
 #include "model/cost.hpp"
 #include "model/machine.hpp"
 
-namespace rcf::prox {
-class Regularizer;
-}
-
 namespace rcf::core {
 
 /// Momentum (acceleration) rule for the t_n / mu_n sequence.
@@ -81,13 +77,9 @@ struct SolverOptions : CommonOptions {
   /// Variance reduction (Eq. 9): anchor the sampled gradient at a snapshot
   /// refreshed every epoch_length iterations (Alg. 3's outer loop).
   bool variance_reduction = false;
-  int epoch_length = 50;  ///< N of Alg. 3 when variance_reduction is on.
-  /// Alg. 3 as printed restarts the momentum sequence at every snapshot
-  /// (w_0 = w_hat, t_0 = 1).  On ill-conditioned problems the restart
-  /// forfeits the accumulated acceleration, so the default refreshes the
-  /// anchor while keeping the momentum recurrence running; set true for the
-  /// literal Alg. 3 behaviour.
-  bool vr_restart_momentum = false;
+  /// N of Alg. 3 when variance_reduction is on.  The anchor refresh keeps
+  /// the momentum recurrence running (DESIGN.md, interpretation note 2).
+  int epoch_length = 50;
 
   // -- communication-avoiding parameters (§3.2) ------------------------------
   int k = 1;  ///< iteration-overlapping depth (k >= 1).
@@ -109,12 +101,6 @@ struct SolverOptions : CommonOptions {
   /// trajectory changes (stale curvature) but stays deterministic for a
   /// fixed S -- convergence is golden-fixture-checked.
   int staleness = 0;
-
-  // -- regularizer override ----------------------------------------------------
-  /// When non-null, replaces the problem's l1 term: the prox step applies
-  /// this operator and the reported objective is smooth_value + g(w).
-  /// Must outlive the solve.  Null keeps the paper's lambda ||w||_1.
-  const prox::Regularizer* regularizer = nullptr;
 
   // -- resilience -------------------------------------------------------------
   /// Retry/backoff policy for transient collective failures, at every P
@@ -140,7 +126,6 @@ struct PnOptions : CommonOptions {
   int max_outer = 30;             ///< outer Newton iterations.
   int inner_iters = 40;           ///< inner-solver iterations per subproblem.
   double hessian_sampling_rate = 0.1;  ///< b for the outer Hessian estimate.
-  double damping = 1.0;           ///< gamma_n of Alg. 1 line 6.
   PnInnerSolver inner = PnInnerSolver::kFista;
   int k = 1;                      ///< overlap depth for the RC-SFISTA inner.
   int s = 1;                      ///< Hessian-reuse for the RC-SFISTA inner.
@@ -156,17 +141,11 @@ struct PnOptions : CommonOptions {
   const PnCheckpoint* resume_from = nullptr;
 };
 
-/// Aggregation mode for the ProxCoCoA baseline.
-enum class CocoaAggregation {
-  kAverage,  ///< conservative averaging (sigma' = 1, scaled by 1/P)
-  kAdding,   ///< adding updates (sigma' = P subproblem scaling)
-};
-
-/// Options for the ProxCoCoA baseline (Smith et al. 2015).
+/// Options for the ProxCoCoA baseline (Smith et al. 2015), which always
+/// adds the workers' updates (sigma' = P).
 struct CocoaOptions : CommonOptions {
   int max_rounds = 200;     ///< communication rounds.
   int local_epochs = 1;     ///< local coordinate-descent passes per round.
-  CocoaAggregation aggregation = CocoaAggregation::kAdding;
 };
 
 }  // namespace rcf::core

@@ -38,14 +38,7 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
   }
 
   const data::Partition fpart(d, opts.procs);
-  const double sigma_prime =
-      opts.aggregation == CocoaAggregation::kAdding
-          ? static_cast<double>(opts.procs)
-          : 1.0;
-  const double apply_scale =
-      opts.aggregation == CocoaAggregation::kAdding
-          ? 1.0
-          : 1.0 / static_cast<double>(opts.procs);
+  const auto procs = static_cast<double>(opts.procs);
 
   model::CostTracker& cost = frame.out.cost;
   std::uint64_t comm_rounds = 0;
@@ -98,8 +91,8 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
               continue;
             }
             const auto col = features.row(j);
-            // Local subproblem coordinate step with the sigma'-scaled
-            // quadratic term:
+            // Local subproblem coordinate step with the quadratic term
+            // scaled by sigma' = P:
             //   min_u (sigma' q / 2m)(u - w_j)^2 + (1/m) x_j^T res (u - w_j)
             //         + lambda |u|
             double b = 0.0;
@@ -107,7 +100,7 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
               b += col.vals[i] * res_local[col.cols[i]];
             }
             b /= md;
-            const double a = sigma_prime * q / md;
+            const double a = procs * q / md;
             const double u =
                 prox::soft_threshold(w_stage[j] - b / a, lambda / a);
             const double delta = u - w_stage[j];
@@ -121,9 +114,9 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
           }
         }
 
-        // Worker p's staged residual delta, scaled by the aggregation rule.
+        // Worker p's staged residual delta.
         for (std::size_t i = 0; i < m; ++i) {
-          res_accum[i] += apply_scale * (res_local[i] - res[i]);
+          res_accum[i] += res_local[i] - res[i];
         }
         max_rank_flops = std::max(max_rank_flops, rank_flops);
       }
@@ -133,16 +126,7 @@ void prox_cocoa(const LassoProblem& problem, const CocoaOptions& opts,
     obs::timed_phase(tracing, ph_allreduce, "allreduce",
                      static_cast<double>(m), [&] {
       la::axpy(1.0, res_accum.span(), res.span());
-      for (std::size_t j = 0; j < d; ++j) {
-        // Averaging scales the coordinate moves; adding applies the staged
-        // values whole (exact assignment, not w += delta, so the adding
-        // path stays bitwise identical to a plain copy).
-        if (apply_scale != 1.0) {
-          w[j] += apply_scale * (w_stage[j] - w[j]);
-        } else {
-          w[j] = w_stage[j];
-        }
-      }
+      std::copy(w_stage.begin(), w_stage.end(), w.begin());
       cost.add_flops(Phase::kUpdate, max_rank_flops);
       cost.add_allreduce(opts.procs, m);
     });

@@ -8,9 +8,9 @@
 // Communication shape per round: L = O(log P) messages, W = O(m log P)
 // words -- note m (sample count) words rather than RC-SFISTA's d^2, which is
 // the structural reason the two methods trade differently with the data
-// shape.  The "adding" aggregation (sigma' = P) scales each worker's local
-// quadratic term by P, which is what makes CoCoA's per-round progress
-// conservative at large P (the slow convergence visible in Fig. 6).
+// shape.  The workers' updates are added (sigma' = P), which scales each
+// worker's local quadratic term by P: that is what makes CoCoA's per-round
+// progress conservative at large P (the slow convergence visible in Fig. 6).
 #pragma once
 
 #include "core/options.hpp"

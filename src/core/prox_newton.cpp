@@ -65,8 +65,6 @@ void validate_pn_options(const PnOptions& opts) {
   RCF_CHECK_MSG(opts.hessian_sampling_rate > 0.0 &&
                     opts.hessian_sampling_rate <= 1.0,
                 "pn: hessian_sampling_rate must be in (0, 1]");
-  RCF_CHECK_MSG(opts.damping > 0.0 && opts.damping <= 1.0,
-                "pn: damping must be in (0, 1]");
 }
 
 /// Proximal Newton for every smooth loss, as a solve-frame body.  The loss
@@ -228,11 +226,12 @@ void prox_newton(const Problem& problem, const PnOptions& opts, Frame& frame) {
       la::copy(u.span(), z.span());
     });
 
-    // Lines 5-6 of Alg. 1 with a monotonicity safeguard: halve the damping
-    // until the objective does not increase (the subproblem Hessian is a
-    // random estimate, so an occasional bad direction is expected).
+    // Lines 5-6 of Alg. 1 with a monotonicity safeguard: start at the full
+    // step gamma_n = 1 and halve it until the objective does not increase
+    // (the subproblem Hessian is a random estimate, so an occasional bad
+    // direction is expected).
     obs::timed_phase(tracing, ph_linesearch, "linesearch", 0.0, [&] {
-      double step = opts.damping;
+      double step = 1.0;
       la::Vector trial(d);
       double trial_obj = objective;
       for (int attempt = 0; attempt < 30; ++attempt) {

@@ -22,24 +22,13 @@ void reject_overlap(const SolverOptions& opts, const char* solver) {
   reject_fixed(opts.s != 1, solver, "s");
 }
 
-void reject_sampling(const SolverOptions& opts, const char* solver) {
-  reject_overlap(opts, solver);
-  reject_fixed(opts.sampling_rate != 1.0, solver, "sampling_rate");
-  reject_fixed(opts.variance_reduction, solver, "variance_reduction");
-}
-
 }  // namespace
-
-SolveResult solve_ista(const LassoProblem& problem, SolverOptions opts) {
-  reject_sampling(opts, "ista");
-  reject_fixed(opts.adaptive_restart, "ista", "adaptive_restart");
-  opts.momentum = MomentumRule::kNone;
-  return run_sfista_engine(problem, opts, "ista");
-}
 
 SolveResult solve_fista(const LassoProblem& problem,
                         const SolverOptions& opts) {
-  reject_sampling(opts, "fista");
+  reject_overlap(opts, "fista");
+  reject_fixed(opts.sampling_rate != 1.0, "fista", "sampling_rate");
+  reject_fixed(opts.variance_reduction, "fista", "variance_reduction");
   return run_sfista_engine(problem, opts, "fista");
 }
 

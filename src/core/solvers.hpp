@@ -13,16 +13,9 @@
 
 namespace rcf::core {
 
-/// ISTA: proximal gradient without momentum, with full batches (b = 1).
-/// Throws InvalidArgument on a k, s, sampling_rate, variance_reduction or
-/// adaptive_restart other than the default.  opts.momentum is always
-/// overwritten with kNone, whatever the caller set: an explicit kFista
-/// cannot be told from the default, so the field is not checked.
-SolveResult solve_ista(const LassoProblem& problem, SolverOptions opts);
-
-/// FISTA (Alg. 2), run distributed-style with full batches (b = 1).
-/// Throws InvalidArgument on a k, s, sampling_rate or variance_reduction
-/// other than the default.
+/// FISTA (Alg. 2), run distributed-style with full batches (b = 1); with
+/// momentum = MomentumRule::kNone it is ISTA.  Throws InvalidArgument on a
+/// k, s, sampling_rate or variance_reduction other than the default.
 SolveResult solve_fista(const LassoProblem& problem,
                         const SolverOptions& opts);
 

@@ -46,21 +46,22 @@ void publish_comm_stats(const CommStats& stats, const std::string& backend) {
   }
 }
 
+// A 1-rank aux collective is an identity that moves no data, so it records
+// neither a span nor a count.
 void SeqComm::allreduce_sum(std::span<double> inout, std::source_location) {
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce",
-                       static_cast<double>(inout.size()));
-  if (!aux_mode()) {
-    stats_.count_allreduce(inout.size());
+  if (aux_mode()) {
+    return;
   }
+  obs::TraceScope span("allreduce", static_cast<double>(inout.size()));
+  stats_.count_allreduce(inout.size());
 }
 
 CommHandle SeqComm::iallreduce_sum(std::span<double> inout,
                                    std::source_location) {
-  obs::TraceScope span(aux_mode() ? "aux_collective" : "allreduce_post",
-                       static_cast<double>(inout.size()));
   if (aux_mode()) {
     return CommHandle(std::make_shared<CompletedOp>());
   }
+  obs::TraceScope span("allreduce_post", static_cast<double>(inout.size()));
   stats_.count_allreduce(inout.size());
   return CommHandle(std::make_shared<SeqOp>(&stats_, inout.size()));
 }

@@ -149,7 +149,8 @@ class Communicator {
   /// While an AuxScope is alive, collectives through this communicator are
   /// *auxiliary*: they still synchronize and combine data, but skip the
   /// CommStats accounting and emit their spans under "aux_collective" /
-  /// "aux_wait" instead of "allreduce" / "allreduce_wait".  Used by the
+  /// "aux_wait" instead of "allreduce" / "allreduce_wait" (SeqComm, whose
+  /// aux collectives move no data, emits none).  Used by the
   /// contract checker's epoch exchange (check::CheckedComm), so checking
   /// does not perturb the counters, span counts and span-derived latency
   /// quantiles of the solve (the "allreduce" span count must keep matching

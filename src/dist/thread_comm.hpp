@@ -7,13 +7,16 @@
 //                          everyone copies the result.  Deterministic, works
 //                          for any P.  (Default.)
 //  * kRecursiveDoubling -- log2(P) pairwise exchange stages, the schedule of
-//                          classic MPI_Allreduce; requires P a power of two.
+//                          classic MPI_Allreduce; at a P that is not a power
+//                          of two it runs kCentral.
 //                          Deterministic because each pair computes
 //                          lower + upper in the same order on both sides.
 //
-// Both schedules produce identical results for the same rank count, and are
-// bitwise deterministic run-to-run, which the convergence experiments rely
-// on.
+// Both schedules are bitwise deterministic run-to-run, which the
+// convergence experiments rely on.  They add in different orders, so their
+// sums can differ in rounding: on 4 ranks contributing {1e16, 1, -1e16, 1},
+// kCentral's ((1e16 + 1) - 1e16) + 1 gives 1 and kRecursiveDoubling's
+// (1e16 + 1) + (-1e16 + 1) gives 0.
 //
 // Failure semantics: every rendezvous is a check::TimedBarrier bounded by
 // the stall timeout of check::CheckOptions (RCF_COMM_TIMEOUT_MS; 0 waits

@@ -91,8 +91,6 @@ class CostTracker {
   [[nodiscard]] double bandwidth_seconds(const MachineSpec& spec) const;
   [[nodiscard]] double memory_seconds(const MachineSpec& spec) const;
 
-  [[nodiscard]] CollectiveModel collective_model() const { return model_; }
-
   void reset();
 
   CostTracker& operator+=(const CostTracker& other);

@@ -15,13 +15,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#define RCF_LIVE_HAVE_UNIX_SOCKET 1
-#endif
-
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -92,7 +85,6 @@ struct LiveMonitor::Impl {
 
   // -- stream sink --------------------------------------------------------
   std::ofstream file;
-  int socket_fd = -1;
   bool sink_failed = false;
 
   // -- per-session fold state ---------------------------------------------
@@ -146,36 +138,6 @@ void open_sink(LiveMonitor::Impl& im) {
   if (out.empty()) {
     return;
   }
-  if (out.rfind("unix:", 0) == 0) {
-    const std::string path = out.substr(5);
-#ifdef RCF_LIVE_HAVE_UNIX_SOCKET
-    im.socket_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (im.socket_fd >= 0) {
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-      if (::connect(im.socket_fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)) != 0) {
-        ::close(im.socket_fd);
-        im.socket_fd = -1;
-      }
-    }
-    if (im.socket_fd < 0) {
-      std::fprintf(stderr,
-                   "rcf: live monitor could not connect to socket %s; "
-                   "streaming disabled\n",
-                   path.c_str());
-      im.sink_failed = true;
-    }
-#else
-    std::fprintf(stderr,
-                 "rcf: unix-socket live streams are not supported on this "
-                 "platform (%s); streaming disabled\n",
-                 path.c_str());
-    im.sink_failed = true;
-#endif
-    return;
-  }
   im.file.open(out, std::ios::out | std::ios::trunc);
   if (!im.file) {
     std::fprintf(stderr,
@@ -189,12 +151,6 @@ void close_sink(LiveMonitor::Impl& im) {
   if (im.file.is_open()) {
     im.file.close();
   }
-#ifdef RCF_LIVE_HAVE_UNIX_SOCKET
-  if (im.socket_fd >= 0) {
-    ::close(im.socket_fd);
-    im.socket_fd = -1;
-  }
-#endif
 }
 
 /// Writes one record with the `<decimal byte length>\t<json>\n` framing.
@@ -208,24 +164,6 @@ void write_record(LiveMonitor::Impl& im, const std::string& json) {
   frame += '\t';
   frame += json;
   frame += '\n';
-#ifdef RCF_LIVE_HAVE_UNIX_SOCKET
-  if (im.socket_fd >= 0) {
-    const char* p = frame.data();
-    std::size_t left = frame.size();
-    while (left > 0) {
-      const ssize_t n = ::send(im.socket_fd, p, left, 0);
-      if (n <= 0) {
-        ::close(im.socket_fd);
-        im.socket_fd = -1;
-        im.sink_failed = true;
-        return;
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    return;
-  }
-#endif
   if (im.file.is_open()) {
     im.file << frame;
     im.file.flush();  // tailers (rcf-top) read mid-run

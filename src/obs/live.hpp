@@ -3,7 +3,7 @@
 // telemetry ring, folds the events into per-rank occupancy / progress
 // state and a MetricsRegistry delta snapshot, runs the health watchdog
 // (watchdog.hpp) over the resulting sample, and streams length-prefixed
-// JSONL records to a file or local socket for tools/rcf-top to tail.
+// JSONL records to a file for tools/rcf-top to tail.
 //
 // Stream framing: every record is `<decimal byte length>\t<json>\n` so a
 // tailer can frame records without re-scanning for newlines inside
@@ -14,8 +14,7 @@
 // Activation: programmatic (start/stop or ScopedLive), `--live[=path]` on
 // the benches/examples, or RCF_LIVE=1|<path> in the environment
 // (live_autoconfigure_from_env, hooked into TraceSession's env autostart
-// so every solver entry point picks it up).  A path starting with "unix:"
-// connects to an AF_UNIX stream socket instead of writing a file.
+// so every solver entry point picks it up).
 //
 // Overhead contract: when the monitor is off, producers pay one relaxed
 // load per publish (see telemetry.hpp); when on, the sampler thread does
@@ -34,10 +33,9 @@ namespace rcf::obs {
 
 /// Configuration of one live-monitoring session.
 struct LiveConfig {
-  /// Output stream: a file path, or "unix:<path>" for an AF_UNIX stream
-  /// socket.  Empty disables the stream (the monitor still samples and
-  /// keeps alerts/metrics, which is what the in-process annotation path
-  /// uses).
+  /// Output stream file path.  Empty disables the stream (the monitor
+  /// still samples and keeps alerts/metrics, which is what the in-process
+  /// annotation path uses).
   std::string out = "rcf_live.jsonl";
   /// Sampling period.  RCF_LIVE_PERIOD_MS overrides via the env path.
   int period_ms = 250;
@@ -115,10 +113,10 @@ class ScopedLive {
 };
 
 /// Env activation: RCF_LIVE=1 streams to "rcf_live.jsonl" in the working
-/// directory, RCF_LIVE=<path> streams there ("unix:<path>" for a socket);
-/// unset/empty/0 does nothing.  RCF_LIVE_PERIOD_MS overrides the sampling
-/// period.  Called once from TraceSession's construction (every solver
-/// entry point touches it); the session is stopped at process exit.
+/// directory, RCF_LIVE=<path> streams there; unset/empty/0 does nothing.
+/// RCF_LIVE_PERIOD_MS overrides the sampling period.  Called once from
+/// TraceSession's construction (every solver entry point touches it); the
+/// session is stopped at process exit.
 void live_autoconfigure_from_env();
 
 }  // namespace rcf::obs

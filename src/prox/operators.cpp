@@ -1,9 +1,5 @@
 #include "prox/operators.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/error.hpp"
 
 namespace rcf::prox {
@@ -25,90 +21,5 @@ void soft_threshold(std::span<const double> in, double threshold,
     out[i] = soft_threshold(in[i], threshold);
   }
 }
-
-L1Regularizer::L1Regularizer(double lambda) : lambda_(lambda) {
-  RCF_CHECK_MSG(lambda >= 0.0, "L1Regularizer: lambda must be >= 0");
-}
-
-double L1Regularizer::value(std::span<const double> w) const {
-  double acc = 0.0;
-  for (double v : w) {
-    acc += std::abs(v);
-  }
-  return lambda_ * acc;
-}
-
-void L1Regularizer::apply(std::span<double> w, double t) const {
-  const double threshold = lambda_ * t;
-  for (auto& v : w) {
-    v = soft_threshold(v, threshold);
-  }
-}
-
-L2Regularizer::L2Regularizer(double lambda) : lambda_(lambda) {
-  RCF_CHECK_MSG(lambda >= 0.0, "L2Regularizer: lambda must be >= 0");
-}
-
-double L2Regularizer::value(std::span<const double> w) const {
-  double acc = 0.0;
-  for (double v : w) {
-    acc += v * v;
-  }
-  return 0.5 * lambda_ * acc;
-}
-
-void L2Regularizer::apply(std::span<double> w, double t) const {
-  const double shrink = 1.0 / (1.0 + lambda_ * t);
-  for (auto& v : w) {
-    v *= shrink;
-  }
-}
-
-ElasticNetRegularizer::ElasticNetRegularizer(double lambda1, double lambda2)
-    : lambda1_(lambda1), lambda2_(lambda2) {
-  RCF_CHECK_MSG(lambda1 >= 0.0 && lambda2 >= 0.0,
-                "ElasticNetRegularizer: lambdas must be >= 0");
-}
-
-double ElasticNetRegularizer::value(std::span<const double> w) const {
-  double l1 = 0.0, l2 = 0.0;
-  for (double v : w) {
-    l1 += std::abs(v);
-    l2 += v * v;
-  }
-  return lambda1_ * l1 + 0.5 * lambda2_ * l2;
-}
-
-void ElasticNetRegularizer::apply(std::span<double> w, double t) const {
-  // prox of sum: soft-threshold then shrink.
-  const double threshold = lambda1_ * t;
-  const double shrink = 1.0 / (1.0 + lambda2_ * t);
-  for (auto& v : w) {
-    v = soft_threshold(v, threshold) * shrink;
-  }
-}
-
-BoxRegularizer::BoxRegularizer(double lo, double hi) : lo_(lo), hi_(hi) {
-  RCF_CHECK_MSG(lo <= hi, "BoxRegularizer: lo must be <= hi");
-}
-
-double BoxRegularizer::value(std::span<const double> w) const {
-  for (double v : w) {
-    if (v < lo_ || v > hi_) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  return 0.0;
-}
-
-void BoxRegularizer::apply(std::span<double> w, double /*t*/) const {
-  for (auto& v : w) {
-    v = std::clamp(v, lo_, hi_);
-  }
-}
-
-double ZeroRegularizer::value(std::span<const double>) const { return 0.0; }
-
-void ZeroRegularizer::apply(std::span<double>, double) const {}
 
 }  // namespace rcf::prox

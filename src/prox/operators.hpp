@@ -1,90 +1,13 @@
-// Proximal operators (paper Eq. 6):
+// Proximal operator of the paper's regularizer (Eq. 6):
 //   Prox_g^gamma(w) = argmin_x { (1/2 gamma) ||x - w||^2 + g(x) }.
 //
-// The paper's target is g(w) = lambda ||w||_1 whose prox is soft
-// thresholding (Eq. 14); the other standard regularizers are provided so the
-// solvers remain usable as general proximal methods.
+// Every solver minimizes Eq. 3 with g(w) = lambda ||w||_1, whose prox is
+// soft thresholding at lambda * gamma (Eq. 14).
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string>
 
 namespace rcf::prox {
-
-/// A proximable regularizer g: evaluates g(w) and applies Prox_{t*g}.
-class Regularizer {
- public:
-  virtual ~Regularizer() = default;
-
-  /// g(w).
-  [[nodiscard]] virtual double value(std::span<const double> w) const = 0;
-
-  /// In place: w <- Prox_{t*g}(w).
-  virtual void apply(std::span<double> w, double t) const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// g(w) = lambda * ||w||_1 ; prox is the soft-thresholding operator
-/// S_{lambda t}(w)_i = sign(w_i) max(|w_i| - lambda t, 0)  (paper Eq. 14).
-class L1Regularizer final : public Regularizer {
- public:
-  explicit L1Regularizer(double lambda);
-  [[nodiscard]] double value(std::span<const double> w) const override;
-  void apply(std::span<double> w, double t) const override;
-  [[nodiscard]] std::string name() const override { return "l1"; }
-  [[nodiscard]] double lambda() const { return lambda_; }
-
- private:
-  double lambda_;
-};
-
-/// g(w) = (lambda/2) * ||w||_2^2 ; prox is the shrinkage w / (1 + lambda t).
-class L2Regularizer final : public Regularizer {
- public:
-  explicit L2Regularizer(double lambda);
-  [[nodiscard]] double value(std::span<const double> w) const override;
-  void apply(std::span<double> w, double t) const override;
-  [[nodiscard]] std::string name() const override { return "l2"; }
-
- private:
-  double lambda_;
-};
-
-/// g(w) = lambda1 ||w||_1 + (lambda2/2) ||w||_2^2 (elastic net).
-class ElasticNetRegularizer final : public Regularizer {
- public:
-  ElasticNetRegularizer(double lambda1, double lambda2);
-  [[nodiscard]] double value(std::span<const double> w) const override;
-  void apply(std::span<double> w, double t) const override;
-  [[nodiscard]] std::string name() const override { return "elastic-net"; }
-
- private:
-  double lambda1_;
-  double lambda2_;
-};
-
-/// Indicator of the box [lo, hi]^d ; prox is clamping.
-class BoxRegularizer final : public Regularizer {
- public:
-  BoxRegularizer(double lo, double hi);
-  [[nodiscard]] double value(std::span<const double> w) const override;
-  void apply(std::span<double> w, double t) const override;
-  [[nodiscard]] std::string name() const override { return "box"; }
-
- private:
-  double lo_;
-  double hi_;
-};
-
-/// g = 0 (no regularization); prox is the identity.
-class ZeroRegularizer final : public Regularizer {
- public:
-  [[nodiscard]] double value(std::span<const double> w) const override;
-  void apply(std::span<double> w, double t) const override;
-  [[nodiscard]] std::string name() const override { return "zero"; }
-};
 
 /// Scalar soft threshold S_a(b) = sign(b) max(|b| - a, 0).
 [[nodiscard]] double soft_threshold(double value, double threshold);

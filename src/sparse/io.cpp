@@ -51,8 +51,8 @@ bool parse_full_double(std::string_view token, double& out) {
 
 /// Rejects duplicate (row, col) coordinates: from_triplets sums duplicates,
 /// so a corrupt file with a repeated entry would silently change values
-/// instead of failing.  `what` names the format for the diagnostic.
-void reject_duplicates(std::vector<Triplet> triplets, const char* what) {
+/// instead of failing.
+void reject_duplicates(std::vector<Triplet> triplets) {
   std::sort(triplets.begin(), triplets.end(),
             [](const Triplet& a, const Triplet& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
@@ -62,7 +62,7 @@ void reject_duplicates(std::vector<Triplet> triplets, const char* what) {
         return a.row == b.row && a.col == b.col;
       });
   if (dup != triplets.end()) {
-    throw IoError(std::string(what) + ": duplicate entry at row " +
+    throw IoError("libsvm: duplicate entry at row " +
                   std::to_string(dup->row + 1) + ", column " +
                   std::to_string(dup->col + 1));
   }
@@ -122,7 +122,7 @@ LabelledMatrix read_libsvm_stream(std::istream& in, std::size_t num_features) {
                   std::to_string(max_feature) + " > requested dimension " +
                   std::to_string(num_features));
   }
-  reject_duplicates(triplets, "libsvm");
+  reject_duplicates(triplets);
   LabelledMatrix out;
   out.xt = CsrMatrix::from_triplets(labels.size(), d, std::move(triplets));
   out.y = la::Vector(std::move(labels));
@@ -154,112 +154,6 @@ void write_libsvm(const std::string& path, const LabelledMatrix& data) {
       out << buf;
     }
     out << '\n';
-  }
-  if (!out) {
-    throw IoError("write failed: " + path);
-  }
-}
-
-CsrMatrix read_matrix_market(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw IoError("cannot open MatrixMarket file: " + path);
-  }
-  std::string line;
-  if (!std::getline(in, line) || line.rfind("%%MatrixMarket", 0) != 0) {
-    throw IoError("not a MatrixMarket file: " + path);
-  }
-  // Validate the full banner instead of substring-matching: pattern /
-  // complex / integer / array files would otherwise be misread as real
-  // coordinate data.
-  std::istringstream banner(line);
-  std::string tag, object, format, field, symmetry;
-  banner >> tag >> object >> format >> field >> symmetry;
-  if (object != "matrix" || format != "coordinate" || field != "real" ||
-      (symmetry != "general" && symmetry != "symmetric")) {
-    throw IoError("unsupported MatrixMarket banner in " + path +
-                  " (need: matrix coordinate real general|symmetric)");
-  }
-  const bool symmetric = symmetry == "symmetric";
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') {
-      break;
-    }
-  }
-  std::istringstream header(line);
-  std::size_t rows, cols, nnz;
-  if (!(header >> rows >> cols >> nnz)) {
-    throw IoError("MatrixMarket: bad size line in " + path);
-  }
-  std::string trailing;
-  if (header >> trailing) {
-    throw IoError("MatrixMarket: trailing junk on size line in " + path);
-  }
-  if (symmetric && rows != cols) {
-    throw IoError("MatrixMarket: symmetric matrix must be square in " + path);
-  }
-  if (rows > std::numeric_limits<std::uint32_t>::max() ||
-      cols > std::numeric_limits<std::uint32_t>::max()) {
-    throw IoError("MatrixMarket: dimensions exceed the supported range in " +
-                  path);
-  }
-  // A claimed nnz above rows * cols is corrupt (division form avoids the
-  // product overflowing).
-  if (rows == 0 || cols == 0) {
-    if (nnz != 0) {
-      throw IoError("MatrixMarket: nonzero count in an empty matrix in " +
-                    path);
-    }
-  } else if (nnz / rows > cols || (nnz / rows == cols && nnz % rows != 0)) {
-    throw IoError("MatrixMarket: claimed nnz " + std::to_string(nnz) +
-                  " exceeds rows * cols in " + path);
-  }
-  std::vector<Triplet> triplets;
-  // Cap the up-front reservation: a corrupt-but-plausible nnz claim must
-  // fail with "truncated entry list", not a multi-gigabyte allocation.
-  triplets.reserve(std::min<std::size_t>(nnz, std::size_t{1} << 20));
-  for (std::size_t i = 0; i < nnz; ++i) {
-    std::size_t r, c;
-    double v;
-    if (!(in >> r >> c >> v)) {
-      throw IoError("MatrixMarket: truncated entry list in " + path);
-    }
-    if (r == 0 || c == 0 || r > rows || c > cols) {
-      throw IoError("MatrixMarket: entry (" + std::to_string(r) + ", " +
-                    std::to_string(c) + ") outside the declared " +
-                    std::to_string(rows) + " x " + std::to_string(cols) +
-                    " shape in " + path);
-    }
-    if (!std::isfinite(v)) {
-      throw IoError("MatrixMarket: non-finite value at entry " +
-                    std::to_string(i + 1) + " in " + path);
-    }
-    triplets.push_back({static_cast<std::uint32_t>(r - 1),
-                        static_cast<std::uint32_t>(c - 1), v});
-    if (symmetric && r != c) {
-      triplets.push_back({static_cast<std::uint32_t>(c - 1),
-                          static_cast<std::uint32_t>(r - 1), v});
-    }
-  }
-  reject_duplicates(triplets, "MatrixMarket");
-  return CsrMatrix::from_triplets(rows, cols, std::move(triplets));
-}
-
-void write_matrix_market(const std::string& path, const CsrMatrix& m) {
-  std::ofstream out(path);
-  if (!out) {
-    throw IoError("cannot open for writing: " + path);
-  }
-  out << "%%MatrixMarket matrix coordinate real general\n";
-  out << m.rows() << ' ' << m.cols() << ' ' << m.nnz() << '\n';
-  char buf[64];
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const auto row = m.row(r);
-    for (std::size_t i = 0; i < row.nnz(); ++i) {
-      std::snprintf(buf, sizeof buf, "%zu %u %.17g\n", r + 1, row.cols[i] + 1,
-                    row.vals[i]);
-      out << buf;
-    }
   }
   if (!out) {
     throw IoError("write failed: " + path);

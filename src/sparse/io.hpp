@@ -1,9 +1,6 @@
-// Sparse matrix / dataset file I/O.
-//
-// Two formats:
-//  * LIBSVM  -- "<label> <idx>:<val> ..." one sample per line, 1-based
-//    feature indices; the format of the paper's benchmark datasets [9].
-//  * MatrixMarket coordinate -- generic sparse matrix exchange.
+// Dataset file I/O in the LIBSVM format of the paper's benchmark datasets
+// [9]: "<label> <idx>:<val> ..." one sample per line, 1-based feature
+// indices.
 #pragma once
 
 #include <iosfwd>
@@ -33,11 +30,5 @@ struct LabelledMatrix {
 
 /// Writes a LIBSVM file (1-based indices, %.17g values).
 void write_libsvm(const std::string& path, const LabelledMatrix& data);
-
-/// Reads a MatrixMarket coordinate file (general, real).
-[[nodiscard]] CsrMatrix read_matrix_market(const std::string& path);
-
-/// Writes a MatrixMarket coordinate file.
-void write_matrix_market(const std::string& path, const CsrMatrix& m);
 
 }  // namespace rcf::sparse

@@ -2,6 +2,7 @@
 // the threaded SPMD backend's allreduces (both reduction schedules).
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -126,6 +127,29 @@ TEST(ThreadComm, BothSchedulesAgreeNumerically) {
   }
   for (std::size_t i = 0; i < central.size(); ++i) {
     EXPECT_NEAR(central[i], rd[i], 1e-15);
+  }
+}
+
+TEST(ThreadComm, SchedulesSumInTheirDocumentedOrder) {
+  // 1e16 + 1 rounds back to 1e16 (ties to even), so the order shows:
+  // kCentral adds in rank order, ((1e16 + 1) - 1e16) + 1 = 1, while
+  // kRecursiveDoubling adds pairs lower + upper, (1e16 + 1) + (-1e16 + 1)
+  // = 1e16 - 1e16 = 0.  Every rank holds the same sum.
+  const double contribution[4] = {1e16, 1.0, -1e16, 1.0};
+  for (const auto& [algo, want] :
+       {std::pair{AllreduceAlgo::kCentral, 1.0},
+        std::pair{AllreduceAlgo::kRecursiveDoubling, 0.0}}) {
+    ThreadGroup group(4, algo);
+    std::vector<double> sums(4);
+    group.run([&](ThreadComm& comm) {
+      std::vector<double> buf{contribution[comm.rank()]};
+      comm.allreduce_sum(buf);
+      sums[static_cast<std::size_t>(comm.rank())] = buf[0];
+    });
+    for (const double sum : sums) {
+      EXPECT_EQ(sum, want) << (algo == AllreduceAlgo::kCentral ? "central"
+                                                               : "rd");
+    }
   }
 }
 

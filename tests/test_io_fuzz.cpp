@@ -1,13 +1,12 @@
-// Fuzz-style negative tests for the sparse I/O parsers: every malformed
-// input class must surface a structured IoError -- never a crash, never a
-// silently misparsed matrix.  The generative suites at the bottom drive the
-// parsers with seeded random mutations of valid files.
+// Fuzz-style negative tests for the LIBSVM parser: every malformed input
+// class must surface a structured IoError -- never a crash, never a
+// silently misparsed matrix.  The generative suite at the bottom drives the
+// parser with seeded random mutations of a valid file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,13 +29,6 @@ class IoFuzzTest : public ::testing::Test {
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
-
-  std::string write_file(const std::string& name, const std::string& body) {
-    const auto path = (dir_ / name).string();
-    std::ofstream out(path);
-    out << body;
-    return path;
-  }
 
   fs::path dir_;
 };
@@ -139,105 +131,6 @@ TEST_F(IoFuzzTest, LibsvmWellFormedEdgeCasesStillParse) {
 }
 
 // ---------------------------------------------------------------------------
-// MatrixMarket: banner, size line, and entry corruption.
-
-TEST_F(IoFuzzTest, MatrixMarketNonRealBannerThrows) {
-  for (const char* banner :
-       {"%%MatrixMarket matrix coordinate pattern general",
-        "%%MatrixMarket matrix coordinate complex general",
-        "%%MatrixMarket matrix coordinate integer general",
-        "%%MatrixMarket matrix array real general",
-        "%%MatrixMarket vector coordinate real general",
-        "%%MatrixMarket matrix coordinate real hermitian",
-        "%%MatrixMarket matrix coordinate real"}) {
-    const auto path =
-        write_file("banner.mtx", std::string(banner) + "\n2 2 1\n1 1 1.0\n");
-    EXPECT_THROW(read_matrix_market(path), IoError) << banner;
-  }
-}
-
-TEST_F(IoFuzzTest, MatrixMarketSizeLineJunkThrows) {
-  const auto path = write_file(
-      "junk.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                  "2 2 1 extra\n1 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketNnzExceedsShapeThrows) {
-  const auto path = write_file(
-      "nnz.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                 "2 2 5\n1 1 1.0\n1 2 1.0\n2 1 1.0\n2 2 1.0\n1 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketHugeClaimedNnzFailsCheaply) {
-  // A multi-exabyte nnz claim must fail with a structured error before
-  // any proportional allocation happens.
-  const auto path = write_file(
-      "huge.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                  "1000000 1000000 999999999999\n1 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketZeroCoordinateThrows) {
-  // MatrixMarket is 1-based; a 0 coordinate used to wrap to a huge
-  // uint32 row index.
-  const auto zero_row = write_file(
-      "zr.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                "2 2 1\n0 1 1.0\n");
-  const auto zero_col = write_file(
-      "zc.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                "2 2 1\n1 0 1.0\n");
-  EXPECT_THROW(read_matrix_market(zero_row), IoError);
-  EXPECT_THROW(read_matrix_market(zero_col), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketOutOfBoundsCoordinateThrows) {
-  const auto path = write_file(
-      "oob.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                 "2 2 1\n3 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketNonFiniteValueThrows) {
-  const auto path = write_file(
-      "nan.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                 "2 2 1\n1 1 nan\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketDuplicateEntryThrows) {
-  const auto path = write_file(
-      "dup.mtx", "%%MatrixMarket matrix coordinate real general\n"
-                 "2 2 2\n1 1 1.0\n1 1 2.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketSymmetricDiagonalDuplicateThrows) {
-  // The mirrored copy of an off-diagonal entry collides with an explicit
-  // entry at the transposed coordinate.
-  const auto path = write_file(
-      "symdup.mtx", "%%MatrixMarket matrix coordinate real symmetric\n"
-                    "2 2 2\n2 1 1.0\n2 1 2.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketSymmetricNonSquareThrows) {
-  const auto path = write_file(
-      "rect.mtx", "%%MatrixMarket matrix coordinate real symmetric\n"
-                  "2 3 1\n1 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(path), IoError);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketEmptyMatrixParses) {
-  const auto path = write_file(
-      "empty.mtx", "%%MatrixMarket matrix coordinate real general\n0 0 0\n");
-  const auto m = read_matrix_market(path);
-  EXPECT_EQ(m.rows(), 0u);
-  EXPECT_EQ(m.nnz(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Generative fuzzing: random single-character mutations of valid files must
 // either round-trip to the same matrix (mutation hit a don't-care byte) or
 // throw IoError -- never crash or change parsed values silently.
@@ -282,63 +175,6 @@ TEST_F(IoFuzzTest, LibsvmMutationFuzz) {
     }
   }
   EXPECT_GT(rejected, 0);
-}
-
-TEST_F(IoFuzzTest, MatrixMarketMutationFuzz) {
-  constexpr std::uint64_t kSeed = 20180815;
-  constexpr const char* kMutants = "x:- .%\t\n09e";
-  Rng gen(kSeed, 1);
-  const auto m = random_csr(/*rows=*/9, /*cols=*/7, /*density=*/0.5,
-                            /*seed=*/kSeed);
-  const auto clean_path = (dir_ / "clean.mtx").string();
-  write_matrix_market(clean_path, m);
-  std::string clean;
-  {
-    std::ifstream in(clean_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    clean = buf.str();
-  }
-  int rejected = 0;
-  for (int trial = 0; trial < 400; ++trial) {
-    std::string mutated = clean;
-    const auto pos = static_cast<std::size_t>(
-        gen.uniform_index(static_cast<std::uint64_t>(mutated.size())));
-    mutated[pos] = kMutants[gen.uniform_index(11)];
-    const auto path = write_file("mut.mtx", mutated);
-    try {
-      const auto parsed = read_matrix_market(path);
-      EXPECT_LE(parsed.nnz(), m.nnz());
-    } catch (const IoError&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0);
-}
-
-// Truncating a valid file at any byte must never crash and never yield a
-// larger matrix than the original.
-TEST_F(IoFuzzTest, MatrixMarketTruncationSweep) {
-  const auto m = random_csr(/*rows=*/6, /*cols=*/5, /*density=*/0.6,
-                            /*seed=*/99);
-  const auto clean_path = (dir_ / "trunc_clean.mtx").string();
-  write_matrix_market(clean_path, m);
-  std::string clean;
-  {
-    std::ifstream in(clean_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    clean = buf.str();
-  }
-  for (std::size_t cut = 0; cut < clean.size(); cut += 3) {
-    const auto path = write_file("trunc.mtx", clean.substr(0, cut));
-    try {
-      const auto parsed = read_matrix_market(path);
-      EXPECT_LE(parsed.nnz(), m.nnz());
-    } catch (const IoError&) {
-      // structured rejection is fine
-    }
-  }
 }
 
 TEST_F(IoFuzzTest, LibsvmRoundTripSurvivesHardening) {

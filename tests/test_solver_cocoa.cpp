@@ -88,17 +88,6 @@ TEST_F(CocoaTest, MoreWorkersSlowPerRoundProgress) {
   EXPECT_GE(p16.objective, p1.objective - 1e-9);
 }
 
-TEST_F(CocoaTest, AveragingAlsoConverges) {
-  CocoaOptions opts;
-  opts.max_rounds = 150;
-  opts.procs = 4;
-  opts.aggregation = CocoaAggregation::kAverage;
-  opts.f_star = reference_.objective;
-  const auto result = solve_prox_cocoa(problem_, opts);
-  EXPECT_LT(result.history.back().objective,
-            result.history.front().objective);
-}
-
 TEST_F(CocoaTest, MaintainedObjectiveMatchesRecomputed) {
   CocoaOptions opts;
   opts.max_rounds = 25;

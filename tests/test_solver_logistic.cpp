@@ -199,12 +199,6 @@ TEST_F(LogisticTest, InvalidOptionsThrow) {
   opts = {};
   opts.tol = 0.1;
   EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument);
-  for (const double damping : {0.0, 1.5}) {
-    opts = {};
-    opts.damping = damping;
-    EXPECT_THROW(solve_logistic_prox_newton(problem_, opts), InvalidArgument)
-        << "damping=" << damping;
-  }
   // k and s tune the RC-SFISTA inner solver only.
   opts = {};
   opts.k = 4;

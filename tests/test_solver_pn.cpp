@@ -121,9 +121,6 @@ TEST_F(PnTest, InvalidOptionsThrow) {
   opts = {};
   opts.hessian_sampling_rate = 0.0;
   EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
-  opts = {};
-  opts.damping = 1.5;
-  EXPECT_THROW(solve_proximal_newton(problem_, opts), InvalidArgument);
   // The shared fields, checked by the solve frame.
   opts = {};
   opts.procs = 0;

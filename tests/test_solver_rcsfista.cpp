@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <string>
 #include <tuple>
@@ -19,7 +18,6 @@
 #include "la/backend.hpp"
 #include "la/blas.hpp"
 #include "obs/trace.hpp"
-#include "prox/operators.hpp"
 #include "sparse/gram.hpp"
 #include "prop.hpp"
 
@@ -286,28 +284,23 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(RcSfistaTest, DistributedVarianceReductionAgrees) {
   // The VR anchor is each rank's partial full gradient plus one d-word
-  // allreduce, so the SPMD solve tracks the sequential one in both
-  // momentum modes.
-  for (const bool restart : {false, true}) {
-    SolverOptions opts;
-    opts.max_iters = 60;
-    opts.sampling_rate = 0.1;
-    opts.k = 4;
-    opts.s = 2;
-    opts.variance_reduction = true;
-    opts.epoch_length = 10;
-    opts.vr_restart_momentum = restart;
-    opts.track_history = false;
-    const auto seq = solve_rc_sfista(problem_, opts);
-    dist::ThreadGroup group(3);
-    const auto par = solve_rc_sfista_distributed(problem_, opts, group);
-    ASSERT_TRUE(par.ok()) << par.failure_reason;
-    EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9)
-        << "restart=" << restart;
-    // ceil(60/4) = 15 chunk rounds plus 5 anchor refreshes (iteration 0,
-    // then every chunk boundary at least 10 iterations past the last).
-    EXPECT_EQ(par.comm_stats.allreduce_calls, 3u * (15u + 5u));
-  }
+  // allreduce, so the SPMD solve tracks the sequential one.
+  SolverOptions opts;
+  opts.max_iters = 60;
+  opts.sampling_rate = 0.1;
+  opts.k = 4;
+  opts.s = 2;
+  opts.variance_reduction = true;
+  opts.epoch_length = 10;
+  opts.track_history = false;
+  const auto seq = solve_rc_sfista(problem_, opts);
+  dist::ThreadGroup group(3);
+  const auto par = solve_rc_sfista_distributed(problem_, opts, group);
+  ASSERT_TRUE(par.ok()) << par.failure_reason;
+  EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9);
+  // ceil(60/4) = 15 chunk rounds plus 5 anchor refreshes (iteration 0,
+  // then every chunk boundary at least 10 iterations past the last).
+  EXPECT_EQ(par.comm_stats.allreduce_calls, 3u * (15u + 5u));
 }
 
 TEST_F(RcSfistaTest, DistributedVarianceReductionSendsHBlocksOnly) {
@@ -348,26 +341,6 @@ TEST_F(RcSfistaTest, DistributedRejectsMismatchedProcs) {
 
 /// The golden fixtures' dataset (tests/test_golden.cpp).
 data::Dataset golden_dataset() { return test_dataset(400, 16); }
-
-TEST(SpmdEngine, ElasticNetRegularizerMatchesSequential) {
-  const auto dataset = golden_dataset();
-  const LassoProblem problem(dataset, 0.005);
-  const prox::ElasticNetRegularizer reg(0.005, 0.5);
-  SolverOptions opts;
-  opts.max_iters = 200;
-  opts.sampling_rate = 0.2;
-  opts.k = 4;
-  opts.s = 2;
-  opts.regularizer = &reg;
-  const auto seq = solve_rc_sfista(problem, opts);
-  dist::ThreadGroup group(4);
-  const auto par = solve_rc_sfista_distributed(problem, opts, group);
-  ASSERT_TRUE(par.ok()) << par.failure_reason;
-  EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-9);
-  EXPECT_EQ(par.objective,
-            problem.smooth_value(par.w.span()) + reg.value(par.w.span()));
-  EXPECT_NEAR(par.objective, seq.objective, 1e-9);
-}
 
 TEST(SpmdEngine, TolStopsAtTheSequentialIteration) {
   const auto dataset = golden_dataset();
@@ -428,11 +401,10 @@ std::string ledger_mismatch(const SolveResult& seq, const SolveResult& par) {
 }
 
 TEST(SpmdProperty, MatchesSequentialEngine) {
-  // Seeded (m, d, P, k, S, b, pipeline/staleness, threads, backend,
-  // regularizer, VR) tuples; a failure prints a replayable case.  m < P
-  // leaves some ranks without rows.  Both sides model P ranks, so rank 0's
-  // cost ledger must equal the 1-rank world's bit for bit.
-  const prox::ElasticNetRegularizer elastic(0.005, 0.5);
+  // Seeded (m, d, P, k, S, b, pipeline/staleness, threads, backend, VR)
+  // tuples; a failure prints a replayable case.  m < P leaves some ranks
+  // without rows.  Both sides model P ranks, so rank 0's cost ledger must
+  // equal the 1-rank world's bit for bit.
   prop::for_all("spmd == sequential", 20261017, 40, [&](prop::Gen& g) {
     data::SyntheticOptions data_opts;
     data_opts.num_samples = g.index(4) == 0 ? g.size(1, 4) : g.size(5, 300);
@@ -453,15 +425,16 @@ TEST(SpmdProperty, MatchesSequentialEngine) {
     opts.staleness = opts.pipeline ? static_cast<int>(g.index(3)) : 0;
     opts.threads = 1 + static_cast<int>(g.index(3));
     opts.variance_reduction = g.index(3) == 0;
-    // Both VR knobs are drawn on every case, so the draws that follow do
-    // not shift, but set only where VR reads them.
+    // epoch_length is drawn on every case, so the draws that follow do not
+    // shift, but set only where VR reads it.
     const int epoch_length = static_cast<int>(g.size(1, 10));
-    const bool vr_restart = g.index(2) == 0;
     if (opts.variance_reduction) {
       opts.epoch_length = epoch_length;
-      opts.vr_restart_momentum = vr_restart;
     }
-    opts.regularizer = g.index(2) == 0 ? &elastic : nullptr;
+    // Two draws no axis reads: dropping them would shift every later draw
+    // and so change the 40 seeded cases.
+    static_cast<void>(g.index(2));
+    static_cast<void>(g.index(2));
     opts.seed = g.seed();
     opts.procs = ranks;  // consumes no draw, so no case shifts
     const la::ScopedBackend backend(g.index(2) == 0 ? la::Backend::kScalar
@@ -506,59 +479,6 @@ TEST_F(RcSfistaTest, RecursiveDoublingBackendAgrees) {
   dist::ThreadGroup group(4, dist::AllreduceAlgo::kRecursiveDoubling);
   const auto par = solve_rc_sfista_distributed(problem_, opts, group);
   EXPECT_LT(la::max_abs_diff(seq.w.span(), par.w.span()), 1e-10);
-}
-
-
-// ---------------------------------------------------------------------------
-// Generic regularizer support (engine option).
-// ---------------------------------------------------------------------------
-
-TEST_F(RcSfistaTest, ElasticNetRegularizerSatisfiesOptimality) {
-  // Run the engine with an elastic-net regularizer override and verify the
-  // stationarity conditions of min f(w) + l1|w|_1 + (l2/2)||w||_2^2:
-  //   grad f + l2 w = -l1 sign(w_j) on the support, |.| <= l1 off it.
-  const double l1 = 0.01, l2 = 0.05;
-  const prox::ElasticNetRegularizer reg(l1, l2);
-  SolverOptions opts;
-  opts.max_iters = 3000;
-  opts.sampling_rate = 1.0;  // deterministic
-  opts.regularizer = &reg;
-  const auto result = solve_rc_sfista(problem_, opts);
-  la::Vector grad(problem_.dim());
-  problem_.gradient(result.w.span(), grad.span());
-  for (std::size_t j = 0; j < problem_.dim(); ++j) {
-    const double g = grad[j] + l2 * result.w[j];
-    if (result.w[j] != 0.0) {
-      EXPECT_NEAR(g + l1 * (result.w[j] > 0 ? 1.0 : -1.0), 0.0, 1e-5);
-    } else {
-      EXPECT_LE(std::abs(g), l1 + 1e-5);
-    }
-  }
-}
-
-TEST_F(RcSfistaTest, ZeroRegularizerSolvesLeastSquares) {
-  const prox::ZeroRegularizer reg;
-  SolverOptions opts;
-  opts.max_iters = 3000;
-  opts.sampling_rate = 1.0;
-  opts.regularizer = &reg;
-  const auto result = solve_rc_sfista(problem_, opts);
-  la::Vector grad(problem_.dim());
-  problem_.gradient(result.w.span(), grad.span());
-  EXPECT_LT(la::amax(grad.span()), 1e-5);  // unregularized stationarity
-}
-
-TEST_F(RcSfistaTest, RegularizerOverrideKeepsKInvariance) {
-  const prox::ElasticNetRegularizer reg(0.01, 0.02);
-  SolverOptions opts;
-  opts.max_iters = 48;
-  opts.sampling_rate = 0.1;
-  opts.regularizer = &reg;
-  opts.k = 1;
-  const auto a = solve_rc_sfista(problem_, opts);
-  opts.k = 8;
-  const auto b = solve_rc_sfista(problem_, opts);
-  EXPECT_EQ(a.w, b.w);
 }
 
 }  // namespace

@@ -89,18 +89,6 @@ TEST_F(SfistaTest, VarianceReductionBeatsPlainAtSmallBatch) {
   EXPECT_LT(vr.rel_error, plain.rel_error);
 }
 
-TEST_F(SfistaTest, LiteralAlg3RestartAlsoConverges) {
-  SolverOptions opts;
-  opts.max_iters = 500;
-  opts.sampling_rate = 0.1;
-  opts.variance_reduction = true;
-  opts.vr_restart_momentum = true;
-  opts.epoch_length = 60;
-  opts.f_star = reference_.objective;
-  const auto result = solve_sfista(problem_, opts);
-  EXPECT_LT(result.rel_error, 0.2);
-}
-
 TEST_F(SfistaTest, CostAccountingPerIteration) {
   SolverOptions opts;
   opts.max_iters = 20;

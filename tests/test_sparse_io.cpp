@@ -1,11 +1,9 @@
-// Tests for LIBSVM / MatrixMarket I/O.
+// Tests for LIBSVM I/O.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "sparse/generate.hpp"
@@ -93,45 +91,6 @@ TEST_F(IoTest, LibsvmRoundTrip) {
 
 TEST_F(IoTest, LibsvmMissingFileThrows) {
   EXPECT_THROW(read_libsvm(path("does_not_exist.svm")), IoError);
-}
-
-TEST_F(IoTest, MatrixMarketRoundTrip) {
-  GenerateOptions opts;
-  opts.rows = 17;
-  opts.cols = 9;
-  opts.density = 0.4;
-  const auto m = generate_random(opts);
-  write_matrix_market(path("m.mtx"), m);
-  const auto back = read_matrix_market(path("m.mtx"));
-  EXPECT_EQ(back, m);
-}
-
-TEST_F(IoTest, MatrixMarketSymmetric) {
-  std::ofstream out(path("sym.mtx"));
-  out << "%%MatrixMarket matrix coordinate real symmetric\n"
-      << "2 2 2\n"
-      << "1 1 1.0\n"
-      << "2 1 3.0\n";
-  out.close();
-  const auto m = read_matrix_market(path("sym.mtx"));
-  EXPECT_EQ(m.nnz(), 3u);  // mirror of the off-diagonal entry
-  EXPECT_DOUBLE_EQ(m.row(0).vals[1], 3.0);
-}
-
-TEST_F(IoTest, MatrixMarketBadHeaderThrows) {
-  std::ofstream out(path("bad.mtx"));
-  out << "not a matrix market file\n";
-  out.close();
-  EXPECT_THROW(read_matrix_market(path("bad.mtx")), IoError);
-}
-
-TEST_F(IoTest, MatrixMarketTruncatedThrows) {
-  std::ofstream out(path("trunc.mtx"));
-  out << "%%MatrixMarket matrix coordinate real general\n"
-      << "2 2 3\n"
-      << "1 1 1.0\n";
-  out.close();
-  EXPECT_THROW(read_matrix_market(path("trunc.mtx")), IoError);
 }
 
 }  // namespace
