@@ -435,33 +435,33 @@ void BM_TelemetryPublishOff(benchmark::State& state) {
   // Gate off: telemetry_publish must cost exactly one relaxed load + branch
   // (the always-on instrumentation budget; see src/obs/telemetry.hpp).
   for (auto _ : state) {
-    obs::telemetry_publish(obs::TelemetryKind::kSpan, "bench", 1.0, 2.0);
+    obs::telemetry_publish(obs::TelemetryKind::kProgress, "bench", 1, 2.0,
+                           3.0);
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_TelemetryPublishOff);
 
 void BM_TelemetryPublishOn(benchmark::State& state) {
-  // Gate on without a LiveMonitor: stamp + SPSC ring push.  The ring is
-  // drained every half-capacity so the measurement covers the push path,
-  // not the saturated drop path (amortized drain cost is included, which
-  // matches what a producer thread experiences under a live sampler).
+  // Gate on without a LiveMonitor: stamp + ring push.  The ring is drained
+  // every half-capacity so the measurement covers the push path, not the
+  // saturated drop path (amortized drain cost is included, which matches
+  // what a producer thread experiences under a live sampler).
   obs::detail::set_gate_bit(obs::detail::kGateLive, true);
-  obs::telemetry_reset();
-  std::vector<obs::TelemetryEvent> sink;
+  const std::uint64_t drops_before = obs::telemetry_dropped();
   std::size_t since_drain = 0;
   for (auto _ : state) {
-    obs::telemetry_publish(obs::TelemetryKind::kSpan, "bench", 1.0, 2.0);
+    obs::telemetry_publish(obs::TelemetryKind::kProgress, "bench", 1, 2.0,
+                           3.0);
     if (++since_drain == obs::TelemetryRing::kDefaultCapacity / 2) {
       since_drain = 0;
-      sink.clear();
-      obs::telemetry_drain(sink);
+      obs::telemetry_drain();
     }
   }
   obs::detail::set_gate_bit(obs::detail::kGateLive, false);
+  obs::telemetry_drain();
   state.counters["dropped"] =
-      static_cast<double>(obs::telemetry_dropped());
-  obs::telemetry_reset();
+      static_cast<double>(obs::telemetry_dropped() - drops_before);
 }
 BENCHMARK(BM_TelemetryPublishOn);
 

@@ -113,7 +113,8 @@ int main(int argc, char** argv) {
                   distributed.comm_stats.max_payload_words));
   std::printf("wall         : %.3f s\n", distributed.wall_seconds);
   if (!distributed.phases.empty()) {
-    std::printf("\nrank-0 phases (times measured when tracing is on):\n%s",
+    std::printf("\nrank-0 phases (times measured when tracing or the live "
+                "monitor is on):\n%s",
                 obs::phase_table(distributed.phases).c_str());
   }
   if (obs_session.active()) {

@@ -194,14 +194,17 @@ la::Vector ChunkLoop::run(const Run& run, const After& after) {
       static_cast<double>(k) * static_cast<double>(stride) >
       opts.machine.cache_doubles;
 
-  // Counts and (when tracing) times one collective call into `agg`.
+  // Counts one collective call into `agg` and, under timed_phase's gate
+  // (tracing or the live monitor), times it.  The comm backend's spans are
+  // the call's events, so nothing is emitted here.
   const auto timed = [&](obs::PhaseAgg& agg, std::size_t words,
                          const auto& call) {
     ++agg.count;
     agg.words += static_cast<double>(words);
-    const std::int64_t t0 = tracing ? obs::now_us() : 0;
+    const bool timing = tracing || obs::live_enabled();
+    const std::int64_t t0 = timing ? obs::now_us() : 0;
     call();
-    if (tracing) {
+    if (timing) {
       agg.us += obs::now_us() - t0;
     }
   };
@@ -590,8 +593,8 @@ bool Frame::record(int n, std::span<const double> w, double objective,
   rec.support = support;
   rec.step = std::sqrt(step_sq);
   out.conv.push(rec);
-  obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter",
-                         static_cast<double>(n), rec.objective, rec.step);
+  obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter", n,
+                         rec.objective, rec.step);
   la::copy(w, std::span<double>(prev_));
   out.iterations = n;
   out.converged = opts_.tol > 0.0 && rel_error <= opts_.tol;

@@ -23,7 +23,7 @@ RetryingComm::RetryingComm(Communicator& inner, RetryPolicy policy)
 void RetryingComm::note_retry(double& backoff) {
   ++retries_;
   obs::telemetry_publish(obs::TelemetryKind::kRetry, "retry",
-                         static_cast<double>(retries_), backoff);
+                         static_cast<std::int64_t>(retries_));
   const auto sleep_us = static_cast<std::uint64_t>(backoff);
   if (sleep_us > 0) {
     backoff_counter_.add(sleep_us);

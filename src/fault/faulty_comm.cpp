@@ -25,7 +25,7 @@ void sleep_us(std::uint64_t us) {
 void FaultyComm::note_fault(const char* kind, std::uint64_t call) {
   ++injected_;
   obs::telemetry_publish(obs::TelemetryKind::kFault, kind,
-                         static_cast<double>(call));
+                         static_cast<std::int64_t>(call));
 }
 
 FaultyComm::FaultyComm(dist::Communicator& inner, const FaultPlan* plan)

@@ -1,7 +1,9 @@
 #include "obs/live.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -11,27 +13,17 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeline.hpp"
 
 namespace rcf::obs {
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* p = std::getenv(name);
-  if (p == nullptr || *p == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long v = std::strtol(p, &end, 10);
-  return end == p ? fallback : static_cast<int>(v);
-}
 
 /// Open-collective entries older than this are presumed to have lost their
 /// end event (ring overflow) and are pruned rather than poisoning the
@@ -59,17 +51,6 @@ void append_i64(std::string& out, std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   out += buf;
-}
-
-/// Occupancy classification of span/phase labels.  Spans that are neither
-/// communication nor waiting (pool slices nested inside engine phases) are
-/// left out of the occupancy split so nested spans never double-count.
-bool is_comm_label(std::string_view label) {
-  return label == "allreduce" || label == "allreduce_post";
-}
-
-bool is_wait_label(std::string_view label) {
-  return label.ends_with("_wait") || label == "quiesce";
 }
 
 }  // namespace
@@ -195,60 +176,70 @@ std::string header_json(const LiveMonitor::Impl& im) {
   return out;
 }
 
-void fold_event(LiveMonitor::Impl& im, const TelemetryEvent& ev,
-                std::int64_t now_us) {
+/// Adds `us` of occupancy to one of a rank's cumulative/window pairs.
+void occupy(double& total, double& window, double us) {
+  total += us;
+  window += us;
+}
+
+void fold_event(LiveMonitor::Impl& im, const TelemetryEvent& ev) {
   auto [it, inserted] = im.ranks.try_emplace(ev.rank);
   LiveMonitor::Impl::RankState& rs = it->second;
   if (inserted) {
     rs.last_progress_us = im.session_start_us;
   }
   ++rs.events;
-  const std::string_view label = ev.label;
   switch (ev.kind) {
-    case TelemetryKind::kPhase:
-      if (is_comm_label(label)) {
-        rs.comm_us += ev.a;
-        rs.win_comm_us += ev.a;
-      } else {
-        rs.compute_us += ev.a;
-        rs.win_compute_us += ev.a;
-      }
-      break;
     case TelemetryKind::kSpan:
-      if (is_wait_label(label)) {
-        rs.wait_us += ev.a;
-        rs.win_wait_us += ev.a;
-      } else if (is_comm_label(label)) {
-        rs.comm_us += ev.a;
-        rs.win_comm_us += ev.a;
+    case TelemetryKind::kPhase: {
+      const auto us = static_cast<double>(ev.dur_us);
+      switch (classify_span(ev.name)) {
+        case SpanCategory::kComm:
+          occupy(rs.comm_us, rs.win_comm_us, us);
+          ++rs.collectives;
+          im.open.erase(std::make_pair(ev.rank, ev.seq));
+          break;
+        case SpanCategory::kWait:
+          // Waits nest inside their collective: comm is net of them.
+          occupy(rs.wait_us, rs.win_wait_us, us);
+          occupy(rs.comm_us, rs.win_comm_us, -us);
+          break;
+        case SpanCategory::kCompute:
+          // Spans nest inside phases (pool slices, kernels): only phases
+          // count, so nothing is counted twice.
+          if (ev.kind == TelemetryKind::kPhase) {
+            occupy(rs.compute_us, rs.win_compute_us, us);
+          }
+          break;
+        case SpanCategory::kAux:
+        case SpanCategory::kChecker:
+          break;
       }
       break;
-    case TelemetryKind::kCollectiveBegin:
-      ++rs.collectives;
-      // emplace keeps the earliest begin when a posted collective's wait
-      // span re-announces the same sequence number.
-      im.open.emplace(
-          std::make_pair(ev.rank, static_cast<std::int64_t>(ev.a)),
-          LiveMonitor::Impl::OpenCollective{ev.t_us, ev.b});
-      break;
-    case TelemetryKind::kCollectiveEnd:
-      im.open.erase(
-          std::make_pair(ev.rank, static_cast<std::int64_t>(ev.a)));
+    }
+    case TelemetryKind::kBegin:
+      // A collective's own span opens it; its nested waits carry the same
+      // sequence number and announce themselves too.
+      if (classify_span(ev.name) == SpanCategory::kComm) {
+        im.open.emplace(std::make_pair(ev.rank, ev.seq),
+                        LiveMonitor::Impl::OpenCollective{ev.start_us,
+                                                          ev.words});
+      }
       break;
     case TelemetryKind::kProgress: {
-      const auto iter = static_cast<std::uint64_t>(ev.a);
+      const auto iter = static_cast<std::uint64_t>(ev.seq);
       rs.epoch = std::max(rs.epoch, iter);
-      rs.last_progress_us = std::max(rs.last_progress_us, ev.t_us);
-      rs.objective = ev.b;
-      rs.step = ev.c;
+      rs.last_progress_us = std::max(rs.last_progress_us, ev.start_us);
+      rs.objective = ev.objective;
+      rs.step = ev.step;
       // The watchdog's convergence rules follow rank 0's series (only rank
       // 0 evaluates the objective for the history; the other ranks publish
       // it only under tol stopping).
       if (ev.rank == 0) {
         ConvergenceRecord rec;
         rec.iteration = iter;
-        rec.objective = ev.b;
-        rec.step = ev.c;
+        rec.objective = ev.objective;
+        rec.step = ev.step;
         im.conv_scratch.push_back(rec);
       }
       break;
@@ -260,7 +251,6 @@ void fold_event(LiveMonitor::Impl& im, const TelemetryEvent& ev,
       ++im.faults_total;
       break;
   }
-  (void)now_us;
 }
 
 std::string snapshot_json(const LiveMonitor::Impl& im, const HealthSample& hs,
@@ -282,7 +272,7 @@ std::string snapshot_json(const LiveMonitor::Impl& im, const HealthSample& hs,
   double wc = 0.0, wm = 0.0, ww = 0.0;
   for (const auto& [rank, rs] : im.ranks) {
     wc += rs.win_compute_us;
-    wm += rs.win_comm_us;
+    wm += std::max(rs.win_comm_us, 0.0);
     ww += rs.win_wait_us;
   }
   const double busy = wc + wm + ww;
@@ -319,17 +309,20 @@ std::string snapshot_json(const LiveMonitor::Impl& im, const HealthSample& hs,
     append_num(out, rs.objective);
     out += ",\"step\":";
     append_num(out, rs.step);
-    const double rbusy = rs.win_compute_us + rs.win_comm_us + rs.win_wait_us;
+    // A window can hold a wait whose collective ends in the next one; comm
+    // is clamped at zero, as the timeline clamps it.
+    const double win_comm = std::max(rs.win_comm_us, 0.0);
+    const double rbusy = rs.win_compute_us + win_comm + rs.win_wait_us;
     out += ",\"frac\":{\"compute\":";
     append_num(out, rbusy > 0.0 ? rs.win_compute_us / rbusy : 0.0);
     out += ",\"comm\":";
-    append_num(out, rbusy > 0.0 ? rs.win_comm_us / rbusy : 0.0);
+    append_num(out, rbusy > 0.0 ? win_comm / rbusy : 0.0);
     out += ",\"wait\":";
     append_num(out, rbusy > 0.0 ? rs.win_wait_us / rbusy : 0.0);
     out += "},\"busy_us\":{\"compute\":";
     append_num(out, rs.compute_us);
     out += ",\"comm\":";
-    append_num(out, rs.comm_us);
+    append_num(out, std::max(rs.comm_us, 0.0));
     out += ",\"wait\":";
     append_num(out, rs.wait_us);
     out += "},\"collectives\":";
@@ -369,14 +362,13 @@ namespace {
 /// One full sampling pass.  Caller holds im.mutex.
 void sample_locked(LiveMonitor::Impl& im) {
   const std::int64_t t0 = now_us();
-  im.events.clear();
-  const std::size_t drained = telemetry_drain(im.events);
+  const std::size_t drained = take_live_events(im.events);
   // Rings are per-thread, so the merged batch is unordered across
-  // producers; sort by timestamp so last-write-wins folds (objective,
+  // producers; sort by emit time so last-write-wins folds (objective,
   // step) and the watchdog's convergence series are deterministic.
   std::stable_sort(im.events.begin(), im.events.end(),
                    [](const TelemetryEvent& x, const TelemetryEvent& y) {
-                     return x.t_us < y.t_us;
+                     return x.end_us() < y.end_us();
                    });
   im.conv_scratch.clear();
   for (auto& [rank, rs] : im.ranks) {
@@ -386,7 +378,7 @@ void sample_locked(LiveMonitor::Impl& im) {
   }
   const std::int64_t now = now_us();
   for (const TelemetryEvent& ev : im.events) {
-    fold_event(im, ev, now);
+    fold_event(im, ev);
   }
   // In-flight collectives: age of the oldest open span; prune entries that
   // lost their end event to ring overflow.
@@ -487,9 +479,9 @@ bool LiveMonitor::start(LiveConfig config) {
   }
   im.config = std::move(config);
 
-  telemetry_reset();
-  // Live rings' drop counters survive reset (they race their producers);
-  // report deltas against the start-of-session value instead.
+  set_live_inbox_open(true);
+  // Rings' drop counters are monotonic (zeroing them would race their
+  // producers); report deltas against the start-of-session value.
   im.drops_base = telemetry_dropped();
   im.ranks.clear();
   im.open.clear();
@@ -535,6 +527,7 @@ void LiveMonitor::stop() {
   }
   std::lock_guard<std::mutex> lock(im.mutex);
   sample_locked(im);
+  set_live_inbox_open(false);
   close_sink(im);
   im.running = false;
 }
@@ -575,41 +568,38 @@ WatchdogConfig LiveMonitor::watchdog_config() const {
   return impl_->running ? impl_->config.watchdog : WatchdogConfig{};
 }
 
-ScopedLive::ScopedLive(std::string out, int period_ms) {
-  if (out.empty()) {
-    return;
-  }
+LiveConfig live_config_from_env(std::string out) {
   LiveConfig config;
   config.out = std::move(out);
-  config.period_ms =
-      period_ms > 0 ? period_ms : env_int("RCF_LIVE_PERIOD_MS", 250);
-  config.watchdog = watchdog_config_from_env();
-  active_ = LiveMonitor::global().start(config);
-}
-
-ScopedLive::~ScopedLive() {
-  if (active_) {
-    LiveMonitor::global().stop();
+  if (const char* p = std::getenv("RCF_LIVE_PERIOD_MS");
+      p != nullptr && *p != '\0') {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(p, &end, 10);
+    if (*end == '\0' && errno == 0 && v > 0 && v <= INT_MAX) {
+      config.period_ms = static_cast<int>(v);
+    } else {
+      std::fprintf(stderr,
+                   "[rcf] warning: RCF_LIVE_PERIOD_MS=%s is not a positive "
+                   "integer; sampling every %d ms\n",
+                   p, config.period_ms);
+    }
   }
+  config.watchdog = watchdog_config_from_env();
+  return config;
 }
 
 void live_autoconfigure_from_env() {
-  static const bool configured = [] {
-    const char* env = std::getenv("RCF_LIVE");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) {
-      return false;
-    }
-    LiveConfig config;
-    config.out = std::strcmp(env, "1") == 0 ? "rcf_live.jsonl" : env;
-    config.period_ms = env_int("RCF_LIVE_PERIOD_MS", config.period_ms);
-    config.watchdog = watchdog_config_from_env();
-    if (LiveMonitor::global().start(config)) {
-      std::atexit([] { LiveMonitor::global().stop(); });
-      return true;
-    }
-    return false;
-  }();
-  (void)configured;
+  const char* env = std::getenv("RCF_LIVE");
+  if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) {
+    return;
+  }
+  if (LiveMonitor::global().start(live_config_from_env(
+          std::strcmp(env, "1") == 0 ? "rcf_live.jsonl" : env))) {
+    static const bool stop_at_exit =
+        std::atexit([] { LiveMonitor::global().stop(); }) == 0;
+    (void)stop_at_exit;
+  }
 }
 
 }  // namespace rcf::obs

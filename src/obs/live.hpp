@@ -1,9 +1,11 @@
-// LiveMonitor: the background sampler of the live telemetry bus
-// (telemetry.hpp).  At a configurable period it drains every per-thread
-// telemetry ring, folds the events into per-rank occupancy / progress
-// state and a MetricsRegistry delta snapshot, runs the health watchdog
-// (watchdog.hpp) over the resulting sample, and streams length-prefixed
-// JSONL records to a file for tools/rcf-top to tail.
+// LiveMonitor: the live consumer of the event stream (telemetry.hpp).  At a
+// configurable period it takes the events drained for it, folds them into
+// per-rank occupancy / progress state and a MetricsRegistry delta
+// snapshot, runs the health watchdog (watchdog.hpp) over the resulting
+// sample, and streams length-prefixed JSONL records to a file for
+// tools/rcf-top to tail.  Occupancy uses the timeline's span classes
+// (classify_span): communication is net of its nested waits, as in
+// rcf-report, and each collective counts once, at its allreduce span.
 //
 // Stream framing: every record is `<decimal byte length>\t<json>\n` so a
 // tailer can frame records without re-scanning for newlines inside
@@ -11,13 +13,14 @@
 // metadata), "snapshot" (one per sample period), "alert" (one per
 // watchdog alert).
 //
-// Activation: programmatic (start/stop or ScopedLive), `--live[=path]` on
-// the benches/examples, or RCF_LIVE=1|<path> in the environment
+// Activation: programmatic (start/stop), `--live=<path>` on the benches and
+// examples (ScopedSession), or RCF_LIVE=1|<path> in the environment
 // (live_autoconfigure_from_env, hooked into TraceSession's env autostart
-// so every solver entry point picks it up).
+// so every solver entry point picks it up).  Both CLI and env start the
+// monitor with live_config_from_env().
 //
 // Overhead contract: when the monitor is off, producers pay one relaxed
-// load per publish (see telemetry.hpp); when on, the sampler thread does
+// load per event (see telemetry.hpp); when on, the sampler thread does
 // all folding/serialization off the solver's critical path, and its own
 // busy time is published as live.sampler.busy_us so the overhead is
 // itself observable.
@@ -37,7 +40,7 @@ struct LiveConfig {
   /// still samples and keeps alerts/metrics, which is what the in-process
   /// annotation path uses).
   std::string out = "rcf_live.jsonl";
-  /// Sampling period.  RCF_LIVE_PERIOD_MS overrides via the env path.
+  /// Sampling period (RCF_LIVE_PERIOD_MS in live_config_from_env).
   int period_ms = 250;
   /// Watchdog thresholds (watchdog_config_from_env() on the env path).
   WatchdogConfig watchdog;
@@ -55,8 +58,8 @@ class LiveMonitor {
   LiveMonitor& operator=(const LiveMonitor&) = delete;
 
   /// Starts a session; false if one is already running (the running
-  /// session is left undisturbed).  Resets telemetry rings, alert history,
-  /// and per-rank state from any previous session.
+  /// session is left undisturbed).  Resets alert history and per-rank state
+  /// from any previous session; no earlier event reaches the new one.
   bool start(LiveConfig config = {});
 
   /// Takes a final sample, stops the sampler thread, and closes the
@@ -95,28 +98,17 @@ class LiveMonitor {
   Impl* impl_;
 };
 
-/// RAII session for CLI wiring (--live[=path]): starts the global monitor
-/// when `out` is non-empty, stops it on destruction.  Inert when `out` is
-/// empty, so callers can construct it unconditionally from flag values.
-/// `period_ms` <= 0 means "use the env override or default".
-class ScopedLive {
- public:
-  explicit ScopedLive(std::string out, int period_ms = 0);
-  ScopedLive(const ScopedLive&) = delete;
-  ScopedLive& operator=(const ScopedLive&) = delete;
-  ~ScopedLive();
-
-  [[nodiscard]] bool active() const { return active_; }
-
- private:
-  bool active_ = false;
-};
+/// The configuration the CLI (`--live=<path>`) and env (RCF_LIVE) paths
+/// start the monitor with: streams to `out`, samples every
+/// RCF_LIVE_PERIOD_MS milliseconds (a value that is not a positive integer
+/// is named in a warning and the default kept), and takes the watchdog's
+/// RCF_LIVE_* thresholds.
+[[nodiscard]] LiveConfig live_config_from_env(std::string out);
 
 /// Env activation: RCF_LIVE=1 streams to "rcf_live.jsonl" in the working
 /// directory, RCF_LIVE=<path> streams there; unset/empty/0 does nothing.
-/// RCF_LIVE_PERIOD_MS overrides the sampling period.  Called once from
-/// TraceSession's construction (every solver entry point touches it); the
-/// session is stopped at process exit.
+/// Called from TraceSession's construction (every solver entry point
+/// touches it); a session it starts is stopped at process exit.
 void live_autoconfigure_from_env();
 
 }  // namespace rcf::obs

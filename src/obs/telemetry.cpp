@@ -1,11 +1,9 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
-#include <memory>
 #include <mutex>
-
-#include "obs/trace.hpp"
 
 namespace rcf::obs {
 
@@ -23,80 +21,95 @@ void set_gate_bit(std::uint32_t bit, bool on) {
 
 }  // namespace detail
 
-const char* telemetry_kind_name(TelemetryKind kind) {
-  switch (kind) {
-    case TelemetryKind::kPhase:
-      return "phase";
-    case TelemetryKind::kSpan:
-      return "span";
-    case TelemetryKind::kCollectiveBegin:
-      return "coll_begin";
-    case TelemetryKind::kCollectiveEnd:
-      return "coll_end";
-    case TelemetryKind::kProgress:
-      return "progress";
-    case TelemetryKind::kRetry:
-      return "retry";
-    case TelemetryKind::kFault:
-      return "fault";
-  }
-  return "unknown";
-}
-
 TelemetryRing::TelemetryRing(std::size_t capacity) {
   capacity = std::bit_ceil(capacity < 2 ? std::size_t{2} : capacity);
-  slots_.resize(capacity);
+  slots_.reset(new std::byte[capacity * sizeof(TelemetryEvent)]);
   mask_ = capacity - 1;
-}
-
-std::size_t TelemetryRing::drain(std::vector<TelemetryEvent>& out) {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-  for (std::uint64_t i = head; i != tail; ++i) {
-    out.push_back(slots_[static_cast<std::size_t>(i) & mask_]);
-  }
-  head_.store(tail, std::memory_order_release);
-  return static_cast<std::size_t>(tail - head);
 }
 
 namespace {
 
-/// Registry of every live per-thread ring.  Each producing thread holds one
-/// shared_ptr (in its thread_local holder); the registry holds another.  A
-/// use_count of 1 therefore means the thread exited: the sampler drains
-/// such rings one last time, folds their drop counters into
-/// `retired_drops`, and removes them.
-struct RingRegistry {
+thread_local int t_rank = 0;
+
+constexpr std::size_t kTraceBlock = 1 << 14;
+
+/// Every thread's ring and the two consumers' buffers.  The mutex
+/// serializes every drain -- a ring's one consumer at a time -- and guards
+/// the buffers and the ring list.
+struct Stream {
   std::mutex mutex;
-  std::vector<std::shared_ptr<TelemetryRing>> rings;
-  std::uint64_t retired_drops = 0;
+  std::vector<TelemetryRing*> rings;  ///< owned by their threads' LocalRing
+  std::uint32_t next_tid = 1;
+  std::uint64_t exited_drops = 0;
+  /// Spans and phases, for TraceSession, in blocks that never move: a long
+  /// trace is not copied again on every growth step.
+  std::vector<std::vector<TelemetryEvent>> trace;
+  std::vector<TelemetryEvent> live;   ///< everything, for the next fold
+  bool live_open = false;
 };
 
-RingRegistry& ring_registry() {
-  static RingRegistry* registry = new RingRegistry();
-  return *registry;
+Stream& stream() {
+  static Stream* s = new Stream();  // leaked: threads may emit after main
+  return *s;
 }
 
-struct LocalRingHolder {
-  std::shared_ptr<TelemetryRing> ring;
+/// Hands one ring's pending events to their consumers.  Caller holds
+/// s.mutex.
+void drain_ring_locked(Stream& s, TelemetryRing& ring) {
+  ring.drain([&s](const TelemetryEvent& ev) {
+    if ((ev.sinks & detail::kGateTrace) != 0 &&
+        (ev.kind == TelemetryKind::kSpan || ev.kind == TelemetryKind::kPhase)) {
+      if (s.trace.empty() || s.trace.back().size() == kTraceBlock) {
+        s.trace.emplace_back().reserve(kTraceBlock);
+      }
+      s.trace.back().push_back(ev);
+    }
+    if ((ev.sinks & detail::kGateLive) != 0 && s.live_open) {
+      s.live.push_back(ev);
+    }
+  });
+}
+
+void drain_locked(Stream& s) {
+  for (TelemetryRing* ring : s.rings) {
+    drain_ring_locked(s, *ring);
+  }
+}
+
+/// The calling thread's ring: registered on the thread's first event, and
+/// drained to the consumers and unregistered when the thread exits, so an
+/// exited thread holds no memory and loses no event.
+struct LocalRing {
+  TelemetryRing ring;
+  std::uint32_t tid = 0;
+
+  LocalRing() {
+    Stream& s = stream();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    tid = s.next_tid++;
+    s.rings.push_back(&ring);
+  }
+  ~LocalRing() {
+    Stream& s = stream();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    drain_ring_locked(s, ring);
+    s.exited_drops += ring.dropped();
+    std::erase(s.rings, &ring);
+  }
+  LocalRing(const LocalRing&) = delete;
+  LocalRing& operator=(const LocalRing&) = delete;
 };
 
-TelemetryRing& local_ring() {
-  thread_local LocalRingHolder holder = [] {
-    LocalRingHolder h{std::make_shared<TelemetryRing>()};
-    RingRegistry& registry = ring_registry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.rings.push_back(h.ring);
-    return h;
-  }();
-  return *holder.ring;
+LocalRing& local_ring() {
+  thread_local LocalRing local;
+  return local;
 }
 
 }  // namespace
 
 std::int64_t now_us() {
-  // Process-stable epoch: TraceSession::start() does not reset it, so ages
-  // computed from stream timestamps stay valid across trace sessions.
+  // Process-stable epoch: starting a trace or monitor session does not
+  // reset it, so ages computed from stream timestamps stay valid.
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -104,70 +117,75 @@ std::int64_t now_us() {
       .count();
 }
 
-void telemetry_publish_slow(TelemetryKind kind, const char* label, double a,
-                            double b, double c) {
-  TelemetryEvent ev;
-  ev.kind = kind;
-  ev.rank = thread_rank();
-  ev.t_us = now_us();
-  ev.label = label;
-  ev.a = a;
-  ev.b = b;
-  ev.c = c;
-  local_ring().try_push(ev);
+void set_thread_rank(int rank) { t_rank = rank; }
+
+int thread_rank() { return t_rank; }
+
+void telemetry_emit(TelemetryEvent ev) {
+  LocalRing& local = local_ring();
+  ev.rank = static_cast<std::int16_t>(t_rank);
+  ev.tid = local.tid;
+  TelemetryRing& ring = local.ring;
+  if ((ev.sinks & detail::kGateTrace) != 0 &&
+      ring.size() >= ring.capacity()) {
+    Stream& s = stream();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    drain_ring_locked(s, ring);
+  }
+  ring.try_push(ev);
 }
 
-std::size_t telemetry_drain(std::vector<TelemetryEvent>& out) {
-  RingRegistry& registry = ring_registry();
-  std::vector<std::shared_ptr<TelemetryRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    rings = registry.rings;
+void telemetry_drain() {
+  Stream& s = stream();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  drain_locked(s);
+}
+
+std::vector<TelemetryEvent> trace_events() {
+  Stream& s = stream();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  drain_locked(s);
+  std::vector<TelemetryEvent> out;
+  for (const auto& block : s.trace) {
+    out.insert(out.end(), block.begin(), block.end());
   }
-  std::size_t drained = 0;
-  for (const auto& ring : rings) {
-    drained += ring->drain(out);
+  return out;
+}
+
+void clear_trace_events() {
+  Stream& s = stream();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  drain_locked(s);
+  s.trace.clear();
+}
+
+void set_live_inbox_open(bool open) {
+  Stream& s = stream();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (open) {
+    drain_locked(s);  // still closed: stale monitor events are dropped
   }
-  rings.clear();
-  // Retire rings whose producing thread exited (registry holds the only
-  // reference) and that have no events left -- a use_count of 1 means the
-  // thread_local holder was destroyed, which happens-after its last push.
-  {
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    std::erase_if(registry.rings, [&](const auto& ring) {
-      if (ring.use_count() == 1 && ring->size() == 0) {
-        registry.retired_drops += ring->dropped();
-        return true;
-      }
-      return false;
-    });
-  }
-  return drained;
+  s.live.clear();
+  s.live_open = open;
+}
+
+std::size_t take_live_events(std::vector<TelemetryEvent>& out) {
+  Stream& s = stream();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  drain_locked(s);
+  out.swap(s.live);
+  s.live.clear();
+  return out.size();
 }
 
 std::uint64_t telemetry_dropped() {
-  RingRegistry& registry = ring_registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  std::uint64_t total = registry.retired_drops;
-  for (const auto& ring : registry.rings) {
+  Stream& s = stream();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  std::uint64_t total = s.exited_drops;
+  for (const TelemetryRing* ring : s.rings) {
     total += ring->dropped();
   }
   return total;
-}
-
-void telemetry_reset() {
-  RingRegistry& registry = ring_registry();
-  std::vector<TelemetryEvent> discard;
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired_drops = 0;
-  std::erase_if(registry.rings,
-                [](const auto& ring) { return ring.use_count() == 1; });
-  for (const auto& ring : registry.rings) {
-    discard.clear();
-    ring->drain(discard);
-  }
-  // Drop counters of live rings cannot be zeroed without racing their
-  // producers; the monitor records the start-of-session value instead.
 }
 
 }  // namespace rcf::obs

@@ -6,7 +6,7 @@
 #include <set>
 #include <utility>
 
-#include "obs/trace.hpp"
+#include "obs/telemetry.hpp"
 
 namespace rcf::obs {
 
@@ -15,7 +15,7 @@ namespace {
 // Wait spans that nest inside a collective span on the same rank (the
 // collective's duration already contains them, so the decomposition must
 // not count them twice).
-bool is_nested_wait(const std::string& name) {
+bool is_nested_wait(std::string_view name) {
   return name == "allreduce_wait" || name == "reduce_wait" ||
          name == "contract_wait";
 }
@@ -25,13 +25,13 @@ bool is_nested_wait(const std::string& name) {
 // built on.  Under the contract checker that is the board's publish
 // (contract_wait); it releases every rank together, so the allreduce_wait
 // after it starts at the same time on every rank.
-bool is_arrival_wait(const std::string& name) {
+bool is_arrival_wait(std::string_view name) {
   return name == "allreduce_wait" || name == "contract_wait";
 }
 
 }  // namespace
 
-SpanCategory classify_span(const std::string& name) {
+SpanCategory classify_span(std::string_view name) {
   if (name == "allreduce") {
     return SpanCategory::kComm;
   }
@@ -47,7 +47,7 @@ SpanCategory classify_span(const std::string& name) {
   return SpanCategory::kCompute;
 }
 
-bool is_aligned_collective(const std::string& name) {
+bool is_aligned_collective(std::string_view name) {
   return classify_span(name) == SpanCategory::kComm;
 }
 
@@ -238,10 +238,10 @@ Timeline Timeline::build(std::vector<TimelineSpan> spans) {
 }
 
 std::vector<TimelineSpan> to_timeline_spans(
-    const std::vector<TraceEvent>& events) {
+    const std::vector<TelemetryEvent>& events) {
   std::vector<TimelineSpan> spans;
   spans.reserve(events.size());
-  for (const TraceEvent& ev : events) {
+  for (const TelemetryEvent& ev : events) {
     spans.push_back(TimelineSpan{ev.name, ev.rank, ev.seq, ev.start_us,
                                  ev.dur_us, ev.words});
   }

@@ -1,9 +1,10 @@
 // Cross-rank timeline: merges the per-rank span streams a traced solve
-// produces (live TraceSession snapshots or trace files re-loaded by
-// rcf-report) into one aligned view.
+// produces (TraceSession snapshots or trace files re-loaded by rcf-report)
+// into one aligned view.  classify_span is also the live monitor's
+// occupancy classifier, so the live stream and the report agree.
 //
 // Alignment key: the per-rank engine-space collective sequence number the
-// comm backends stamp on every non-aux collective span (TraceEvent::seq;
+// comm backends stamp on every non-aux collective span (TelemetryEvent::seq;
 // the same per-endpoint counting scheme check::SequenceTracker fingerprints
 // collectives with, so a trace that passes the contract checker is aligned
 // by construction).  Spans without a sequence number (older traces,
@@ -25,11 +26,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rcf::obs {
 
-struct TraceEvent;
+struct TelemetryEvent;
 
 /// One span in merge-ready form (string-named so offline loaders can feed
 /// spans parsed from trace files).
@@ -56,11 +58,11 @@ enum class SpanCategory {
   /// they add to no category.
   kChecker,
 };
-[[nodiscard]] SpanCategory classify_span(const std::string& name);
+[[nodiscard]] SpanCategory classify_span(std::string_view name);
 
 /// True for the collective spans the merge aligns across ranks (the kComm
 /// spans).
-[[nodiscard]] bool is_aligned_collective(const std::string& name);
+[[nodiscard]] bool is_aligned_collective(std::string_view name);
 
 /// Per-rank time decomposition.  Wait spans nest inside collective spans,
 /// so comm_s already has wait_s subtracted (clamped at zero).  On a
@@ -139,8 +141,8 @@ class Timeline {
   std::int64_t end_us_ = 0;
 };
 
-/// Converts a live TraceSession snapshot (sans nothing: every span kept).
+/// Converts a TraceSession snapshot (every span kept).
 [[nodiscard]] std::vector<TimelineSpan> to_timeline_spans(
-    const std::vector<TraceEvent>& events);
+    const std::vector<TelemetryEvent>& events);
 
 }  // namespace rcf::obs

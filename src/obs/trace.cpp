@@ -15,14 +15,8 @@ namespace rcf::obs {
 
 namespace {
 
-// Flush a thread's buffer into the central store once it holds this many
-// events, bounding per-thread memory without taking the store mutex per
-// span.
-constexpr std::size_t kFlushThreshold = 1 << 15;
-
-thread_local int t_rank = 0;
-
-void append_event_json(const TraceEvent& ev, bool chrome, std::string& out) {
+void append_event_json(const TelemetryEvent& ev, bool chrome,
+                       std::string& out) {
   out += "{\"name\":\"";
   json_escape_to(ev.name, out);
   out += "\"";
@@ -65,7 +59,7 @@ void append_event_json(const TraceEvent& ev, bool chrome, std::string& out) {
   out += "}";
 }
 
-void append_chrome_body(const std::vector<TraceEvent>& events,
+void append_chrome_body(const std::vector<TelemetryEvent>& events,
                         std::string& body) {
   body += "{\"traceEvents\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -92,10 +86,6 @@ std::string expand_rank_path(const std::string& path, int rank) {
   }
   return out;
 }
-
-void set_thread_rank(int rank) { t_rank = rank; }
-
-int thread_rank() { return t_rank; }
 
 const PhaseStat* find_phase(const PhaseSummary& summary,
                             std::string_view name) {
@@ -129,16 +119,6 @@ std::string phase_table(const PhaseSummary& summary) {
   }
   return out.str();
 }
-
-struct TraceSession::ThreadBuffer {
-  std::vector<TraceEvent> events;
-  std::uint32_t tid = 0;
-  ~ThreadBuffer() {
-    // The session singleton is intentionally leaked, so flushing from any
-    // thread-exit order (including after main returns) is safe.
-    TraceSession::global().flush_buffer(*this);
-  }
-};
 
 TraceSession::TraceSession() {
   TraceConfig env_config;
@@ -175,62 +155,20 @@ const bool g_env_autostart = (TraceSession::global(), true);
 
 }  // namespace
 
-TraceSession::ThreadBuffer& TraceSession::local_buffer() {
-  thread_local ThreadBuffer buffer{
-      {}, next_tid_.fetch_add(1, std::memory_order_relaxed)};
-  return buffer;
-}
-
-void TraceSession::flush_buffer(ThreadBuffer& buffer) {
-  if (buffer.events.empty()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_.insert(store_.end(), buffer.events.begin(), buffer.events.end());
-  buffer.events.clear();
-}
-
 void TraceSession::start(TraceConfig config) {
+  clear_trace_events();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    store_.clear();
     config_ = std::move(config);
   }
-  enabled_.store(true, std::memory_order_relaxed);
   detail::set_gate_bit(detail::kGateTrace, true);
 }
 
-void TraceSession::stop() {
-  detail::set_gate_bit(detail::kGateTrace, false);
-  enabled_.store(false, std::memory_order_relaxed);
-  flush_buffer(local_buffer());
-}
+void TraceSession::stop() { detail::set_gate_bit(detail::kGateTrace, false); }
 
-void TraceSession::record(const char* name, std::int64_t start_us,
-                          std::int64_t dur_us, double words,
-                          std::int64_t seq) {
-  if (!enabled()) {
-    return;
-  }
-  ThreadBuffer& buffer = local_buffer();
-  buffer.events.push_back(
-      TraceEvent{name, t_rank, buffer.tid, start_us, dur_us, words, seq});
-  if (buffer.events.size() >= kFlushThreshold) {
-    flush_buffer(buffer);
-  }
-}
+std::vector<TelemetryEvent> TraceSession::snapshot() { return trace_events(); }
 
-std::vector<TraceEvent> TraceSession::snapshot() {
-  flush_buffer(local_buffer());
-  std::lock_guard<std::mutex> lock(mutex_);
-  return store_;
-}
-
-void TraceSession::clear() {
-  local_buffer().events.clear();
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_.clear();
-}
+void TraceSession::clear() { clear_trace_events(); }
 
 std::uint64_t TraceSession::count_spans(std::string_view name) {
   std::uint64_t n = 0;
@@ -260,9 +198,9 @@ void TraceSession::write_jsonl(std::ostream& out) {
   }
 }
 
-bool TraceSession::write_trace_file(const std::string& path,
-                                    const std::vector<TraceEvent>& events,
-                                    bool chrome) {
+bool TraceSession::write_trace_file(
+    const std::string& path, const std::vector<TelemetryEvent>& events,
+    bool chrome) {
   const bool per_rank = path.find("%r") != std::string::npos;
   std::vector<int> ranks{0};
   if (per_rank) {
@@ -286,7 +224,7 @@ bool TraceSession::write_trace_file(const std::string& path,
     std::string body;
     if (chrome) {
       if (per_rank) {
-        std::vector<TraceEvent> mine;
+        std::vector<TelemetryEvent> mine;
         for (const auto& ev : events) {
           if (ev.rank == rank) {
             mine.push_back(ev);
@@ -317,7 +255,7 @@ bool TraceSession::write_outputs() {
     std::lock_guard<std::mutex> lock(mutex_);
     config = config_;
   }
-  const std::vector<TraceEvent> events = snapshot();
+  const std::vector<TelemetryEvent> events = snapshot();
   // Warn once when a multi-rank trace goes to a single shared file: the
   // ranks interleave in one stream, and a second process writing the same
   // path would clobber it.  `%r` in the path switches to per-rank files.
@@ -365,17 +303,8 @@ bool TraceSession::write_outputs() {
 ScopedSession::ScopedSession(std::string trace_out, std::string jsonl_out,
                              std::string metrics_out, std::string live_out) {
   if (!live_out.empty()) {
-    LiveConfig config;
-    config.out = std::move(live_out);
-    if (const char* p = std::getenv("RCF_LIVE_PERIOD_MS");
-        p != nullptr && *p != '\0') {
-      const int v = std::atoi(p);
-      if (v > 0) {
-        config.period_ms = v;
-      }
-    }
-    config.watchdog = watchdog_config_from_env();
-    live_active_ = LiveMonitor::global().start(std::move(config));
+    live_active_ =
+        LiveMonitor::global().start(live_config_from_env(std::move(live_out)));
   }
   if (trace_out.empty() && jsonl_out.empty() && metrics_out.empty()) {
     return;
@@ -399,24 +328,33 @@ ScopedSession::~ScopedSession() {
   }
 }
 
-TraceScope::~TraceScope() {
-  if (!active_ && !live_) {
-    return;
+void TraceScope::open(std::uint32_t gate, const char* name, double words,
+                      std::int64_t seq) {
+  sinks_ = static_cast<std::uint8_t>(gate);
+  name_ = name;
+  words_ = words;
+  seq_ = seq;
+  start_us_ = now_us();
+  if ((gate & detail::kGateLive) != 0 && seq >= 0) {
+    // Collectives announce themselves on entry so the monitor can age
+    // in-flight operations (a hung allreduce is visible while stuck).
+    telemetry_emit({.kind = TelemetryKind::kBegin,
+                    .sinks = detail::kGateLive,
+                    .name = name,
+                    .start_us = start_us_,
+                    .seq = seq,
+                    .words = words});
   }
-  const std::int64_t dur = now_us() - start_us_;
-  if (active_) {
-    TraceSession::global().record(name_, start_us_, dur, words_, seq_);
-  }
-  if (live_) {
-    if (seq_ >= 0) {
-      telemetry_publish_slow(TelemetryKind::kCollectiveEnd, name_,
-                             static_cast<double>(seq_),
-                             static_cast<double>(dur));
-    } else {
-      telemetry_publish_slow(TelemetryKind::kSpan, name_,
-                             static_cast<double>(dur), words_);
-    }
-  }
+}
+
+void TraceScope::close() {
+  telemetry_emit({.kind = TelemetryKind::kSpan,
+                  .sinks = sinks_,
+                  .name = name_,
+                  .start_us = start_us_,
+                  .dur_us = now_us() - start_us_,
+                  .seq = seq_,
+                  .words = words_});
 }
 
 }  // namespace rcf::obs

@@ -1,6 +1,6 @@
-// Per-rank tracing: RAII spans recorded into per-thread buffers and
-// exported as Chrome trace-event JSON (chrome://tracing / Perfetto) or a
-// flat JSONL stream.
+// Per-rank tracing: RAII spans and solver phases, emitted once into the
+// event stream (telemetry.hpp) and exported from its trace store as Chrome
+// trace-event JSON (chrome://tracing / Perfetto) or a flat JSONL stream.
 //
 // Design constraints (see DESIGN.md "Observability"):
 //
@@ -8,12 +8,9 @@
 //    hot paths (engine inner loop, ThreadComm collectives) can stay
 //    instrumented unconditionally (verified by BM_TraceScopeDisabled in
 //    bench_kernels).
-//  * Recording is lock-free on the recording thread: events append to a
-//    thread_local buffer that is flushed into the session's central store
-//    under a mutex only when the buffer fills, the thread exits, or the
-//    session is stopped.  snapshot() therefore sees every event from
-//    threads that have exited (ThreadGroup joins its ranks before control
-//    returns) plus the calling thread's events.
+//  * Recording is lock-free on the recording thread: a span is one event
+//    pushed into the thread's ring.  snapshot() drains every ring, so it
+//    sees every span recorded so far, by any thread, without loss.
 //  * Span attribution: rank comes from the thread-local set by
 //    set_thread_rank (ThreadGroup::run sets it per rank; 0 otherwise), and
 //    tid is a small per-thread serial.
@@ -37,24 +34,10 @@
 
 namespace rcf::obs {
 
-/// One completed span ("X" duration event in the Chrome trace format).
-struct TraceEvent {
-  const char* name = "";    ///< static-storage span label ("allreduce", ...)
-  int rank = 0;             ///< SPMD rank (pid in the Chrome trace)
-  std::uint32_t tid = 0;    ///< per-thread serial (tid in the Chrome trace)
-  std::int64_t start_us = 0;  ///< now_us() stamp (process-stable epoch)
-  std::int64_t dur_us = 0;    ///< span duration in microseconds
-  double words = 0.0;       ///< payload counter (0 = omitted from args)
-  /// Engine-space collective sequence number stamped by the comm backends
-  /// (the contract checker's per-endpoint counting scheme); -1 for
-  /// non-collective spans.  The cross-rank timeline merge aligns on it.
-  std::int64_t seq = -1;
-};
-
 /// Per-phase aggregate attached to SolveResult: how many spans of each
-/// phase a solve executed, and (when tracing was enabled) the wall time
-/// and payload they accumulated.  Counts are maintained even when tracing
-/// is off, so tests can assert on schedule shape without a live session.
+/// phase a solve executed, the payload they accumulated, and (when tracing
+/// or the live monitor was on) their wall time.  Counts are maintained
+/// even when both are off, so tests can assert on schedule shape.
 struct PhaseStat {
   std::string name;
   std::uint64_t count = 0;
@@ -85,45 +68,33 @@ struct TraceConfig {
 /// Replaces every `%r` in `path` with the decimal rank.
 [[nodiscard]] std::string expand_rank_path(const std::string& path, int rank);
 
-/// SPMD rank used to attribute spans recorded by the calling thread.
-void set_thread_rank(int rank);
-[[nodiscard]] int thread_rank();
-
-/// The process-wide trace session.  All recording goes through global().
+/// The process-wide trace session: the output configuration of the event
+/// stream's trace store and its writers.
 class TraceSession {
  public:
-  /// The singleton (never destroyed, so thread-exit flushes are always
-  /// safe).  Auto-starts from RCF_TRACE / RCF_TRACE_JSONL / RCF_METRICS on
-  /// first touch.
+  /// The singleton (never destroyed).  Auto-starts from RCF_TRACE /
+  /// RCF_TRACE_JSONL / RCF_METRICS on first touch.
   static TraceSession& global();
 
-  /// Enables recording (clears previously collected events) and stores the
+  /// Enables recording (drops previously collected events) and stores the
   /// output configuration for write_outputs().  Span timestamps keep the
   /// process-stable now_us() epoch, so they are not reset here.
   void start(TraceConfig config = {});
 
-  /// Disables recording and flushes the calling thread's buffer.
+  /// Disables recording.  Spans already emitted stay in the store.
   void stop();
 
   [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
+    return (obs_gate() & detail::kGateTrace) != 0;
   }
 
-  /// Records one completed span for the calling thread; rank/tid are
-  /// filled in from the thread-local state.  No-op when disabled.
-  /// `seq` is the collective sequence number (-1 = not a collective).
-  void record(const char* name, std::int64_t start_us, std::int64_t dur_us,
-              double words = 0.0, std::int64_t seq = -1);
-
-  /// Flushes the calling thread's buffer and returns a copy of every event
-  /// collected so far (events of still-running other threads may be
-  /// missing; ThreadGroup joins its ranks, so solver runs are complete).
-  [[nodiscard]] std::vector<TraceEvent> snapshot();
+  /// Every span and phase recorded so far, by any thread.
+  [[nodiscard]] std::vector<TelemetryEvent> snapshot();
 
   /// Drops all collected events (does not change enabled state or config).
   void clear();
 
-  /// Events collected so far whose name matches (flushes like snapshot()).
+  /// Events collected so far whose name matches.
   [[nodiscard]] std::uint64_t count_spans(std::string_view name);
 
   /// Writes the configured outputs (Chrome JSON / JSONL / metrics).
@@ -136,18 +107,13 @@ class TraceSession {
 
  private:
   TraceSession();
-  struct ThreadBuffer;
-  ThreadBuffer& local_buffer();
-  void flush_buffer(ThreadBuffer& buffer);
   /// Writes one trace output, expanding `%r` into per-rank files.
   bool write_trace_file(const std::string& path,
-                        const std::vector<TraceEvent>& events, bool chrome);
+                        const std::vector<TelemetryEvent>& events,
+                        bool chrome);
 
-  std::atomic<bool> enabled_{false};
-  std::atomic<std::uint32_t> next_tid_{1};
   std::atomic<bool> warned_shared_path_{false};
-  std::mutex mutex_;  // guards store_ and config_
-  std::vector<TraceEvent> store_;
+  std::mutex mutex_;  // guards config_
   TraceConfig config_;
 };
 
@@ -164,8 +130,9 @@ class ScopedSession {
   ScopedSession& operator=(const ScopedSession&) = delete;
   ~ScopedSession();
 
-  /// True when the trace session or the live monitor was started.
-  [[nodiscard]] bool active() const { return active_ || live_active_; }
+  /// True when the trace session was started: its outputs are written at
+  /// destruction.
+  [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] bool live_active() const { return live_active_; }
 
  private:
@@ -173,43 +140,36 @@ class ScopedSession {
   bool live_active_ = false;
 };
 
-/// RAII span: records [construction, destruction) into the global session
-/// and/or publishes it on the live telemetry bus.  The span's exact
-/// duration is the one latency record: rcf-report derives per-name
-/// quantiles from the trace.  `seq` stamps the span with a collective
-/// sequence number for the cross-rank timeline merge (-1 = not a
-/// collective).
+/// RAII span: emits [construction, destruction) as one event for the
+/// consumers on at construction.  The span's exact duration is the one
+/// latency record: rcf-report derives per-name quantiles from the trace.
+/// `seq` stamps the span with a collective sequence number for the
+/// cross-rank timeline merge (-1 = not a collective).
 class TraceScope {
  public:
   explicit TraceScope(const char* name, double words = 0.0,
                       std::int64_t seq = -1) {
     // One relaxed load tests the trace AND live gates (the packed word in
-    // telemetry.hpp), keeping the disabled fast path at a single load +
-    // branch even with live telemetry compiled in.
+    // telemetry.hpp): the disabled fast path is a single load + branch.
     const std::uint32_t gate = obs_gate();
-    if (gate == 0) {
-      return;
-    }
-    name_ = name;
-    words_ = words;
-    seq_ = seq;
-    active_ = (gate & detail::kGateTrace) != 0;
-    live_ = (gate & detail::kGateLive) != 0;
-    start_us_ = now_us();
-    if (live_ && seq_ >= 0) {
-      // Collectives announce themselves on entry so the monitor can age
-      // in-flight operations (a hung allreduce is visible while stuck).
-      telemetry_publish_slow(TelemetryKind::kCollectiveBegin, name_,
-                             static_cast<double>(seq_), words_);
+    if (gate != 0) [[unlikely]] {
+      open(gate, name, words, seq);
     }
   }
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
-  ~TraceScope();
+  ~TraceScope() {
+    if (sinks_ != 0) [[unlikely]] {
+      close();
+    }
+  }
 
  private:
-  bool active_ = false;
-  bool live_ = false;
+  void open(std::uint32_t gate, const char* name, double words,
+            std::int64_t seq);
+  void close();
+
+  std::uint8_t sinks_ = 0;
   const char* name_ = "";
   double words_ = 0.0;
   std::int64_t seq_ = -1;
@@ -232,32 +192,32 @@ struct PhaseAgg {
 
 /// Runs `fn()` as one span of phase `name`: the count and payload always
 /// accumulate into `agg` (so schedule-shape assertions work untraced), but
-/// the wall time is measured -- and a span emitted to the global session
-/// and/or the live telemetry bus -- only when `tracing` is true or the
-/// live monitor is running.  Sample enabled() once per solve and pass it
-/// here so the fully-disabled per-iteration cost is a bool test plus one
-/// relaxed load.
+/// the wall time is measured -- and one phase event emitted for the trace
+/// and/or the live monitor -- only when `tracing` is true or the monitor is
+/// running.  Sample enabled() once per solve and pass it here so the
+/// fully-disabled per-iteration cost is a bool test plus one relaxed load.
 template <typename Fn>
 inline void timed_phase(bool tracing, PhaseAgg& agg, const char* name,
                         double words, Fn&& fn) {
   ++agg.count;
   agg.words += words;
-  const bool live = live_enabled();
-  if (!tracing && !live) {
+  const auto sinks = static_cast<std::uint8_t>(
+      obs_gate() & (tracing ? detail::kGateTrace | detail::kGateLive
+                            : detail::kGateLive));
+  if (sinks == 0) [[likely]] {
     fn();
     return;
   }
   const std::int64_t t0 = now_us();
   fn();
   const std::int64_t dur = now_us() - t0;
-  if (tracing) {
-    TraceSession::global().record(name, t0, dur, words);
-  }
   agg.us += dur;
-  if (live) {
-    telemetry_publish_slow(TelemetryKind::kPhase, name,
-                           static_cast<double>(dur), words);
-  }
+  telemetry_emit({.kind = TelemetryKind::kPhase,
+                  .sinks = sinks,
+                  .name = name,
+                  .start_us = t0,
+                  .dur_us = dur,
+                  .words = words});
 }
 
 /// Appends one PhaseStat built from `agg` (skips never-hit phases).

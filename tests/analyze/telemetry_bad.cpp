@@ -1,6 +1,6 @@
 // Seeded-bad fixture for the telemetry-discipline check (analyzed with
 // scope_as=src/core/fixture.cpp): naked threads, ambient randomness,
-// wall-clock seeding, and ring access outside src/obs.
+// wall-clock seeding, and ring or ungated-emit access outside src/obs.
 #include <cstdlib>
 #include <ctime>
 #include <random>
@@ -11,6 +11,8 @@ namespace fixture {
 
 namespace obs {
 struct TelemetryRing;  // BAD(telemetry-discipline)
+struct TelemetryEvent {};
+void telemetry_emit(TelemetryEvent ev);  // BAD(telemetry-discipline)
 }
 
 void naked_thread(std::vector<double>& xs) {
@@ -32,5 +34,9 @@ int ambient_rand() {
 }
 
 void poke_ring(obs::TelemetryRing& ring);  // BAD(telemetry-discipline)
+
+void emit_ungated() {
+  obs::telemetry_emit({});  // BAD(telemetry-discipline)
+}
 
 }  // namespace fixture

@@ -15,7 +15,7 @@ struct Rng {
 }  // namespace rcf
 
 namespace obs {
-void telemetry_publish(std::string_view key, double value);
+void telemetry_publish(std::string_view name, std::int64_t seq);
 }
 
 double seeded_draw(std::uint64_t seed) {
@@ -23,8 +23,8 @@ double seeded_draw(std::uint64_t seed) {
   return rng.uniform();
 }
 
-void publish_metric(double residual) {
-  obs::telemetry_publish("solver.residual", residual);  // sanctioned API
+void publish_retry(std::int64_t retry) {
+  obs::telemetry_publish("retry", retry);  // sanctioned gated entry point
 }
 
 void waived_worker() {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/distributed.hpp"
 #include "core/problem.hpp"
 #include "core/prox_cocoa.hpp"
@@ -39,12 +41,20 @@ namespace {
 // TelemetryRing (SPSC)
 // ---------------------------------------------------------------------------
 
-obs::TelemetryEvent make_event(double a) {
+obs::TelemetryEvent make_event(double words) {
   obs::TelemetryEvent ev;
   ev.kind = obs::TelemetryKind::kSpan;
-  ev.label = "test";
-  ev.a = a;
+  ev.name = "test";
+  ev.words = words;
   return ev;
+}
+
+/// Appends every pending event of `ring` to `out`.
+std::size_t drain_into(obs::TelemetryRing& ring,
+                       std::vector<obs::TelemetryEvent>& out) {
+  return ring.drain([&out](const obs::TelemetryEvent& ev) {
+    out.push_back(ev);
+  });
 }
 
 TEST(TelemetryRing, CapacityRoundsUpToPowerOfTwo) {
@@ -60,10 +70,10 @@ TEST(TelemetryRing, PushDrainPreservesOrder) {
   }
   EXPECT_EQ(ring.size(), 10u);
   std::vector<obs::TelemetryEvent> out;
-  EXPECT_EQ(ring.drain(out), 10u);
+  EXPECT_EQ(drain_into(ring, out), 10u);
   ASSERT_EQ(out.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(i)].a, i);
+    EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(i)].words, i);
   }
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.dropped(), 0u);
@@ -80,11 +90,11 @@ TEST(TelemetryRing, FullRingDropsAndCounts) {
   // Drain frees capacity; pushes succeed again and the dropped events are
   // gone (drop-newest, never overwrite).
   std::vector<obs::TelemetryEvent> out;
-  EXPECT_EQ(ring.drain(out), 4u);
+  EXPECT_EQ(drain_into(ring, out), 4u);
   EXPECT_TRUE(ring.try_push(make_event(4)));
   out.clear();
-  EXPECT_EQ(ring.drain(out), 1u);
-  EXPECT_DOUBLE_EQ(out[0].a, 4.0);
+  EXPECT_EQ(drain_into(ring, out), 1u);
+  EXPECT_DOUBLE_EQ(out[0].words, 4.0);
 }
 
 TEST(TelemetryRing, ConcurrentProducerConsumer) {
@@ -100,17 +110,17 @@ TEST(TelemetryRing, ConcurrentProducerConsumer) {
   });
   std::vector<obs::TelemetryEvent> got;
   while (true) {
-    const std::size_t n = ring.drain(got);
+    const std::size_t n = drain_into(ring, got);
     if (n == 0 && got.size() + ring.dropped() >= kEvents) {
       break;
     }
   }
   producer.join();
-  ring.drain(got);
+  drain_into(ring, got);
   EXPECT_EQ(got.size() + ring.dropped(), kEvents);
   // The drained subsequence preserves push order.
   for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LT(got[i - 1].a, got[i].a);
+    EXPECT_LT(got[i - 1].words, got[i].words);
   }
 }
 
@@ -120,26 +130,27 @@ TEST(TelemetryRing, ConcurrentProducerConsumer) {
 
 TEST(Telemetry, PublishIsGatedOff) {
   ASSERT_FALSE(obs::live_enabled());
-  obs::telemetry_reset();
-  obs::telemetry_publish(obs::TelemetryKind::kSpan, "gated", 1.0);
+  obs::set_live_inbox_open(true);
+  obs::telemetry_publish(obs::TelemetryKind::kProgress, "gated", 1);
   std::vector<obs::TelemetryEvent> out;
-  EXPECT_EQ(obs::telemetry_drain(out), 0u);
+  EXPECT_EQ(obs::take_live_events(out), 0u);
+  obs::set_live_inbox_open(false);
 }
 
 TEST(Telemetry, PublishRecordsWhenGateOpen) {
-  obs::telemetry_reset();
+  obs::set_live_inbox_open(true);
   obs::detail::set_gate_bit(obs::detail::kGateLive, true);
-  obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter", 3.0, 0.5, 0.1);
+  obs::telemetry_publish(obs::TelemetryKind::kProgress, "iter", 3, 0.5, 0.1);
   obs::detail::set_gate_bit(obs::detail::kGateLive, false);
   std::vector<obs::TelemetryEvent> out;
-  ASSERT_EQ(obs::telemetry_drain(out), 1u);
+  ASSERT_EQ(obs::take_live_events(out), 1u);
   EXPECT_EQ(out[0].kind, obs::TelemetryKind::kProgress);
-  EXPECT_STREQ(out[0].label, "iter");
-  EXPECT_DOUBLE_EQ(out[0].a, 3.0);
-  EXPECT_DOUBLE_EQ(out[0].b, 0.5);
-  EXPECT_DOUBLE_EQ(out[0].c, 0.1);
-  EXPECT_GE(out[0].t_us, 0);
-  obs::telemetry_reset();
+  EXPECT_STREQ(out[0].name, "iter");
+  EXPECT_EQ(out[0].seq, 3);
+  EXPECT_DOUBLE_EQ(out[0].objective, 0.5);
+  EXPECT_DOUBLE_EQ(out[0].step, 0.1);
+  EXPECT_GE(out[0].start_us, 0);
+  obs::set_live_inbox_open(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -621,6 +632,143 @@ TEST(LiveMonitor, RetryStormAnnotatesSolveResult) {
       }
     }
     EXPECT_TRUE(alert_frame) << "retry-storm alert missing from the stream";
+  }
+}
+
+/// The stream's last snapshot, parsed.
+JsonValue last_snapshot(const std::string& path) {
+  JsonValue last;
+  for (const std::string& frame : parse_frames(path)) {
+    auto doc = parse_json(frame);
+    EXPECT_TRUE(doc.has_value()) << frame;
+    if (doc && doc->string_or("type", "") == "snapshot") {
+      last = std::move(*doc);
+    }
+  }
+  return last;
+}
+
+TEST(LiveMonitor, FoldCountsEachCollectiveOnceAndTimesComm) {
+  // The fold counts a collective once, at its allreduce span, and times
+  // communication and waiting from the spans themselves -- on the blocking
+  // path and on the pipelined one, whose allreduce runs on the rank's
+  // progress thread.
+  const auto dataset = data::make_paper_clone("SUSY", 0.002);
+  const core::LassoProblem problem(dataset, 0.005);
+  for (const bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "blocking");
+    TempFile stream("live_fold.jsonl");
+    obs::LiveConfig config;
+    config.out = stream.path();
+    config.period_ms = 5;
+    ASSERT_TRUE(obs::LiveMonitor::global().start(config));
+    core::SolverOptions opts;
+    opts.max_iters = 40;
+    opts.sampling_rate = 0.2;
+    opts.k = 4;
+    opts.pipeline = pipeline;
+    opts.track_history = false;
+    dist::ThreadGroup group(4);
+    const auto result =
+        core::solve_rc_sfista_distributed(problem, opts, group);
+    obs::LiveMonitor::global().stop();
+    ASSERT_TRUE(result.ok()) << result.failure_reason;
+
+    const JsonValue snapshot = last_snapshot(stream.path());
+    const JsonValue* ranks = snapshot.find("ranks");
+    ASSERT_TRUE(ranks != nullptr && ranks->is_array());
+    ASSERT_EQ(ranks->array.size(), 4u);
+    for (const JsonValue& rank : ranks->array) {
+      SCOPED_TRACE(rank.number_or("rank", -1));
+      EXPECT_EQ(rank.number_or("collectives", -1),
+                static_cast<double>(result.comm_stats.allreduce_calls / 4));
+      const JsonValue* busy = rank.find("busy_us");
+      ASSERT_NE(busy, nullptr);
+      EXPECT_GT(busy->number_or("comm", 0) + busy->number_or("wait", 0), 0.0);
+    }
+  }
+}
+
+TEST(LiveMonitor, TimesCollectivePhasesWithoutTracing) {
+  // PhaseStat::seconds is measured when tracing or the live monitor is on,
+  // for the collective phases as for the others.
+  ASSERT_FALSE(obs::TraceSession::global().enabled());
+  obs::LiveConfig config;
+  config.out = "";
+  ASSERT_TRUE(obs::LiveMonitor::global().start(config));
+  const auto dataset = data::make_paper_clone("SUSY", 0.002);
+  const core::LassoProblem problem(dataset, 0.005);
+  core::SolverOptions opts;
+  opts.max_iters = 40;
+  opts.sampling_rate = 0.2;
+  opts.k = 4;
+  opts.track_history = false;
+  dist::ThreadGroup group(2);
+  const auto result = core::solve_rc_sfista_distributed(problem, opts, group);
+  obs::LiveMonitor::global().stop();
+  ASSERT_TRUE(result.ok()) << result.failure_reason;
+  for (const char* name : {"gram", "allreduce"}) {
+    const obs::PhaseStat* phase = obs::find_phase(result.phases, name);
+    ASSERT_NE(phase, nullptr) << name;
+    EXPECT_GT(phase->seconds, 0.0) << name;
+  }
+}
+
+/// Sets an environment variable for the scope's lifetime.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+TEST(LiveMonitor, PeriodEnvAgreesOnCliAndEnvPaths) {
+  // `--live=<path>` (ScopedSession) and RCF_LIVE=<path> read
+  // RCF_LIVE_PERIOD_MS through one function: the stream headers agree, and
+  // a value that is not a positive integer is named in a warning and the
+  // default period kept.
+  const int fallback = obs::LiveConfig{}.period_ms;
+  const struct {
+    const char* value;
+    int period_ms;
+  } cases[] = {{"0", fallback}, {"-5", fallback}, {"abc", fallback},
+               {"100", 100}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.value);
+    const ScopedEnv period("RCF_LIVE_PERIOD_MS", c.value);
+    TempFile cli_stream("live_period_cli.jsonl");
+    TempFile env_stream("live_period_env.jsonl");
+    ::testing::internal::CaptureStderr();
+    { const obs::ScopedSession session("", "", "", cli_stream.path()); }
+    {
+      const ScopedEnv live("RCF_LIVE", env_stream.path());
+      obs::live_autoconfigure_from_env();
+      EXPECT_TRUE(obs::LiveMonitor::global().running());
+      obs::LiveMonitor::global().stop();
+    }
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    const bool valid = std::string_view(c.value) == "100";
+    std::size_t named = 0;
+    for (std::size_t at = warnings.find(std::string("RCF_LIVE_PERIOD_MS=") +
+                                        c.value);
+         at != std::string::npos;
+         at = warnings.find("RCF_LIVE_PERIOD_MS=", at + 1)) {
+      ++named;
+    }
+    EXPECT_EQ(named, valid ? 0u : 2u) << warnings;
+    for (const std::string* path : {&cli_stream.path(), &env_stream.path()}) {
+      const auto frames = parse_frames(*path);
+      ASSERT_FALSE(frames.empty()) << *path;
+      const auto header = parse_json(frames[0]);
+      ASSERT_TRUE(header.has_value());
+      EXPECT_EQ(header->number_or("period_ms", -1), c.period_ms) << *path;
+    }
   }
 }
 

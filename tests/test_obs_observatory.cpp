@@ -520,11 +520,11 @@ TEST(ObsTracePath, WritesOneFilePerRank) {
   config.trace_out = pattern;
   session.start(config);
   // Record one span per rank from this thread by switching the rank
-  // attribution (the splitting keys on TraceEvent::rank, not the thread).
+  // attribution (the splitting keys on the event's rank, not the thread).
   obs::set_thread_rank(0);
-  session.record("gram.task", 0, 10);
+  { RCF_TRACE_SCOPE("gram.task"); }
   obs::set_thread_rank(1);
-  session.record("gram.task", 20, 10);
+  { RCF_TRACE_SCOPE("gram.task"); }
   obs::set_thread_rank(0);
   EXPECT_TRUE(session.write_outputs());
   session.stop();

@@ -3,10 +3,12 @@
 // agreement on real multi-rank ThreadComm solves.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -15,6 +17,7 @@
 #include "core/solvers.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
+#include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -247,7 +250,8 @@ TEST(TraceSession, DisabledSessionRecordsNothing) {
   {
     RCF_TRACE_SCOPE("ghost");
     RCF_TRACE_SCOPE_W("ghost_words", 128);
-    session.record("ghost_direct", 0, 1, 2.0);
+    obs::PhaseAgg agg;
+    obs::timed_phase(/*tracing=*/true, agg, "ghost_phase", 2.0, [] {});
   }
   EXPECT_TRUE(session.snapshot().empty());
   EXPECT_EQ(session.count_spans("ghost"), 0u);
@@ -260,6 +264,66 @@ TEST(TraceSession, PayloadWordsAttachToSpans) {
   const auto events = session.snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].words, 600.0);
+  session.clear();
+}
+
+TEST(TraceSession, KeepsEveryEventWhenRingsFillAndTheMonitorToggles) {
+  // Each producer emits more spans than its ring holds while the live
+  // monitor starts and stops mid-burst: a full ring is drained into the
+  // trace store in place, no monitor transition drops a span, and
+  // snapshot() sees the spans of producers that are still running.
+  auto& session = fresh_session();
+  constexpr int kThreads = 4;
+  const std::size_t per_thread = 3 * obs::TelemetryRing::kDefaultCapacity + 17;
+  const std::size_t total = kThreads * per_thread;
+  std::atomic<std::size_t> emitted{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> producers;  // rcf-analyze: allow(telemetry-discipline) raw producers stress the rings
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&emitted, &release, per_thread, t] {
+      obs::set_thread_rank(t);
+      for (std::size_t i = 0; i < per_thread; ++i) {
+        RCF_TRACE_SCOPE("burst");
+        emitted.fetch_add(1, std::memory_order_relaxed);
+      }
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  const auto wait_for = [&emitted](std::size_t n) {
+    while (emitted.load(std::memory_order_relaxed) < n) {
+      std::this_thread::yield();
+    }
+  };
+  obs::LiveConfig config;
+  config.out = "";
+  config.period_ms = 1;
+  wait_for(total / 8);
+  EXPECT_TRUE(obs::LiveMonitor::global().start(config));
+  wait_for(total / 2);
+  obs::LiveMonitor::global().stop();
+  wait_for(5 * total / 8);
+  EXPECT_TRUE(obs::LiveMonitor::global().start(config));
+  wait_for(total);
+  obs::LiveMonitor::global().stop();
+  session.stop();
+
+  const auto count_per_rank = [&session] {
+    std::vector<std::size_t> per_rank(kThreads, 0);
+    for (const auto& ev : session.snapshot()) {
+      EXPECT_STREQ(ev.name, "burst");
+      ++per_rank[static_cast<std::size_t>(ev.rank)];
+    }
+    return per_rank;
+  };
+  const std::vector<std::size_t> expected(kThreads, per_thread);
+  EXPECT_EQ(count_per_rank(), expected) << "producers still running";
+  release.store(true, std::memory_order_release);
+  for (std::thread& producer : producers) {
+    producer.join();
+  }
+  EXPECT_EQ(count_per_rank(), expected) << "producers joined";
   session.clear();
 }
 

@@ -23,8 +23,9 @@
 //                              waited on every path, including early
 //                              returns and throw sites; an abandoned handle
 //                              stalls ThreadComm quiescence.
-//   telemetry-discipline       TelemetryRing is SPSC and owned by src/obs;
-//                              direct ring access elsewhere, naked
+//   telemetry-discipline       TelemetryRing and the ungated
+//                              telemetry_emit are owned by src/obs;
+//                              direct use elsewhere, naked
 //                              std::thread outside exec/dist, and ambient
 //                              RNG / wall-clock seeding outside src/common
 //                              break the ownership and replay contracts.

@@ -846,13 +846,12 @@ struct TelemetryCheck {
         }
       }
       if (ring_scope && (t.text == "TelemetryRing" ||
-                         t.text == "telemetry_publish_slow")) {
+                         t.text == "telemetry_emit")) {
         ctx.emit("telemetry-discipline", t.line,
                  "'" + t.text +
-                     "' used outside src/obs: the SPSC rings are owned by "
-                     "the obs layer; publish through "
-                     "obs::telemetry_publish() only (single-producer "
-                     "discipline)");
+                     "' used outside src/obs: the rings are owned by the "
+                     "obs layer; emit through TraceScope, timed_phase or "
+                     "obs::telemetry_publish() (the gated entry points)");
       }
     }
   }
